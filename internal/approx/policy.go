@@ -163,6 +163,28 @@ func (p *Policy) Decide(primary, secondary *Estimate, phaseChange bool) Decision
 	return d
 }
 
+// Assess is the tier decision every surface shares: it estimates the
+// sampler's reuse-time profile with Che/Fagin — the curve an analytical
+// decision serves — and, when that succeeds, with the fully-associative
+// model for the disagreement signal, then asks pol for the verdict. A
+// still-warming sampler yields no estimate and no profile, and pol
+// decides "warming" (or "disabled"). The profile is returned for the
+// warmup description an analytical result reports.
+func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (*Estimate, *Profile, Decision) {
+	var primary, secondary *Estimate
+	var prof *Profile
+	if !s.Warming() {
+		prof = s.Profile()
+		if e, err := (CheFagin{}).Estimate(prof, instructions); err == nil {
+			primary = e
+			if e2, err := (FullyAssociative{}).Estimate(prof, instructions); err == nil {
+				secondary = e2
+			}
+		}
+	}
+	return primary, prof, pol.Decide(primary, secondary, phaseChange)
+}
+
 // relDisagreement is the mean absolute miss-ratio difference between two
 // estimates, relative to the primary curve's height — the scale-free
 // cross-model consistency check.

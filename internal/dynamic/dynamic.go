@@ -59,8 +59,10 @@ type Config struct {
 	// ApproxThreshold enables the tiered probing path: a recomputation
 	// first runs a sampler-only probe (an O(1)-per-sample reuse-time
 	// histogram — no Mattson engine) and keeps the analytical curve when
-	// its uncertainty score is within the threshold, escalating to a full
-	// engine probe otherwise. Zero keeps every probe on the full engine.
+	// the service's tier decision (approx.Assess) trusts it — uncertainty
+	// within the threshold and the two estimators in agreement —
+	// escalating to a full engine probe otherwise. Zero keeps every probe
+	// on the full engine.
 	ApproxThreshold float64
 	// SamplingRate enables the SHARDS-sampled probing tier: a
 	// recomputation for an application whose phase detector reports a
@@ -275,180 +277,151 @@ func (c *Controller) runInterval() []float64 {
 	return mpki
 }
 
-// reprofile arms a streaming probing period on machine i and keeps the
-// whole gang running, cycle-interleaved, until the log fills — co-runners
-// continue to contend for the cache during the capture, exactly as they
-// would on the real machine. Samples flow from the PMU through the
-// streaming corrector into the incremental engine as they are recorded:
-// no trace log is materialized, and when epoch snapshots are enabled the
-// capture ends early once the in-flight curve settles, so a recomputation
-// costs only as many entries as the curve actually needs. The new curve
-// is anchored at the current partition size's measured miss rate.
+// reprofile recomputes application i's curve, cheapest trustworthy tier
+// first: the analytical probe, then — on a stable miss rate — the
+// SHARDS-sampled probe at the application's progressive rate, kept when
+// its confidence band is tight (mean width within SamplingBandMPKI) and
+// it cross-validates against the banked curve, which halves the rate
+// for the next stable refresh (floored at SamplingMinRate). A rejected
+// cheap probe escalates to the next tier — a second probing period, the
+// honest price of a wrong guess — and a rejected sampled probe resets
+// the rate progression. The full-rate engine probe is the last tier.
 func (c *Controller) reprofile(i int) {
-	if c.cfg.ApproxThreshold > 0 && c.approxReprofile(i) {
+	if c.cfg.ApproxThreshold > 0 && c.approxProbe(i) {
 		return
 	}
 	// The sampled tier only runs on a stable miss rate: a probe forced
 	// through mid-transition (the maxDefer override) captures a phase
 	// mixture, where a cheap low-confidence curve is the wrong trade.
-	if c.cfg.SamplingRate > 0 && !c.detectors[i].InTransition() && c.sampledReprofile(i) {
-		return
+	if c.cfg.SamplingRate > 0 && !c.detectors[i].InTransition() {
+		ep := c.probe(i, sample.Config{Rate: c.sampleRate[i]})
+		ok := ep != nil && (sample.Bands{Low: ep.BandLow, High: ep.BandHigh}).Width() <= c.cfg.SamplingBandMPKI
+		if ok && c.curves[i] != nil && c.cfg.SamplingCrossVal > 0 {
+			ok = curveDistance(ep.Result.MRC, c.curves[i]) <= c.cfg.SamplingCrossVal
+		}
+		if ok {
+			c.adopt(i, ep.Result.MRC)
+			c.stats.SampledProfiles++
+			if next := c.sampleRate[i] / 2; next >= c.cfg.SamplingMinRate {
+				c.sampleRate[i] = next
+			}
+			return
+		}
+		c.stats.SampledEscalations++
+		c.sampleRate[i] = c.cfg.SamplingRate
 	}
+	if ep := c.probe(i, sample.Config{}); ep != nil {
+		c.adopt(i, ep.Result.MRC)
+	}
+}
+
+// capture runs one probing period on machine i and keeps the whole gang
+// running, cycle-interleaved, until the log fills — co-runners continue
+// to contend for the cache during the capture, exactly as they would on
+// the real machine. Samples flow from the PMU into sink as they are
+// recorded, so no trace log is materialized; settled, when non-nil, is
+// polled after every step with the instructions retired since the
+// capture began and ends the period early by returning true. The
+// machine's metrics cover exactly the capture window.
+func (c *Controller) capture(i int, sink pmu.Sink, settled func(instr uint64) bool) pmu.TraceStats {
 	m := c.machines[i]
 	p := m.PMU()
 	m.ResetMetrics()
-	eng, err := c.pool.Get(core.DefaultConfig(), c.cfg.TraceEntries, 0)
-	if err != nil {
-		return
+	start := m.Core().Instructions()
+	p.StartTraceTo(sink, c.cfg.TraceEntries, start, m.Core().Cycles())
+	for !p.TraceFull() {
+		platform.NextByCycles(c.machines).Step()
+		if settled != nil && settled(m.Core().Instructions()-start) {
+			break
+		}
 	}
-	defer c.pool.Put(eng)
-	var corr core.StreamCorrector
-	startInstr := m.Core().Instructions()
-	p.StartTraceTo(pmu.SinkFunc(func(l mem.Line) {
-		eng.Feed(corr.Feed(l))
-	}), c.cfg.TraceEntries, startInstr, m.Core().Cycles())
+	_, st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
+	c.stats.ProbedEntries += st.Captured
+	return st
+}
 
-	var conv *phase.Convergence
-	nextEpoch := c.cfg.SnapshotEntries
+// probe is the engine tier: a profiling session at the given sampling
+// configuration (zero for full rate) fed by one capture. When epoch
+// snapshots are enabled the capture ends early once the in-flight curve
+// settles, so a recomputation costs only as many entries as the curve
+// actually needs. The returned epoch's curve is anchored at the current
+// partition size; nil means a degenerate capture (cannot happen with
+// sane configs), which keeps the old curve.
+func (c *Controller) probe(i int, sampling sample.Config) *service.Epoch {
+	sess, err := c.pool.Open(service.TenantConfig{
+		Engine: core.DefaultConfig(), Target: c.cfg.TraceEntries, Sampling: sampling,
+	})
+	if err != nil {
+		return nil
+	}
+	defer sess.Close()
+	var settled func(uint64) bool
 	if c.cfg.SnapshotEntries > 0 && c.cfg.ConvergedMPKI > 0 {
 		window := c.cfg.ConvergenceWindow
 		if window <= 0 {
 			window = DefaultConvergenceWindow
 		}
-		conv = phase.NewConvergence(c.cfg.ConvergedMPKI, window)
-	}
-	for !p.TraceFull() {
-		platform.NextByCycles(c.machines).Step()
-		if conv == nil || eng.Consumed() < nextEpoch {
-			continue
-		}
-		nextEpoch += c.cfg.SnapshotEntries
-		snap, err := eng.Snapshot(m.Core().Instructions() - startInstr)
-		if err != nil {
-			continue // still inside warmup
-		}
-		if conv.Observe(snap.MRC) {
-			break // curve settled: stop probing early
+		conv := phase.NewConvergence(c.cfg.ConvergedMPKI, window)
+		next := c.cfg.SnapshotEntries
+		settled = func(instr uint64) bool {
+			if sess.Consumed() < next {
+				return false
+			}
+			next += c.cfg.SnapshotEntries
+			ep, err := sess.Snapshot(instr)
+			return err == nil && conv.Observe(ep.Result.MRC) // warming epochs never settle
 		}
 	}
-	_, st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
-	res, err := eng.Snapshot(st.Instructions)
+	st := c.capture(i, pmu.SinkFunc(func(l mem.Line) { sess.Feed([]uint64{uint64(l)}) }), settled)
+	ep, err := sess.Snapshot(st.Instructions)
 	if err != nil {
-		// A degenerate capture (cannot happen with sane configs) keeps
-		// the old curve.
-		return
+		return nil
 	}
-	// Anchor at the current partition size using the miss rate measured
-	// over the capture window itself — any other window risks anchoring
-	// one phase's curve with another phase's miss rate.
-	res.MRC.Transpose(c.alloc[i]-1, m.Metrics().MPKI())
-	c.curves[i] = res.MRC
-	c.stats.Recomputations++
-	c.stats.ProbedEntries += st.Captured
+	c.anchor(i, ep.Result.MRC)
+	return ep
 }
 
-// approxReprofile is the analytical probing tier: the same cycle-
-// interleaved capture as reprofile, but samples feed a reuse-time
-// sampler instead of a Mattson engine — O(1) per sample, no stack walks,
-// no engine drawn from the pool — and the curve comes from the
-// characteristic-time estimator. The estimate is kept only when its
-// uncertainty score is within ApproxThreshold; otherwise it reports
-// false and the caller escalates to a full engine probe (a second
-// probing period — the price of a wrong guess, which the threshold keeps
-// rare). The probe never ends early: without engine snapshots there is
-// no convergence signal, but the sampler's per-sample cost is a small
-// fraction of a stack update, so the full-length capture is still far
-// cheaper.
-func (c *Controller) approxReprofile(i int) bool {
-	m := c.machines[i]
-	p := m.PMU()
-	m.ResetMetrics()
+// approxProbe is the analytical tier: the same capture, but samples feed
+// a reuse-time sampler instead of a Mattson engine — O(1) per sample, no
+// stack walks, no engine drawn from the pool — and the curve comes from
+// the characteristic-time estimator. It keeps the estimate and reports
+// true only when the shared tier decision trusts it: uncertainty within
+// ApproxThreshold and the two estimators in agreement, exactly as the
+// service decides. The probe never ends early: without engine snapshots
+// there is no convergence signal, but the sampler's per-sample cost is a
+// small fraction of a stack update, so the full-length capture is still
+// far cheaper.
+func (c *Controller) approxProbe(i int) bool {
 	smp, err := approx.NewSampler(core.DefaultConfig(), c.cfg.TraceEntries)
 	if err != nil {
 		return false
 	}
 	var corr core.StreamCorrector
-	startInstr := m.Core().Instructions()
-	p.StartTraceTo(pmu.SinkFunc(func(l mem.Line) {
-		smp.Feed(corr.Feed(l))
-	}), c.cfg.TraceEntries, startInstr, m.Core().Cycles())
-	for !p.TraceFull() {
-		platform.NextByCycles(c.machines).Step()
-	}
-	_, st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
-	c.stats.ProbedEntries += st.Captured
-	est, err := approx.CheFagin{}.Estimate(smp.Profile(), st.Instructions)
-	if err != nil || est.Uncertainty > c.cfg.ApproxThreshold {
+	st := c.capture(i, pmu.SinkFunc(func(l mem.Line) { smp.Feed(corr.Feed(l)) }), nil)
+	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: c.cfg.ApproxThreshold})
+	est, _, d := approx.Assess(pol, smp, st.Instructions, false)
+	if d.Tier != approx.TierAnalytical {
 		c.stats.ApproxEscalations++
 		return false
 	}
-	est.MRC.Transpose(c.alloc[i]-1, m.Metrics().MPKI())
-	c.curves[i] = est.MRC
-	c.stats.Recomputations++
+	c.anchor(i, est.MRC)
+	c.adopt(i, est.MRC)
 	c.stats.ApproxProfiles++
 	return true
 }
 
-// sampledReprofile is the SHARDS-sampled probing tier: the same cycle-
-// interleaved capture as reprofile, but the engine sits behind a
-// spatial sampler at the application's current progressive rate, so
-// most captured references skip the Mattson stack entirely. The curve
-// is kept only when its confidence band is tight (mean width within
-// SamplingBandMPKI) and, when a banked curve exists, the new curve
-// cross-validates against it; otherwise it reports false, the caller
-// escalates to a full-rate probe, and the rate progression resets —
-// honesty about a cheap probe that wasn't good enough, same contract as
-// approxReprofile. An accepted probe halves the application's rate for
-// the next stable refresh, floored at SamplingMinRate.
-func (c *Controller) sampledReprofile(i int) bool {
-	m := c.machines[i]
-	p := m.PMU()
-	m.ResetMetrics()
-	eng, err := c.pool.GetSampled(core.DefaultConfig(),
-		sample.Config{Rate: c.sampleRate[i]}, c.cfg.TraceEntries)
-	if err != nil {
-		return false
-	}
-	defer c.pool.Put(eng)
-	se := eng.(*sample.Engine)
-	var corr core.StreamCorrector
-	startInstr := m.Core().Instructions()
-	p.StartTraceTo(pmu.SinkFunc(func(l mem.Line) {
-		se.Feed(corr.Feed(l))
-	}), c.cfg.TraceEntries, startInstr, m.Core().Cycles())
-	for !p.TraceFull() {
-		platform.NextByCycles(c.machines).Step()
-	}
-	_, st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
-	c.stats.ProbedEntries += st.Captured
-	res, err := se.Snapshot(st.Instructions)
-	if err != nil {
-		return c.escalateSampled(i)
-	}
-	if b := se.Bands(); b.Width() > c.cfg.SamplingBandMPKI {
-		return c.escalateSampled(i)
-	}
-	res.MRC.Transpose(c.alloc[i]-1, m.Metrics().MPKI())
-	if prev := c.curves[i]; prev != nil && c.cfg.SamplingCrossVal > 0 &&
-		curveDistance(res.MRC, prev) > c.cfg.SamplingCrossVal {
-		return c.escalateSampled(i)
-	}
-	c.curves[i] = res.MRC
-	c.stats.Recomputations++
-	c.stats.SampledProfiles++
-	if next := c.sampleRate[i] / 2; next >= c.cfg.SamplingMinRate {
-		c.sampleRate[i] = next
-	}
-	return true
+// anchor transposes a fresh curve to the current partition size using
+// the miss rate measured over the capture window itself — any other
+// window risks anchoring one phase's curve with another phase's miss
+// rate.
+func (c *Controller) anchor(i int, mrc *core.MRC) {
+	mrc.Transpose(c.alloc[i]-1, c.machines[i].Metrics().MPKI())
 }
 
-// escalateSampled records a rejected sampled probe and resets the
-// application's rate progression; it returns false so reprofile falls
-// through to the full-rate path.
-func (c *Controller) escalateSampled(i int) bool {
-	c.stats.SampledEscalations++
-	c.sampleRate[i] = c.cfg.SamplingRate
-	return false
+// adopt makes mrc application i's current curve.
+func (c *Controller) adopt(i int, mrc *core.MRC) {
+	c.curves[i] = mrc
+	c.stats.Recomputations++
 }
 
 // curveDistance is the banked cross-validation metric: mean absolute

@@ -7,14 +7,18 @@
 // queues under a global admission budget, shedding with a typed error
 // instead of blocking the producer.
 //
-// The facade's one-shot workflows (Online, System.Stream, Engine
-// streams) and the closed-loop manager route through the same pooled
-// lifecycle the daemon uses, so a host serving hundreds of tenants and a
-// single CLI invocation exercise identical compute paths; the property
-// tests pin the results bit-identical to the pre-service serial engines.
+// Every profiling path — service tenants, the facade's one-shot
+// workflows and streams, and the dynamic controller's probes — runs as a
+// Session opened from the pool, so a host serving hundreds of tenants
+// and a single CLI invocation exercise identical compute paths; the
+// property tests pin the results bit-identical to the pre-service serial
+// engines.
 package service
 
 import (
+	"errors"
+	"slices"
+	"strconv"
 	"sync"
 
 	"rapidmrc/internal/core"
@@ -23,11 +27,12 @@ import (
 	"rapidmrc/internal/sample"
 )
 
-// Engine is the incremental compute core a stream or tenant drives:
-// either the serial core.StreamEngine (O(stack) memory, O(points)
-// snapshots) or the chunk-parallel parstack.Feeder (buffers the trace,
-// snapshots recompute in parallel). Both produce bit-identical results
-// for the same feed sequence.
+// Engine is the incremental compute core a session drives: the serial
+// core.StreamEngine (O(stack) memory, O(points) snapshots), the
+// chunk-parallel parstack.Feeder (buffers the trace, snapshots recompute
+// in parallel), or the SHARDS-sampled sample.Engine. The exact engines
+// produce bit-identical results for the same feed sequence, and so does
+// the sampled one at rate 1.0.
 type Engine interface {
 	Feed(mem.Line)
 	Consumed() int
@@ -46,34 +51,81 @@ type PoolStats struct {
 	Hits, Misses, Drops int
 }
 
-// EnginePool recycles stream engines across sessions and tenants. Get
-// either resets a retained engine of the matching configuration or
-// constructs a fresh one; Put returns an engine for reuse, dropping it
-// when the pool already holds its capacity (the bound keeps a burst of
-// evictions from pinning engine memory forever). The zero value is not
-// usable; use NewEnginePool. All methods are safe for concurrent use.
+// engineKey is what a retained engine must match to serve a request:
+// the compute configuration, the sampling configuration (the rate sizes
+// the scaled stack, so a mismatch cannot be Reset away), and whether it
+// is the chunk-parallel feeder.
+type engineKey struct {
+	cfg      core.Config
+	sampling sample.Config
+	parallel bool
+}
+
+// Engine kinds, the per-kind retention bound's and PoolStats' unit.
+const (
+	kindSerial = iota
+	kindParallel
+	kindSampled
+	numKinds
+)
+
+func (k engineKey) kind() int {
+	switch {
+	case k.parallel:
+		return kindParallel
+	case k.sampling != (sample.Config{}):
+		return kindSampled
+	}
+	return kindSerial
+}
+
+// keyOf returns a pooled engine's key; ok is false for nil and foreign
+// Engine implementations.
+func keyOf(e Engine) (k engineKey, ok bool) {
+	switch e := e.(type) {
+	case *core.StreamEngine:
+		return engineKey{cfg: e.Config()}, true
+	case *parstack.Feeder:
+		return engineKey{cfg: e.Config(), parallel: true}, true
+	case *sample.Engine:
+		return engineKey{cfg: e.Config(), sampling: e.SampleConfig()}, true
+	}
+	return engineKey{}, false
+}
+
+// idleEngine is one retained engine with its matching key.
+type idleEngine struct {
+	key engineKey
+	eng Engine
+}
+
+// EnginePool recycles stream engines across sessions and tenants. A
+// request either resets a retained engine of the matching configuration
+// or constructs a fresh one; Put returns an engine for reuse, dropping it
+// when the pool already holds its capacity of that kind (the bound keeps
+// a burst of evictions from pinning engine memory forever). The zero
+// value is not usable; use NewEnginePool. All methods are safe for
+// concurrent use.
 //
 // Reset-and-reuse is bit-identity-preserving: a recycled engine produces
 // exactly the results a newly constructed one would, pinned by the pool
 // property tests.
 type EnginePool struct {
 	mu       sync.Mutex
-	capacity int                  // immutable after construction
-	serial   []*core.StreamEngine //rapidmrc:guardedby mu
-	parallel []*parstack.Feeder   //rapidmrc:guardedby mu
-	sampled  []*sample.Engine     //rapidmrc:guardedby mu
-	hits     int                  //rapidmrc:guardedby mu
-	misses   int                  //rapidmrc:guardedby mu
-	drops    int                  //rapidmrc:guardedby mu
+	capacity int          // immutable after construction
+	idle     []idleEngine //rapidmrc:guardedby mu
+	hits     int          //rapidmrc:guardedby mu
+	misses   int          //rapidmrc:guardedby mu
+	drops    int          //rapidmrc:guardedby mu
 }
 
-// DefaultPoolCapacity bounds how many idle engines a pool retains when
-// the caller does not choose.
+// DefaultPoolCapacity bounds how many idle engines of each kind a pool
+// retains when the caller does not choose.
 const DefaultPoolCapacity = 64
 
 // NewEnginePool returns a pool retaining at most capacity idle engines
-// (serial and parallel pools each get the full bound); capacity <= 0
-// uses DefaultPoolCapacity.
+// of each kind (serial, parallel, sampled); capacity <= 0 uses
+// DefaultPoolCapacity.
 func NewEnginePool(capacity int) *EnginePool {
 	if capacity <= 0 {
 		capacity = DefaultPoolCapacity
@@ -81,131 +133,91 @@ func NewEnginePool(capacity int) *EnginePool {
 	return &EnginePool{capacity: capacity}
 }
 
-// Get returns an engine for one probing period: workers == 0 selects the
-// serial incremental engine, workers >= 1 the chunk-parallel feeder with
-// that many chunk passes. A retained engine is reused only when its
-// configuration matches cfg exactly; otherwise a fresh engine is built.
+// Get returns an exact engine for one probing period: workers == 0
+// selects the serial incremental engine, workers >= 1 the chunk-parallel
+// feeder with that many chunk passes. Profiling callers open a Session
+// instead, which also validates and picks the sampled engine.
 func (p *EnginePool) Get(cfg core.Config, target, workers int) (Engine, error) {
-	if workers > 0 {
-		if f := p.takeParallel(cfg); f != nil {
-			if err := f.Reset(target, workers); err != nil {
-				return nil, err
-			}
-			return f, nil
-		}
-		return parstack.NewFeeder(cfg, target, workers)
-	}
-	if e := p.takeSerial(cfg); e != nil {
-		if err := e.Reset(target); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	return core.NewStreamEngine(cfg, target)
+	return p.get(engineKey{cfg: cfg, parallel: workers > 0}, target, workers)
 }
 
-// GetSampled returns a SHARDS-sampled engine for one probing period. A
-// retained engine is reused only when both its compute and sampling
-// configurations match exactly — the sampling rate sizes the scaled
-// stack, so a rate mismatch cannot be Reset away.
-func (p *EnginePool) GetSampled(cfg core.Config, scfg sample.Config, target int) (Engine, error) {
-	if e := p.takeSampled(cfg, scfg); e != nil {
-		if err := e.Reset(target); err != nil {
-			return nil, err
-		}
-		return e, nil
+// get resets a retained engine matching k or constructs a fresh one. An
+// invalid target is rejected before the free list is touched, so a bad
+// request neither consumes a retained engine nor counts as a hit.
+func (p *EnginePool) get(k engineKey, target, workers int) (Engine, error) {
+	if target <= 0 {
+		return nil, errors.New("service: engine target " + strconv.Itoa(target) + " must be positive")
 	}
-	return sample.NewEngine(cfg, scfg, target)
+	switch e := p.take(k).(type) {
+	case *parstack.Feeder:
+		return e, e.Reset(target, workers)
+	case *core.StreamEngine:
+		return e, e.Reset(target)
+	case *sample.Engine:
+		return e, e.Reset(target)
+	}
+	switch k.kind() {
+	case kindParallel:
+		return parstack.NewFeeder(k.cfg, target, workers)
+	case kindSampled:
+		return sample.NewEngine(k.cfg, k.sampling, target)
+	}
+	return core.NewStreamEngine(k.cfg, target)
 }
 
-// Put returns an engine obtained from Get (or built elsewhere) to the
-// pool. Engines beyond the pool's capacity, and nil or foreign Engine
-// implementations, are discarded.
-func (p *EnginePool) Put(e Engine) {
+// take pops the most recently retained engine matching k, or returns nil.
+func (p *EnginePool) take(k engineKey) Engine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch e := e.(type) {
-	case *core.StreamEngine:
-		if len(p.serial) < p.capacity {
-			p.serial = append(p.serial, e)
-			return
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].key == k {
+			e := p.idle[i].eng
+			p.idle = slices.Delete(p.idle, i, i+1)
+			p.hits++
+			return e
 		}
-	case *parstack.Feeder:
-		if len(p.parallel) < p.capacity {
-			p.parallel = append(p.parallel, e)
-			return
-		}
-	case *sample.Engine:
-		if len(p.sampled) < p.capacity {
-			p.sampled = append(p.sampled, e)
-			return
-		}
-	default:
+	}
+	p.misses++
+	return nil
+}
+
+// Put returns an engine to the pool. Engines beyond the pool's capacity
+// for their kind, and nil or foreign Engine implementations, are
+// discarded.
+func (p *EnginePool) Put(e Engine) {
+	k, ok := keyOf(e)
+	if !ok {
 		return
 	}
-	p.drops++
-}
-
-// takeSerial pops a retained serial engine with the given configuration.
-func (p *EnginePool) takeSerial(cfg core.Config) *core.StreamEngine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := len(p.serial) - 1; i >= 0; i-- {
-		if p.serial[i].Config() == cfg {
-			e := p.serial[i]
-			p.serial[i] = p.serial[len(p.serial)-1]
-			p.serial = p.serial[:len(p.serial)-1]
-			p.hits++
-			return e
-		}
+	if p.idleCounts()[k.kind()] >= p.capacity {
+		p.drops++
+		return
 	}
-	p.misses++
-	return nil
+	p.idle = append(p.idle, idleEngine{key: k, eng: e})
 }
 
-// takeParallel pops a retained feeder with the given configuration.
-func (p *EnginePool) takeParallel(cfg core.Config) *parstack.Feeder {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.parallel) - 1; i >= 0; i-- {
-		if p.parallel[i].Config() == cfg {
-			f := p.parallel[i]
-			p.parallel[i] = p.parallel[len(p.parallel)-1]
-			p.parallel = p.parallel[:len(p.parallel)-1]
-			p.hits++
-			return f
-		}
+// idleCounts counts the retained engines by kind.
+//
+//rapidmrc:locked mu
+func (p *EnginePool) idleCounts() [numKinds]int {
+	var n [numKinds]int
+	for _, r := range p.idle {
+		n[r.key.kind()]++
 	}
-	p.misses++
-	return nil
-}
-
-// takeSampled pops a retained sampled engine matching both
-// configurations.
-func (p *EnginePool) takeSampled(cfg core.Config, scfg sample.Config) *sample.Engine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.sampled) - 1; i >= 0; i-- {
-		if p.sampled[i].Config() == cfg && p.sampled[i].SampleConfig() == scfg {
-			e := p.sampled[i]
-			p.sampled[i] = p.sampled[len(p.sampled)-1]
-			p.sampled = p.sampled[:len(p.sampled)-1]
-			p.hits++
-			return e
-		}
-	}
-	p.misses++
-	return nil
+	return n
 }
 
 // Stats returns a snapshot of the pool's counters.
 func (p *EnginePool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	idle := p.idleCounts()
 	return PoolStats{
-		IdleSerial:   len(p.serial),
-		IdleParallel: len(p.parallel),
-		IdleSampled:  len(p.sampled),
+		IdleSerial:   idle[kindSerial],
+		IdleParallel: idle[kindParallel],
+		IdleSampled:  idle[kindSampled],
 		Hits:         p.hits,
 		Misses:       p.misses,
 		Drops:        p.drops,

@@ -7,6 +7,7 @@ import (
 
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
+	"rapidmrc/internal/sample"
 )
 
 // synthTrace builds a deterministic reference stream with reuse at mixed
@@ -163,22 +164,43 @@ func TestPoolRejectsForeignEngines(t *testing.T) {
 	}
 }
 
-// TestPoolRejectsBadTarget checks Get validates the target for both
-// fresh construction and reset-reuse.
+// TestPoolRejectsBadTarget checks the target is validated for both fresh
+// construction and reset-reuse, for every engine kind — and that a
+// rejected request leaves a retained engine in place without counting a
+// hit.
 func TestPoolRejectsBadTarget(t *testing.T) {
 	cfg := core.DefaultConfig()
-	pool := NewEnginePool(2)
-	for _, workers := range []int{0, 2} {
-		if _, err := pool.Get(cfg, 0, workers); err == nil {
-			t.Errorf("workers=%d: target 0 accepted on construction", workers)
+	for _, tc := range []struct {
+		kind string
+		spec TenantConfig
+	}{
+		{"serial", TenantConfig{Engine: cfg}},
+		{"parallel", TenantConfig{Engine: cfg, Workers: 2}},
+		{"sampled", TenantConfig{Engine: cfg, Sampling: sample.Config{Rate: 0.5}}},
+	} {
+		pool := NewEnginePool(2)
+		spec := tc.spec
+		if _, err := pool.Open(spec); err == nil {
+			t.Errorf("%s: target 0 accepted on construction", tc.kind)
 		}
-		e, err := pool.Get(cfg, 100, workers)
+		spec.Target = 100
+		sess, err := pool.Open(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Put(e)
-		if _, err := pool.Get(cfg, -3, workers); err == nil {
-			t.Errorf("workers=%d: negative target accepted on reset", workers)
+		sess.Close()
+		before := pool.Stats()
+		spec.Target = -3
+		if _, err := pool.Open(spec); err == nil {
+			t.Errorf("%s: negative target accepted on reset", tc.kind)
+		}
+		if tc.spec.Sampling == (sample.Config{}) {
+			if _, err := pool.Get(cfg, -3, tc.spec.Workers); err == nil {
+				t.Errorf("%s: Get accepted a negative target", tc.kind)
+			}
+		}
+		if after := pool.Stats(); after != before {
+			t.Errorf("%s: rejected target touched the pool: %+v -> %+v", tc.kind, before, after)
 		}
 	}
 }

@@ -89,16 +89,14 @@ func (s *Service) Pool() *EnginePool { return s.pool }
 // configuration is defaulted: zero Target becomes DefaultTarget, zero
 // MaxQueued, EpochEntries, Approx.Threshold, and Sampling.Rate inherit
 // the service defaults, and a zero Engine config becomes
-// core.DefaultConfig(). It fails with
-// ErrTenantExists if id is taken, ErrDraining during shutdown, a
-// *sample.RateError for a sampling rate outside (0, 1], or the
-// engine constructor's error for an invalid configuration.
+// core.DefaultConfig(). The profiling session is then opened from the
+// service's pool. It fails
+// with ErrTenantExists if id is taken, ErrDraining during shutdown, or
+// Open's error: a *ProfileError for invalid Workers or Sampling fields,
+// or the engine constructor's error for an invalid configuration.
 func (s *Service) Register(id string, cfg TenantConfig) (*Tenant, error) {
 	if id == "" {
 		return nil, errors.New("service: empty tenant id")
-	}
-	if cfg.Workers < 0 {
-		return nil, errors.New("service: tenant workers must be >= 0")
 	}
 	if cfg.Target == 0 {
 		cfg.Target = DefaultTarget
@@ -123,36 +121,22 @@ func (s *Service) Register(id string, cfg TenantConfig) (*Tenant, error) {
 	} else if cfg.Sampling.Rate == 0 {
 		cfg.Sampling.Rate = s.cfg.SamplingRate
 	}
-	if cfg.Sampling != (sample.Config{}) {
-		if err := cfg.Sampling.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Workers > 0 {
-			return nil, errors.New("service: sampling requires the serial engine (workers must be 0)")
-		}
-	}
-	var eng Engine
-	var err error
-	if cfg.Sampling != (sample.Config{}) {
-		eng, err = s.pool.GetSampled(cfg.Engine, cfg.Sampling, cfg.Target)
-	} else {
-		eng, err = s.pool.Get(cfg.Engine, cfg.Target, cfg.Workers)
-	}
+	sess, err := s.pool.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.pool.Put(eng)
+		sess.Close()
 		return nil, ErrDraining
 	}
 	if _, ok := s.tenants[id]; ok {
 		s.mu.Unlock()
-		s.pool.Put(eng)
+		sess.Close()
 		return nil, ErrTenantExists
 	}
-	t := newTenant(id, s, cfg, eng)
+	t := newTenant(id, s, cfg, sess)
 	s.tenants[id] = t
 	s.mu.Unlock()
 	return t, nil

@@ -4,16 +4,16 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rapidmrc/internal/approx"
 	"rapidmrc/internal/core"
-	"rapidmrc/internal/mem"
 	"rapidmrc/internal/phase"
 	"rapidmrc/internal/sample"
 )
 
-// TenantConfig parameterizes one registered workload.
+// TenantConfig parameterizes one registered workload. Its profiling
+// fields — Engine, Target, Workers, NoCorrection, Sampling, Approx — are
+// also the spec EnginePool.Open starts a Session from.
 type TenantConfig struct {
 	// Target is the probing-period length in log entries — the basis of
 	// the engine's static-warmup fallback, exactly as in
@@ -22,7 +22,7 @@ type TenantConfig struct {
 	// Workers selects the engine: 0 runs the serial incremental engine;
 	// n >= 1 runs the chunk-parallel feeder with n chunk passes (which
 	// buffers the trace and recomputes at each snapshot). Negative is
-	// rejected at Register time.
+	// rejected by Open.
 	Workers int
 	// NoCorrection disables the streaming prefetch-repetition rewrite
 	// (the zero value keeps the paper's correction on).
@@ -54,7 +54,7 @@ type TenantConfig struct {
 // DefaultTarget is the paper's probing-period length (§5.2.3).
 const DefaultTarget = 160_000
 
-// Epoch is one snapshot of a tenant's live curve.
+// Epoch is one snapshot of a session's (a tenant's) live curve.
 type Epoch struct {
 	// Entries is the number of log entries fed when the snapshot was
 	// taken; Instructions the accumulated application progress.
@@ -144,37 +144,29 @@ type batch struct {
 	instr uint64
 }
 
-// Tenant is one registered workload: a pooled engine, its streaming
-// corrector, and a bounded ingest queue drained by a dedicated worker
-// goroutine. Producers never block: a full queue or an exhausted global
-// budget sheds the batch with a typed error. Tenants are created by
-// Service.Register.
+// Tenant is one registered workload: a profiling Session and a bounded
+// ingest queue drained by a dedicated worker goroutine. Producers never
+// block: a full queue or an exhausted global budget sheds the batch with
+// a typed error. Tenants are created by Service.Register.
 type Tenant struct {
 	id  string
 	svc *Service
 	cfg TenantConfig
 
-	// mu guards the engine, corrector, sampler, policy, detector, and
-	// last epoch. The worker holds it while feeding a batch; snapshots
-	// and serves hold it while computing.
+	// mu guards the session, detector, and last epoch. The worker holds
+	// it while feeding a batch; snapshots and serves hold it while
+	// computing.
 	mu   sync.Mutex
-	eng  Engine                //rapidmrc:guardedby mu (nil once finalized: engine returned to the pool)
-	corr *core.StreamCorrector //rapidmrc:guardedby mu
-	last *Epoch                //rapidmrc:guardedby mu
-	next int                   //rapidmrc:guardedby mu (next auto-epoch boundary, entries)
+	sess *Session //rapidmrc:guardedby mu (closed once finalized: engine returned to the pool)
+	last *Epoch   //rapidmrc:guardedby mu
+	next int      //rapidmrc:guardedby mu (next auto-epoch boundary, entries)
 
-	// Analytical tier state (all nil/zero when the tier is disabled).
-	// The sampler sees exactly the corrected lines the engine sees, so
-	// the estimate and the simulation describe the same stream; the
-	// detector observes the largest-size MPKI of each auto-epoch as its
-	// interval miss rate; phasePending latches a detected transition
-	// until the next serving decision consumes it.
-	sampler      *approx.Sampler //rapidmrc:guardedby mu
-	policy       *approx.Policy  //rapidmrc:guardedby mu
+	// With the analytical tier on, the detector observes the largest-size
+	// MPKI of each auto-epoch as its interval miss rate; phasePending
+	// latches a detected transition until the next serving decision
+	// consumes it. Both are nil/false with the tier off.
 	det          *phase.Detector //rapidmrc:guardedby mu
 	phasePending bool            //rapidmrc:guardedby mu
-	lastDecision approx.Decision //rapidmrc:guardedby mu
-	crossVal     float64         //rapidmrc:guardedby mu (mean abs MPKI distance estimate<->simulated; -1 unmeasured)
 
 	// qmu guards the ingest queue and lifecycle flags. qcond wakes the
 	// worker (work arrived, or closing); dcond wakes Flush waiters
@@ -193,30 +185,18 @@ type Tenant struct {
 
 	done chan struct{}
 
-	entries   atomic.Int64
-	instr     atomic.Uint64
-	batches   atomic.Int64
-	sheds     atomic.Int64
-	epochs    atomic.Int64
-	lastNanos atomic.Int64
+	entries atomic.Int64
+	instr   atomic.Uint64
+	batches atomic.Int64
+	sheds   atomic.Int64
 }
 
-// newTenant builds a tenant and starts its worker.
-func newTenant(id string, svc *Service, cfg TenantConfig, eng Engine) *Tenant {
+// newTenant builds a tenant over an open session and starts its worker.
+func newTenant(id string, svc *Service, cfg TenantConfig, sess *Session) *Tenant {
 	//rapidmrc:unbounded done is a close-only completion signal; nothing ever sends on it
-	t := &Tenant{id: id, svc: svc, cfg: cfg, eng: eng, done: make(chan struct{}),
-		crossVal: -1}
-	if !cfg.NoCorrection {
-		t.corr = new(core.StreamCorrector)
-	}
-	if cfg.Approx.Enabled() {
-		// The engine config was validated by the pool constructor, so the
-		// sampler cannot fail here.
-		if s, err := approx.NewSampler(cfg.Engine, cfg.Target); err == nil {
-			t.sampler = s
-			t.policy = approx.NewPolicy(cfg.Approx)
-			t.det = phase.New(phase.DefaultConfig())
-		}
+	t := &Tenant{id: id, svc: svc, cfg: cfg, sess: sess, done: make(chan struct{})}
+	if sess.policy != nil {
+		t.det = phase.New(phase.DefaultConfig())
 	}
 	if cfg.EpochEntries > 0 {
 		t.next = cfg.EpochEntries
@@ -292,8 +272,8 @@ func (t *Tenant) run() {
 				// Graceful close (drain): cache a final epoch so the
 				// curve stays readable via Live after the engine is gone.
 				t.mu.Lock()
-				if t.eng != nil && !t.eng.Warming() {
-					if ep, err := t.snapshotLocked(); err == nil {
+				if !t.sess.Closed() && !t.sess.Warming() {
+					if ep, err := t.sess.Snapshot(t.instr.Load()); err == nil {
 						t.last = ep
 					}
 				}
@@ -331,15 +311,15 @@ func (t *Tenant) run() {
 // consume feeds one batch into the engine and takes any due auto-epoch.
 func (t *Tenant) consume(b batch) {
 	t.mu.Lock()
-	t.feedLines(b.lines)
+	t.sess.Feed(b.lines)
 	t.entries.Add(int64(len(b.lines)))
 	t.instr.Add(b.instr)
-	if t.cfg.EpochEntries > 0 && t.eng.Consumed() >= t.next && !t.eng.Warming() {
-		if ep, err := t.snapshotLocked(); err == nil {
+	if t.cfg.EpochEntries > 0 && t.sess.Consumed() >= t.next && !t.sess.Warming() {
+		if ep, err := t.sess.Snapshot(t.instr.Load()); err == nil {
 			t.last = ep
 			t.observeEpochLocked(ep)
 		}
-		for t.next <= t.eng.Consumed() {
+		for t.next <= t.sess.Consumed() {
 			t.next += t.cfg.EpochEntries
 		}
 	}
@@ -349,9 +329,8 @@ func (t *Tenant) consume(b batch) {
 // observeEpochLocked runs the analytical tier's bookkeeping against a
 // fresh simulated epoch: the phase detector consumes the epoch's
 // largest-size MPKI as its interval miss rate (a detected transition is
-// latched until the next serving decision), and the current analytical
-// estimate is cross-validated against the just-computed real curve — the
-// simulation was already paid for, so the error measurement is free.
+// latched until the next serving decision), and the session
+// cross-validates its current estimate against the real curve.
 //
 //rapidmrc:locked mu
 func (t *Tenant) observeEpochLocked(ep *Epoch) {
@@ -361,73 +340,7 @@ func (t *Tenant) observeEpochLocked(ep *Epoch) {
 			t.phasePending = true
 		}
 	}
-	if t.sampler != nil && !t.sampler.Warming() {
-		if e, err := (approx.CheFagin{}).Estimate(t.sampler.Profile(), t.instr.Load()); err == nil {
-			t.crossVal = core.Distance(e.MRC, ep.Result.MRC)
-		}
-	}
-}
-
-// feedLines pushes one batch through the streaming corrector into the
-// engine — the pooled feed path every tenant reference crosses. The
-// analytical sampler taps the same corrected stream, so both tiers
-// describe identical references.
-//
-//rapidmrc:hotpath
-//rapidmrc:locked mu
-func (t *Tenant) feedLines(lines []uint64) {
-	s := t.sampler
-	if t.corr != nil {
-		for _, l := range lines {
-			c := t.corr.Feed(mem.Line(l))
-			t.eng.Feed(c)
-			if s != nil {
-				s.Feed(c)
-			}
-		}
-		return
-	}
-	for _, l := range lines {
-		t.eng.Feed(mem.Line(l))
-		if s != nil {
-			s.Feed(mem.Line(l))
-		}
-	}
-}
-
-// snapshotLocked computes a fresh epoch; the caller holds t.mu and has
-// checked t.eng is live.
-//
-//rapidmrc:locked mu
-func (t *Tenant) snapshotLocked() (*Epoch, error) {
-	//lint:allow determinism epoch-latency metric only; never feeds a curve
-	start := time.Now()
-	res, err := t.eng.Snapshot(t.instr.Load())
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow determinism epoch-latency metric only; never feeds a curve
-	t.lastNanos.Store(int64(time.Since(start)))
-	t.epochs.Add(1)
-	converted := 0
-	if t.corr != nil {
-		converted = t.corr.Converted()
-	}
-	ep := &Epoch{
-		Entries:      t.eng.Consumed(),
-		Instructions: t.instr.Load(),
-		Result:       res,
-		Converted:    converted,
-	}
-	if se, ok := t.eng.(*sample.Engine); ok {
-		b := se.Bands()
-		ep.SamplingRate = b.Rate
-		ep.BandLow = b.Low
-		ep.BandHigh = b.High
-		ep.BandLevel = b.Level
-		ep.EffSamples = b.EffSamples
-	}
-	return ep, nil
+	t.sess.crossValidate(ep)
 }
 
 // Snapshot computes a fresh epoch from everything fed so far. With wait
@@ -441,10 +354,10 @@ func (t *Tenant) Snapshot(wait bool) (*Epoch, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.eng == nil {
+	if t.sess.Closed() {
 		return nil, t.finalErr()
 	}
-	return t.snapshotLocked()
+	return t.sess.Snapshot(t.instr.Load())
 }
 
 // Live returns the latest epoch without forcing a recompute: the last
@@ -461,108 +374,38 @@ func (t *Tenant) Live() (*Epoch, error) {
 	return t.Snapshot(false)
 }
 
-// Serve is the tiered read path: when the analytical tier is enabled it
-// estimates the curve from the reuse-time histogram (O(buckets), no
-// engine work) and serves that estimate if the policy trusts it,
-// escalating to a full engine snapshot when the uncertainty score
-// exceeds the threshold, the two estimators disagree, or a phase change
-// was detected since the last serve. With the tier disabled (or the
-// tenant finalized) it behaves exactly like the classic read path:
-// Snapshot(true) under wait, Live() otherwise. An escalated serve also
-// refreshes the cross-validation error, since both curves are in hand.
+// Serve is the tiered read path (see Session.Serve): with the analytical
+// tier enabled it serves the trusted estimate or escalates to a full
+// engine snapshot — on uncertainty, estimator disagreement, or a phase
+// change detected since the last serve — and caches a simulated epoch as
+// the latest. With the tier disabled (or the tenant finalized) it
+// behaves exactly like the classic read path: Snapshot(true) under wait,
+// Live() otherwise.
 func (t *Tenant) Serve(wait bool) (*Epoch, error) {
-	t.mu.Lock()
-	enabled := t.policy != nil && t.eng != nil
-	t.mu.Unlock()
-	if !enabled {
-		var ep *Epoch
-		var err error
-		if wait {
-			ep, err = t.Snapshot(true)
-		} else {
-			ep, err = t.Live()
-		}
-		if err != nil {
-			return nil, err
-		}
-		cp := *ep
-		cp.Tier = approx.TierSimulated
-		cp.TierReason = "disabled"
-		return &cp, nil
-	}
 	if wait {
 		t.Flush()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.eng == nil {
+	tiered := t.sess.policy != nil && !t.sess.Closed()
+	if !tiered && !wait && t.last != nil {
+		cp := *t.last
+		cp.Tier = approx.TierSimulated
+		cp.TierReason = "disabled"
+		return &cp, nil
+	}
+	if t.sess.Closed() {
 		return nil, t.finalErr()
 	}
-
-	var primary, secondary *approx.Estimate
-	var prof *approx.Profile
-	if !t.sampler.Warming() {
-		prof = t.sampler.Profile()
-		instr := t.instr.Load()
-		if e, err := (approx.CheFagin{}).Estimate(prof, instr); err == nil {
-			primary = e
-			if e2, err := (approx.FullyAssociative{}).Estimate(prof, instr); err == nil {
-				secondary = e2
-			}
-		}
-	}
-	d := t.policy.Decide(primary, secondary, t.phasePending)
+	ep, err := t.sess.Serve(t.instr.Load(), t.phasePending)
 	t.phasePending = false
-	t.lastDecision = d
-
-	if d.Tier == approx.TierAnalytical {
-		return t.analyticalEpochLocked(primary, prof, d), nil
-	}
-	ep, err := t.snapshotLocked()
 	if err != nil {
 		return nil, err
 	}
-	if primary != nil {
-		// The escalation computed the real curve anyway: bank the
-		// cross-validation error for /stats and /metrics.
-		t.crossVal = core.Distance(primary.MRC, ep.Result.MRC)
+	if tiered && ep.Tier == approx.TierSimulated {
+		t.last = ep
 	}
-	t.last = ep
-	ep.Tier = approx.TierSimulated
-	ep.TierReason = d.Reason
-	ep.Uncertainty = d.Uncertainty
-	ep.Disagreement = d.Disagreement
 	return ep, nil
-}
-
-// analyticalEpochLocked wraps a trusted estimate as an epoch. The Result
-// is synthesized (Hist nil, no stack statistics) but carries the same
-// curve, normalization, and warmup description a simulated result would,
-// so every downstream consumer — transposition, partition advice —
-// works unchanged.
-//
-//rapidmrc:locked mu
-func (t *Tenant) analyticalEpochLocked(e *approx.Estimate, prof *approx.Profile, d approx.Decision) *Epoch {
-	converted := 0
-	if t.corr != nil {
-		converted = t.corr.Converted()
-	}
-	return &Epoch{
-		Entries:      t.eng.Consumed(),
-		Instructions: t.instr.Load(),
-		Result: &core.Result{
-			MRC:           e.MRC.Clone(),
-			Recorded:      e.Recorded,
-			Instructions:  e.InstrEff,
-			WarmupEntries: prof.WarmupEntries(),
-			AutoWarmup:    prof.AutoWarmup(),
-		},
-		Converted:    converted,
-		Tier:         approx.TierAnalytical,
-		Estimator:    e.Estimator,
-		Uncertainty:  d.Uncertainty,
-		Disagreement: d.Disagreement,
-	}
 }
 
 // Flush blocks until the ingest queue is fully drained (or the worker
@@ -578,63 +421,47 @@ func (t *Tenant) Flush() {
 
 // Stats returns the tenant's counter snapshot.
 func (t *Tenant) Stats() TenantStats {
+	st := TenantStats{
+		ID:           t.id,
+		Entries:      int(t.entries.Load()),
+		Instructions: t.instr.Load(),
+		Batches:      int(t.batches.Load()),
+		Sheds:        int(t.sheds.Load()),
+	}
 	t.qmu.Lock()
-	queuedEntries := t.qentries
-	queuedBatches := len(t.queue) - t.head
-	inflight := t.inflight
-	closed := t.closed
+	st.QueuedEntries = t.qentries
+	st.QueuedBatches = len(t.queue) - t.head
+	st.InFlightEntries = t.inflight
+	st.Closed = t.closed
 	t.qmu.Unlock()
+
 	t.mu.Lock()
-	warming := t.eng != nil && t.eng.Warming()
-	converted := t.corr != nil
-	decision := t.lastDecision
-	crossVal := t.crossVal
-	var pstats approx.PolicyStats
-	transitions := 0
-	if t.policy != nil {
-		pstats = t.policy.Stats()
+	defer t.mu.Unlock()
+	sess := t.sess
+	st.Epochs = sess.epochs
+	st.LastEpochNanos = sess.lastNanos
+	st.Converted = sess.corr != nil
+	st.Warming = sess.Warming()
+	st.Tier = sess.decision.Tier.String()
+	st.TierReason = sess.decision.Reason
+	st.Uncertainty = sess.decision.Uncertainty
+	st.CrossValError = sess.crossVal
+	if sess.policy != nil {
+		p := sess.policy.Stats()
+		st.ApproxServed, st.SimServed, st.Escalations = p.Analytical, p.Simulated, p.Escalations
 	}
 	if t.det != nil {
-		transitions = t.det.Transitions()
+		st.PhaseTransitions = t.det.Transitions()
 	}
-	samplingRate, bandWidth := 0.0, 0.0
-	if se, ok := t.eng.(*sample.Engine); ok {
-		samplingRate = se.Rate()
-	} else if t.eng == nil && t.cfg.Sampling.Rate > 0 {
-		samplingRate = t.cfg.Sampling.Rate // finalized: report the config
+	if se, ok := sess.eng.(*sample.Engine); ok {
+		st.SamplingRate = se.Rate()
+	} else if sess.Closed() && t.cfg.Sampling.Rate > 0 {
+		st.SamplingRate = t.cfg.Sampling.Rate // finalized: report the config
 	}
-	if t.last != nil && len(t.last.BandLow) > 0 {
-		for i := range t.last.BandLow {
-			bandWidth += t.last.BandHigh[i] - t.last.BandLow[i]
-		}
-		bandWidth /= float64(len(t.last.BandLow))
+	if t.last != nil {
+		st.BandWidthMPKI = sample.Bands{Low: t.last.BandLow, High: t.last.BandHigh}.Width()
 	}
-	t.mu.Unlock()
-	return TenantStats{
-		ID:               t.id,
-		Entries:          int(t.entries.Load()),
-		Instructions:     t.instr.Load(),
-		QueuedEntries:    queuedEntries,
-		QueuedBatches:    queuedBatches,
-		InFlightEntries:  inflight,
-		Batches:          int(t.batches.Load()),
-		Sheds:            int(t.sheds.Load()),
-		Epochs:           int(t.epochs.Load()),
-		LastEpochNanos:   t.lastNanos.Load(),
-		Converted:        converted,
-		Warming:          warming,
-		Closed:           closed,
-		Tier:             decision.Tier.String(),
-		TierReason:       decision.Reason,
-		Uncertainty:      decision.Uncertainty,
-		CrossValError:    crossVal,
-		ApproxServed:     pstats.Analytical,
-		SimServed:        pstats.Simulated,
-		Escalations:      pstats.Escalations,
-		PhaseTransitions: transitions,
-		SamplingRate:     samplingRate,
-		BandWidthMPKI:    bandWidth,
-	}
+	return st
 }
 
 // close finalizes the tenant: subsequent feeds fail with reason, and the
@@ -651,16 +478,13 @@ func (t *Tenant) close(reason error, discard bool) {
 	t.qmu.Unlock()
 }
 
-// recycle returns the engine to the pool once the worker has exited; any
-// later Snapshot fails instead of touching a recycled engine.
+// recycle closes the session once the worker has exited, returning its
+// engine to the pool; any later Snapshot fails instead of touching a
+// recycled engine.
 func (t *Tenant) recycle() {
 	t.mu.Lock()
-	eng := t.eng
-	t.eng = nil
+	t.sess.Close()
 	t.mu.Unlock()
-	if eng != nil {
-		t.svc.pool.Put(eng)
-	}
 }
 
 // finalErr is the error a finalized tenant's reads fail with.

@@ -40,7 +40,6 @@ import (
 	"rapidmrc/internal/approx"
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
-	"rapidmrc/internal/sample"
 	"rapidmrc/internal/service"
 )
 
@@ -170,19 +169,26 @@ type Stats struct {
 	EffSamples        float64
 }
 
-// fillBands copies a sampled engine's confidence band into the stats
-// when eng is one; a no-op for the exact engines.
-func (st *Stats) fillBands(eng service.Engine) {
-	se, ok := eng.(*sample.Engine)
-	if !ok {
-		return
+// fromEpoch translates a session snapshot into the facade's raw
+// (untransposed) curve and statistics, confidence band included when the
+// session sampled; a failed snapshot passes its error through.
+func fromEpoch(ep *service.Epoch, err error) (*Curve, *Stats, error) {
+	if err != nil {
+		return nil, nil, err
 	}
-	b := se.Bands()
-	st.SamplingRate = b.Rate
-	st.BandLow = append([]float64(nil), b.Low...)
-	st.BandHigh = append([]float64(nil), b.High...)
-	st.BandLevel = b.Level
-	st.EffSamples = b.EffSamples
+	res := ep.Result
+	return &Curve{MPKI: res.MRC.MPKI}, &Stats{
+		Converted:     ep.Converted,
+		WarmupEntries: res.WarmupEntries,
+		AutoWarmup:    res.AutoWarmup,
+		StackHitRate:  res.StackHitRate,
+		ComputeCycles: res.ModelCycles,
+		SamplingRate:  ep.SamplingRate,
+		BandLow:       ep.BandLow,
+		BandHigh:      ep.BandHigh,
+		BandLevel:     ep.BandLevel,
+		EffSamples:    ep.EffSamples,
+	}, nil
 }
 
 // shiftBands applies a transposition's v-offset to the confidence band
@@ -235,6 +241,13 @@ func WithApproxThreshold(t float64) EngineOption {
 	return func(e *Engine) { e.approxThreshold = t }
 }
 
+// spec is the profiling session an Engine workflow opens: workers == 0
+// runs the serial incremental engine, workers >= 1 the chunk-parallel
+// feeder.
+func (e *Engine) spec(target, workers int) service.TenantConfig {
+	return service.TenantConfig{Engine: e.cfg, Target: target, Workers: workers, NoCorrection: !e.correct}
+}
+
 // NewEngine returns an Engine with the paper's defaults.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{cfg: core.DefaultConfig(), correct: true, approxThreshold: approx.DefaultThreshold}
@@ -259,8 +272,16 @@ func NewEngine(opts ...EngineOption) *Engine {
 // An abandoned (never closed) stream is still collected normally — its
 // engine is simply not reused.
 type Stream struct {
-	corr *core.StreamCorrector // nil when correction is disabled
-	eng  service.Engine        // nil once closed
+	sess *service.Session
+}
+
+// openStream starts a stream on a pooled session for spec.
+func openStream(spec service.TenantConfig) (*Stream, error) {
+	sess, err := enginePool.Open(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{sess: sess}, nil
 }
 
 // NewStream returns a stream expecting a probing period of targetEntries
@@ -268,15 +289,7 @@ type Stream struct {
 // fraction of (batch Compute reads it from len(trace); a stream must be
 // told up front).
 func (e *Engine) NewStream(targetEntries int) (*Stream, error) {
-	se, err := enginePool.Get(e.cfg, targetEntries, 0)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{eng: se}
-	if e.correct {
-		s.corr = new(core.StreamCorrector)
-	}
-	return s, nil
+	return openStream(e.spec(targetEntries, 0))
 }
 
 // NewParallelStream is NewStream backed by the chunk-parallel engine:
@@ -292,45 +305,18 @@ func (e *Engine) NewStream(targetEntries int) (*Stream, error) {
 // frequent or memory is tight.
 func (e *Engine) NewParallelStream(targetEntries, workers int) (*Stream, error) {
 	if workers < 1 {
-		return nil, fmt.Errorf("rapidmrc: parallel stream workers must be at least 1, got %d (use runtime.GOMAXPROCS(0) for one per CPU)", workers)
+		return nil, errTraceWorkers("NewParallelStream", workers)
 	}
-	fd, err := enginePool.Get(e.cfg, targetEntries, workers)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{eng: fd}
-	if e.correct {
-		s.corr = new(core.StreamCorrector)
-	}
-	return s, nil
-}
-
-// newSampledStream is NewStream backed by the SHARDS-sampled engine at
-// the given rate (the System workflows route WithSamplingRate here).
-// Snapshots carry the confidence band in their Stats.
-func (e *Engine) newSampledStream(targetEntries int, rate float64) (*Stream, error) {
-	se, err := enginePool.GetSampled(e.cfg, sample.Config{Rate: rate}, targetEntries)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{eng: se}
-	if e.correct {
-		s.corr = new(core.StreamCorrector)
-	}
-	return s, nil
+	return openStream(e.spec(targetEntries, workers))
 }
 
 // Feed consumes one raw logged cache-line address. It fails with
 // ErrStreamClosed once the stream has been closed.
 func (s *Stream) Feed(line uint64) error {
-	if s.eng == nil {
+	if s.sess.Closed() {
 		return ErrStreamClosed
 	}
-	l := mem.Line(line)
-	if s.corr != nil {
-		l = s.corr.Feed(l)
-	}
-	s.eng.Feed(l)
+	s.sess.Feed([]uint64{line})
 	return nil
 }
 
@@ -338,30 +324,16 @@ func (s *Stream) Feed(line uint64) error {
 // pool; subsequent Feed and Snapshot calls fail with ErrStreamClosed.
 // Closing an already-closed stream is a no-op.
 func (s *Stream) Close() error {
-	if s.eng == nil {
-		return nil
-	}
-	enginePool.Put(s.eng)
-	s.eng = nil
+	s.sess.Close()
 	return nil
 }
 
 // Entries returns the number of references fed so far (0 once closed).
-func (s *Stream) Entries() int {
-	if s.eng == nil {
-		return 0
-	}
-	return s.eng.Consumed()
-}
+func (s *Stream) Entries() int { return s.sess.Consumed() }
 
 // Warming reports whether the stream is still inside the warmup phase;
 // snapshots fail until it ends. A closed stream is not warming.
-func (s *Stream) Warming() bool {
-	if s.eng == nil {
-		return false
-	}
-	return s.eng.Warming()
-}
+func (s *Stream) Warming() bool { return s.sess.Warming() }
 
 // Snapshot builds the raw (untransposed) curve from everything fed so far
 // — the epoch-based mid-stream read. instructions is the application's
@@ -369,32 +341,13 @@ func (s *Stream) Warming() bool {
 // normalization. The stream may keep feeding afterwards; the snapshot is
 // an independent copy. It fails while warmup has consumed everything fed.
 func (s *Stream) Snapshot(instructions uint64) (*Curve, *Stats, error) {
-	if s.eng == nil {
-		return nil, nil, ErrStreamClosed
-	}
-	res, err := s.eng.Snapshot(instructions)
-	if err != nil {
-		return nil, nil, err
-	}
-	converted := 0
-	if s.corr != nil {
-		converted = s.corr.Converted()
-	}
-	st := &Stats{
-		Converted:     converted,
-		WarmupEntries: res.WarmupEntries,
-		AutoWarmup:    res.AutoWarmup,
-		StackHitRate:  res.StackHitRate,
-		ComputeCycles: res.ModelCycles,
-	}
-	st.fillBands(s.eng)
-	return &Curve{MPKI: res.MRC.MPKI}, st, nil
+	return fromEpoch(s.sess.Snapshot(instructions))
 }
 
 // Compute corrects the trace and runs the stack algorithm, returning the
 // raw (untransposed) curve.
 func (e *Engine) Compute(t *Trace) (*Curve, *Stats, error) {
-	return e.compute(t, 0)
+	return profileTrace(e.spec(0, 0), t)
 }
 
 // EstimateStats describes one tiered estimation: which tier produced the
@@ -445,16 +398,8 @@ func (e *Engine) Estimate(t *Trace) (*Curve, *EstimateStats, error) {
 		}
 		smp.Feed(line)
 	}
-	p := smp.Profile()
-	var primary, secondary *approx.Estimate
-	if est, err := (approx.CheFagin{}).Estimate(p, t.Instructions); err == nil {
-		primary = est
-	}
-	if est, err := (approx.FullyAssociative{}).Estimate(p, t.Instructions); err == nil {
-		secondary = est
-	}
 	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: e.approxThreshold})
-	d := pol.Decide(primary, secondary, false)
+	primary, _, d := approx.Assess(pol, smp, t.Instructions, false)
 	st := &EstimateStats{
 		Tier:         d.Tier.String(),
 		Reason:       d.Reason,
@@ -465,7 +410,7 @@ func (e *Engine) Estimate(t *Trace) (*Curve, *EstimateStats, error) {
 		st.Estimator = primary.Estimator
 		return &Curve{MPKI: primary.MRC.MPKI}, st, nil
 	}
-	curve, cs, err := e.compute(t, 0)
+	curve, cs, err := e.Compute(t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -483,66 +428,23 @@ func (e *Engine) ComputeParallel(t *Trace, workers int) (*Curve, *Stats, error) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return e.compute(t, workers)
+	return profileTrace(e.spec(0, workers), t)
 }
 
-// compute shares the correction and result translation between the
-// serial and parallel back-ends. Both route through the shared engine
-// pool: the trace is batch-corrected, fed into a pooled engine (serial
-// for workers == 0, chunk-parallel otherwise) with the trace length as
-// its target — which reproduces the batch computation bit-identically,
-// pinned by the stream-vs-batch property tests — and the engine is
-// recycled afterwards.
-func (e *Engine) compute(t *Trace, workers int) (*Curve, *Stats, error) {
-	return e.computeWith(t, func(n int) (service.Engine, error) {
-		return enginePool.Get(e.cfg, n, workers)
-	})
-}
-
-// computeSampled is compute over the SHARDS-sampled serial engine at
-// the given rate; the returned Stats carry the confidence band.
-func (e *Engine) computeSampled(t *Trace, rate float64) (*Curve, *Stats, error) {
-	return e.computeWith(t, func(n int) (service.Engine, error) {
-		return enginePool.GetSampled(e.cfg, sample.Config{Rate: rate}, n)
-	})
-}
-
-// computeWith corrects the trace, feeds it through an engine drawn via
-// get with the trace length as its target — which reproduces the batch
-// computation bit-identically, pinned by the stream-vs-batch property
-// tests — and recycles the engine afterwards.
-func (e *Engine) computeWith(t *Trace, get func(target int) (service.Engine, error)) (*Curve, *Stats, error) {
+// profileTrace opens a session for spec with the trace length as its
+// target, feeds it the whole trace and snapshots it — which reproduces
+// the batch computation bit-identically, pinned by the stream-vs-batch
+// property tests — then recycles the engine.
+func profileTrace(spec service.TenantConfig, t *Trace) (*Curve, *Stats, error) {
 	if t == nil || len(t.Lines) == 0 {
 		return nil, nil, fmt.Errorf("rapidmrc: empty trace")
 	}
-	lines := make([]mem.Line, len(t.Lines))
-	for i, l := range t.Lines {
-		lines[i] = mem.Line(l)
-	}
-	converted := 0
-	if e.correct {
-		converted = core.CorrectPrefetchRepetitions(lines)
-	}
-	eng, err := get(len(lines))
+	spec.Target = len(t.Lines)
+	sess, err := enginePool.Open(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, l := range lines {
-		eng.Feed(l)
-	}
-	res, err := eng.Snapshot(t.Instructions)
-	if err != nil {
-		enginePool.Put(eng)
-		return nil, nil, err
-	}
-	st := &Stats{
-		Converted:     converted,
-		WarmupEntries: res.WarmupEntries,
-		AutoWarmup:    res.AutoWarmup,
-		StackHitRate:  res.StackHitRate,
-		ComputeCycles: res.ModelCycles,
-	}
-	st.fillBands(eng)
-	enginePool.Put(eng)
-	return &Curve{MPKI: res.MRC.MPKI}, st, nil
+	defer sess.Close()
+	sess.Feed(t.Lines)
+	return fromEpoch(sess.Snapshot(t.Instructions))
 }

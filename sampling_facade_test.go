@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rapidmrc/internal/sample"
+	"rapidmrc/internal/service"
 )
 
 // TestOnlineSamplingRateOneBitIdentical pins the facade promise: the
@@ -106,15 +107,15 @@ func TestWithSamplingRateValidation(t *testing.T) {
 			t.Errorf("rate %v: got %v, want *sample.RateError", rate, err)
 		}
 	}
-	sys, err := NewSystem("mcf", WithSeed(1), WithTraceEntries(20_000),
+	// The conflict is an option error: the constructor reports it before
+	// booting a machine, and Online before its warm-up and capture.
+	var pe *service.ProfileError
+	_, err := NewSystem("mcf", WithSeed(1), WithTraceEntries(20_000),
 		WithSamplingRate(0.5), WithTraceParallelism(2))
-	if err != nil {
-		t.Fatal(err)
+	if !errors.As(err, &pe) {
+		t.Errorf("NewSystem: got %v, want *service.ProfileError for sampling + trace parallelism", err)
 	}
-	if _, _, err := sys.Stream(0, nil); err == nil {
-		t.Error("Stream accepted sampling + trace parallelism")
-	}
-	if _, _, _, err := Online("mcf", WithSamplingRate(0.5), WithTraceParallelism(2)); err == nil {
-		t.Error("Online accepted sampling + trace parallelism")
+	if _, _, _, err := Online("mcf", WithSamplingRate(0.5), WithTraceParallelism(2)); !errors.As(err, &pe) {
+		t.Errorf("Online: got %v, want *service.ProfileError for sampling + trace parallelism", err)
 	}
 }

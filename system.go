@@ -9,6 +9,7 @@ import (
 	"rapidmrc/internal/platform"
 	"rapidmrc/internal/pmu"
 	"rapidmrc/internal/sample"
+	"rapidmrc/internal/service"
 	"rapidmrc/internal/workload"
 )
 
@@ -110,11 +111,18 @@ func WithParallelism(n int) SystemOption {
 func WithTraceParallelism(n int) SystemOption {
 	return func(o *sysOptions) {
 		if n < 1 {
-			o.fail(fmt.Errorf("rapidmrc: WithTraceParallelism requires at least 1 worker, got %d (use runtime.GOMAXPROCS(0) for one per CPU)", n))
+			o.fail(errTraceWorkers("WithTraceParallelism", n))
 			return
 		}
 		o.traceWorkers = n
 	}
+}
+
+// errTraceWorkers rejects a trace-engine worker count below one, typed
+// like the service's own Workers rejection.
+func errTraceWorkers(what string, n int) error {
+	return &service.ProfileError{Field: "Workers", Err: fmt.Errorf(
+		"rapidmrc: %s requires at least 1 worker, got %d (use runtime.GOMAXPROCS(0) for one per CPU)", what, n)}
 }
 
 // WithSamplingRate filters the probing period through a SHARDS-style
@@ -128,11 +136,11 @@ func WithTraceParallelism(n int) SystemOption {
 // at apply time and the error surfaces from the constructor the
 // options are passed to, like WithParallelism. Sampling runs on the
 // serial incremental engine; combining it with WithTraceParallelism is
-// rejected.
+// rejected by the constructor.
 func WithSamplingRate(rate float64) SystemOption {
 	return func(o *sysOptions) {
 		if err := (sample.Config{Rate: rate}).Validate(); err != nil {
-			o.fail(err)
+			o.fail(&service.ProfileError{Field: "Sampling", Err: err})
 			return
 		}
 		o.samplingRate = rate
@@ -146,6 +154,15 @@ func WithSamplingRate(rate float64) SystemOption {
 // real curve, which the experiment drivers do explicitly.
 func WithReferencePoint(colors int) SystemOption {
 	return func(o *sysOptions) { o.refColors = colors }
+}
+
+// spec is the profiling session a System workflow opens over one
+// probing period: the paper's engine defaults with the options' trace
+// engine and sampling rate.
+func (o *sysOptions) spec() service.TenantConfig {
+	spec := NewEngine().spec(o.entries, o.traceWorkers)
+	spec.Sampling.Rate = o.samplingRate
+	return spec
 }
 
 func defaultSysOptions() sysOptions {
@@ -171,6 +188,9 @@ func NewSystem(app string, opts ...SystemOption) (*System, error) {
 	o := defaultSysOptions()
 	for _, fn := range opts {
 		fn(&o)
+	}
+	if o.err == nil {
+		o.err = o.spec().Validate()
 	}
 	if o.err != nil {
 		return nil, o.err
@@ -234,19 +254,7 @@ type StreamEpoch struct {
 // nil. The returned Stats carry the capture's artifact counts in addition
 // to the compute statistics.
 func (s *System) Stream(epochEntries int, onEpoch func(StreamEpoch)) (*Curve, *Stats, error) {
-	eng := NewEngine()
-	var st *Stream
-	var err error
-	switch {
-	case s.opt.samplingRate != 0 && s.opt.traceWorkers != 0:
-		return nil, nil, fmt.Errorf("rapidmrc: WithSamplingRate runs on the serial engine and cannot combine with WithTraceParallelism")
-	case s.opt.samplingRate != 0:
-		st, err = eng.newSampledStream(s.opt.entries, s.opt.samplingRate)
-	case s.opt.traceWorkers != 0:
-		st, err = eng.NewParallelStream(s.opt.entries, s.opt.traceWorkers)
-	default:
-		st, err = eng.NewStream(s.opt.entries)
-	}
+	st, err := openStream(s.opt.spec())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -273,14 +281,22 @@ func (s *System) Stream(epochEntries int, onEpoch func(StreamEpoch)) (*Curve, *S
 	cstats.Dropped = stats.Dropped
 	cstats.Stale = stats.Stale
 	cstats.CaptureCycles = stats.Cycles
+	s.anchor(curve, cstats)
+	return curve, cstats, nil
+}
+
+// anchor transposes a fresh curve, and its confidence band, to the miss
+// rate measured at the reference partition size — the currently
+// configured size unless WithReferencePoint chose another, whose miss
+// rate is free to measure with PMU counters (§3.2).
+func (s *System) anchor(curve *Curve, st *Stats) {
 	measured := s.MeasureMPKI(200_000)
 	ref := s.opt.refColors
 	if ref == 0 {
 		ref = s.opt.colors.Count()
 	}
-	cstats.Shift = curve.Transpose(ref, measured)
-	cstats.shiftBands(cstats.Shift)
-	return curve, cstats, nil
+	st.Shift = curve.Transpose(ref, measured)
+	st.shiftBands(st.Shift)
 }
 
 // MeasureMPKI runs the application for n instructions and returns its
@@ -332,31 +348,11 @@ func Online(app string, opts ...SystemOption) (*Curve, *Stats, *Trace, error) {
 	// 10-G-instruction mark; scaled here).
 	sys.Run(500_000)
 	trace := sys.Capture()
-	eng := NewEngine()
-	var curve *Curve
-	var stats *Stats
-	switch {
-	case sys.opt.samplingRate != 0 && sys.opt.traceWorkers != 0:
-		return nil, nil, nil, fmt.Errorf("rapidmrc: WithSamplingRate runs on the serial engine and cannot combine with WithTraceParallelism")
-	case sys.opt.samplingRate != 0:
-		curve, stats, err = eng.computeSampled(trace, sys.opt.samplingRate)
-	case sys.opt.traceWorkers != 0:
-		curve, stats, err = eng.ComputeParallel(trace, sys.opt.traceWorkers)
-	default:
-		curve, stats, err = eng.Compute(trace)
-	}
+	curve, stats, err := profileTrace(sys.opt.spec(), trace)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Anchor at the reference point: the miss rate of the currently
-	// configured size is free to measure with PMU counters.
-	measured := sys.MeasureMPKI(200_000)
-	ref := sys.opt.refColors
-	if ref == 0 {
-		ref = sys.opt.colors.Count()
-	}
-	stats.Shift = curve.Transpose(ref, measured)
-	stats.shiftBands(stats.Shift)
+	sys.anchor(curve, stats)
 	return curve, stats, trace, nil
 }
 
