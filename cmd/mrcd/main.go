@@ -44,6 +44,17 @@ import (
 	"rapidmrc/internal/service"
 )
 
+// HTTP server timeouts, so a client that stalls cannot pin a connection
+// and its goroutine forever. A feed body is at most a few MB (the
+// service bounds it by the tenant's queue), so a minute to read one
+// request is generous; responses get no write timeout because a curve
+// poll with wait=1 legitimately waits for the queue to drain.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // config carries the daemon's flag values.
 type config struct {
 	addr            string
@@ -101,8 +112,13 @@ func newDaemon(cfg config) (*daemon, error) {
 	}
 	return &daemon{
 		svc: svc,
-		srv: &http.Server{Handler: service.NewHandler(svc)},
-		ln:  ln,
+		srv: &http.Server{
+			Handler:           service.NewHandler(svc),
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			IdleTimeout:       idleTimeout,
+		},
+		ln: ln,
 	}, nil
 }
 

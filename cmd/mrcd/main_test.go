@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -368,5 +369,60 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if tn.Config().Sampling.Rate != 0.5 {
 		t.Errorf("inherited rate %v, want 0.5", tn.Config().Sampling.Rate)
+	}
+}
+
+// TestDaemonClosesStalledHeaders checks the server timeouts are set and
+// enforced: a client that sends half a request header and stalls has
+// its connection closed once ReadHeaderTimeout (shortened here) passes,
+// instead of holding it open.
+func TestDaemonClosesStalledHeaders(t *testing.T) {
+	d, err := newDaemon(config{addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.srv.ReadHeaderTimeout != readHeaderTimeout || d.srv.ReadTimeout != readTimeout ||
+		d.srv.IdleTimeout != idleTimeout {
+		t.Errorf("server timeouts header %v read %v idle %v, want %v %v %v",
+			d.srv.ReadHeaderTimeout, d.srv.ReadTimeout, d.srv.IdleTimeout,
+			readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	const short = 200 * time.Millisecond
+	d.srv.ReadHeaderTimeout = short
+	sigc := make(chan os.Signal, 1)
+	errc := make(chan error, 1)
+	go func() { errc <- d.serve(sigc, 10*time.Second) }()
+	defer func() {
+		sigc <- syscall.SIGTERM
+		if err := <-errc; err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", d.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: mrcd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The client-side deadline only bounds the test; the server must
+	// close the connection well before it.
+	const deadline = 20 * time.Second
+	if err := conn.SetReadDeadline(time.Now().Add(deadline)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	out, err := io.ReadAll(conn)
+	waited := time.Since(start)
+	if err != nil {
+		t.Fatalf("stalled connection not closed by the server after %v: %v", waited, err)
+	}
+	if waited < short/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, short)
+	}
+	if len(out) != 0 && !strings.Contains(string(out), "408") {
+		t.Errorf("unexpected response to a stalled header: %q", out)
 	}
 }

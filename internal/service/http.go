@@ -138,11 +138,12 @@ type shedJSON struct {
 
 // NewHandler returns the daemon's HTTP API over svc:
 //
-//	POST   /tenants              register a tenant
+//	POST   /tenants              register a tenant (413 past 64 KiB)
 //	GET    /tenants              list tenants with stats
 //	DELETE /tenants/{id}         evict (discard queue, recycle engine)
 //	POST   /tenants/{id}/feed    feed one reference batch (never blocks;
-//	                             429 with typed shed detail on overload)
+//	                             429 with typed shed detail on overload,
+//	                             413 for a body past the tenant's bound)
 //	GET    /tenants/{id}/curve   snapshot the curve (wait=1 flushes the
 //	                             queue first; transpose_at=N&measured=F
 //	                             applies the v-offset)
@@ -154,8 +155,9 @@ func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /tenants", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		body := http.MaxBytesReader(w, r.Body, maxRegisterBody)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			writeDecodeError(w, err)
 			return
 		}
 		_, err := svc.Register(req.ID, TenantConfig{
@@ -198,9 +200,11 @@ func NewHandler(svc *Service) http.Handler {
 			writeServiceError(w, err)
 			return
 		}
-		var req FeedRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		s := feedScratches.Get().(*feedScratch)
+		defer feedScratches.Put(s)
+		req, err := decodeFeed(http.MaxBytesReader(w, r.Body, feedBodyLimit(t.cfg.MaxQueued)), s)
+		if err != nil {
+			writeDecodeError(w, err)
 			return
 		}
 		if err := t.Feed(req.Lines, req.Instructions); err != nil {
@@ -364,6 +368,17 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusBadRequest, err)
 	}
+}
+
+// writeDecodeError maps a request-body failure: a 413 when the body
+// overran its bound, a 400 for anything else.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

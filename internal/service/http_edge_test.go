@@ -1,9 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -150,5 +153,198 @@ func TestHTTPAnalyticalTier(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// feedBodyRejects are feed bodies encoding/json refuses for a
+// FeedRequest; each must be a typed 400 that leaves the tenant alone.
+var feedBodyRejects = []struct{ name, body string }{
+	{"empty", ``},
+	{"truncated", `{"lines":[1,2`},
+	{"truncated key", `{"lin`},
+	{"negative", `{"lines":[-1]}`},
+	{"fraction", `{"lines":[1.5]}`},
+	{"exponent", `{"lines":[1e3]}`},
+	{"leading zero", `{"lines":[01]}`},
+	{"overflow", `{"lines":[18446744073709551616]}`},
+	{"string element", `{"lines":["1"]}`},
+	{"lines not an array", `{"lines":"x"}`},
+	{"trailing comma", `{"lines":[1,]}`},
+	{"negative instructions", `{"lines":[1],"instructions":-1}`},
+	{"type error mid-array", `{"lines":[1,-2,3],"instructions":4}`},
+}
+
+// feedBodyAccepts are feed bodies outside the canonical shape that
+// encoding/json accepts, with the values it decodes them to.
+var feedBodyAccepts = []struct {
+	name, body string
+	want       FeedRequest
+}{
+	{"null", `null`, FeedRequest{}},
+	{"empty object", `{}`, FeedRequest{}},
+	{"empty lines", `{"lines":[],"instructions":9}`, FeedRequest{Lines: []uint64{}, Instructions: 9}},
+	{"upper-case key", `{"LINES":[1]}`, FeedRequest{Lines: []uint64{1}}},
+	{"escaped key", `{"line\u0073":[5],"instructions":6}`, FeedRequest{Lines: []uint64{5}, Instructions: 6}},
+	{"unknown key", `{"lines":[1,2],"extra":{"a":[true]},"instructions":3}`,
+		FeedRequest{Lines: []uint64{1, 2}, Instructions: 3}},
+	{"duplicate lines", `{"lines":[1,2],"lines":[7]}`, FeedRequest{Lines: []uint64{7}}},
+	{"null lines", `{"lines":null,"instructions":2}`, FeedRequest{Instructions: 2}},
+	{"trailing bytes", `{"lines":[4],"instructions":1}garbage`, FeedRequest{Lines: []uint64{4}, Instructions: 1}},
+	{"keys reversed", `{"instructions":8,"lines":[0,18446744073709551615]}`,
+		FeedRequest{Lines: []uint64{0, 18446744073709551615}, Instructions: 8}},
+	{"heavy whitespace", " \r\n\t{ \n\"lines\" \t:\r[ 1 ,\n2 ,\t3 ] \n, \"instructions\"\t:  10 \r\n}\n\n",
+		FeedRequest{Lines: []uint64{1, 2, 3}, Instructions: 10}},
+}
+
+// postRaw POSTs body verbatim and returns the status and response body.
+func postRaw(t *testing.T, c *http.Client, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := c.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// feedCounters is the part of a tenant's state a refused feed must not
+// touch.
+type feedCounters struct {
+	Batches, Entries, Sheds, QueuedEntries, Budget int
+	Instructions                                   uint64
+}
+
+func countersOf(svc *Service, tn *Tenant) feedCounters {
+	tn.Flush()
+	st := tn.Stats()
+	return feedCounters{
+		Batches: st.Batches, Entries: st.Entries, Sheds: st.Sheds,
+		QueuedEntries: st.QueuedEntries, Budget: svc.Stats().BudgetRemaining,
+		Instructions: st.Instructions,
+	}
+}
+
+// TestHTTPFeedBodyEdgeCases pins which feed bodies the daemon accepts
+// and with which values: exactly encoding/json's verdicts. Rejects are
+// typed 400s with a JSON error body that leave the tenant's counters and
+// the global budget untouched; accepts advance the tenant by the values
+// encoding/json decodes.
+func TestHTTPFeedBodyEdgeCases(t *testing.T) {
+	svc := New(Config{})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	c := ts.Client()
+	tn, err := svc.Register("edge", TenantConfig{Target: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/tenants/edge/feed"
+
+	before := countersOf(svc, tn)
+	for _, tc := range feedBodyRejects {
+		code, body := postRaw(t, c, url, tc.body)
+		var er errorResponse
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, code, body)
+		} else if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+			t.Errorf("%s: 400 without a JSON error body: %s", tc.name, body)
+		}
+		if got := countersOf(svc, tn); got != before {
+			t.Errorf("%s: rejected feed changed the tenant: %+v, was %+v", tc.name, got, before)
+		}
+	}
+
+	for _, tc := range feedBodyAccepts {
+		var std FeedRequest
+		if err := json.NewDecoder(strings.NewReader(tc.body)).Decode(&std); err != nil {
+			t.Fatalf("%s: encoding/json rejects the body: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(std, tc.want) {
+			t.Fatalf("%s: encoding/json decodes %+v, table says %+v", tc.name, std, tc.want)
+		}
+		before := countersOf(svc, tn)
+		var fr FeedResponse
+		code, body := postRaw(t, c, url, tc.body)
+		if code != http.StatusAccepted {
+			t.Errorf("%s: status %d, want 202 (%s)", tc.name, code, body)
+			continue
+		}
+		if err := json.Unmarshal(body, &fr); err != nil || fr.Accepted != len(tc.want.Lines) {
+			t.Errorf("%s: response %s, want %d accepted", tc.name, body, len(tc.want.Lines))
+		}
+		want := before
+		if n := len(tc.want.Lines); n > 0 { // an empty batch is a no-op
+			want.Batches++
+			want.Entries += n
+			want.Instructions += tc.want.Instructions
+		}
+		if got := countersOf(svc, tn); got != want {
+			t.Errorf("%s: tenant %+v, want %+v", tc.name, got, want)
+		}
+	}
+}
+
+// TestHTTPBodyLimits pins the request-body bounds: a feed body one byte
+// past 24*MaxQueued+4096 is a 413 that leaves the tenant and the global
+// budget untouched, a canonical body of MaxQueued maximal lines padded to
+// exactly the bound is accepted, and a register body past 64 KiB is a
+// 413.
+func TestHTTPBodyLimits(t *testing.T) {
+	const maxQueued = 64
+	svc := New(Config{})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	c := ts.Client()
+	tn, err := svc.Register("lim", TenantConfig{Target: 1000, MaxQueued: maxQueued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/tenants/lim/feed"
+
+	lines := make([]uint64, maxQueued)
+	for i := range lines {
+		lines[i] = math.MaxUint64
+	}
+	canon, err := json.Marshal(FeedRequest{Lines: lines, Instructions: math.MaxUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 24*maxQueued + 4096
+	if len(canon) > limit {
+		t.Fatalf("canonical %d-line body is %d bytes, past the %d-byte bound", maxQueued, len(canon), limit)
+	}
+	pad := func(n int) string { return string(canon) + strings.Repeat(" ", n-len(canon)) }
+
+	before := countersOf(svc, tn)
+	code, body := postRaw(t, c, url, pad(limit+1))
+	var er errorResponse
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the bound: status %d, want 413 (%s)", code, body)
+	}
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+		t.Errorf("413 without a JSON error body: %s", body)
+	}
+	if got := countersOf(svc, tn); got != before {
+		t.Errorf("413 changed the tenant: %+v, was %+v", got, before)
+	}
+
+	code, body = postRaw(t, c, url, pad(limit))
+	if code != http.StatusAccepted {
+		t.Fatalf("body at the bound: status %d, want 202 (%s)", code, body)
+	}
+	if got := countersOf(svc, tn); got.Entries != maxQueued || got.Batches != 1 {
+		t.Errorf("body at the bound: tenant %+v, want %d entries in 1 batch", got, maxQueued)
+	}
+
+	reg := `{"id":"` + strings.Repeat("x", 64<<10) + `"}`
+	if code, body := postRaw(t, c, ts.URL+"/tenants", reg); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("register body past 64 KiB: status %d, want 413 (%s)", code, body)
+	}
+	if n := svc.Stats().Tenants; n != 1 {
+		t.Errorf("%d tenants after an oversized register, want 1", n)
 	}
 }
