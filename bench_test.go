@@ -6,9 +6,10 @@ package rapidmrc
 // `go test -bench=.`). The cmd/experiments binary runs the same drivers
 // at full fidelity and prints the reports.
 //
-// The trailing benchmarks are ablations: the range-list stack against the
-// naive O(n) stack (the optimization of Kim et al. the paper adopts), and
-// the capture/compute halves of the pipeline in isolation.
+// The trailing benchmarks are ablations: the production marker-tree stack
+// against the naive O(n) stack and the paper-era walking range list (the
+// optimization of Kim et al. the paper adopts), and the capture/compute
+// halves of the pipeline in isolation.
 
 import (
 	"fmt"
@@ -130,15 +131,15 @@ func benchTrace(n int) []mem.Line {
 	return trace
 }
 
-// BenchmarkStackRangeList and BenchmarkStackNaive quantify the range-list
-// optimization (DESIGN.md ablation): same trace, same capacity, the two
-// stack implementations. BenchmarkStackRangeList exercises the production
-// (Fenwick-indexed) RangeStack.
-func BenchmarkStackRangeList(b *testing.B) {
+// BenchmarkStackMarker and BenchmarkStackNaive quantify the production
+// stack against the textbook one (DESIGN.md ablation): same trace, same
+// capacity. BenchmarkStackMarker exercises the production marker-tree
+// stack.
+func BenchmarkStackMarker(b *testing.B) {
 	trace := benchTrace(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := core.NewRangeStack(15360, core.DefaultGroupSize)
+		s := core.NewStack(15360, core.DefaultGroupSize)
 		for _, l := range trace {
 			s.Reference(l)
 		}
@@ -189,10 +190,10 @@ func mcfTrace(b *testing.B) []mem.Line {
 }
 
 // BenchmarkStackAblationMcf runs the naive, walking range-list, and
-// Fenwick-indexed stacks over the same 160 k-entry mcf trace at the
-// paper's 15,360-line/64-entry geometry — the three-way ablation behind
-// the indexed-stack tentpole. The indexed variant must beat the walking
-// one by ≥ 2× on ns/ref.
+// production marker-tree stacks over the same 160 k-entry mcf trace at
+// the paper's 15,360-line/64-entry geometry — the three-way ablation of
+// the stack kernel. The marker variant must beat the walking one by ≥ 2×
+// on ns/ref.
 func BenchmarkStackAblationMcf(b *testing.B) {
 	trace := mcfTrace(b)
 	b.Run("naive", func(b *testing.B) {
@@ -211,9 +212,9 @@ func BenchmarkStackAblationMcf(b *testing.B) {
 			}
 		}
 	})
-	b.Run("indexed", func(b *testing.B) {
+	b.Run("marker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewRangeStack(15360, core.DefaultGroupSize)
+			s := core.NewStack(15360, core.DefaultGroupSize)
 			for _, l := range trace {
 				s.Reference(l)
 			}

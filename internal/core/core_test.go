@@ -51,11 +51,11 @@ func TestRangeStackPanicsOnBadCapacity(t *testing.T) {
 			t.Error("no panic for capacity -1")
 		}
 	}()
-	NewRangeStack(-1, 4)
+	NewStack(-1, 4)
 }
 
 // TestRangeStackMatchesNaive is the central property test: on arbitrary
-// traces, the range-list stack must return exactly the distances of the
+// traces, the production stack must return exactly the distances of the
 // textbook stack.
 func TestRangeStackMatchesNaive(t *testing.T) {
 	f := func(seed int64, cap16 uint16, gs8 uint8, footprint16 uint16) bool {
@@ -64,7 +64,7 @@ func TestRangeStackMatchesNaive(t *testing.T) {
 		footprint := int(footprint16%600) + 1
 		r := rand.New(rand.NewSource(seed))
 		naive := NewNaiveStack(capacity)
-		rng := NewRangeStack(capacity, groupSize)
+		rng := NewStack(capacity, groupSize)
 		for i := 0; i < 3000; i++ {
 			line := mem.Line(r.Intn(footprint))
 			dn := naive.Reference(line)
@@ -86,14 +86,14 @@ func TestRangeStackMatchesNaive(t *testing.T) {
 }
 
 func TestRangeStackDefaultGroupSize(t *testing.T) {
-	s := NewRangeStack(100, 0)
-	if s.groupSize != DefaultGroupSize {
-		t.Fatalf("groupSize = %d, want default %d", s.groupSize, DefaultGroupSize)
+	s := NewStack(100, 0)
+	if s.walk.groupSize != DefaultGroupSize {
+		t.Fatalf("groupSize = %d, want default %d", s.walk.groupSize, DefaultGroupSize)
 	}
 }
 
 func TestStackWalksAccumulate(t *testing.T) {
-	s := NewRangeStack(100, 4)
+	s := NewStack(100, 4)
 	for i := 0; i < 200; i++ {
 		s.Reference(mem.Line(i % 150))
 	}

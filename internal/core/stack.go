@@ -1,11 +1,14 @@
 // Package core implements RapidMRC itself: the Mattson LRU stack
-// simulator (with the range-list optimization of Kim, Hill & Wood), stack
-// distance histograms, MRC generation with warmup handling, the trace
-// corrections of §3.1.1, vertical-offset transposition, and the MPKI
-// distance metric of §5.2.1.
+// simulator (a Bennett–Kruskal marker tree, with the paper-era range list
+// of Kim, Hill & Wood kept as its cost model), stack distance histograms,
+// MRC generation with warmup handling, the chunk-parallel form of the
+// same computation, the trace corrections of §3.1.1, vertical-offset
+// transposition, and the MPKI distance metric of §5.2.1.
 package core
 
 import (
+	"math/bits"
+
 	"rapidmrc/internal/mem"
 )
 
@@ -40,8 +43,8 @@ type Stack interface {
 }
 
 // NaiveStack is the textbook O(n)-per-reference LRU stack. It exists as
-// the oracle for property-testing the range-list implementations and for
-// the ablation benchmark of the range-list optimization.
+// the oracle for property-testing the production stack and for the
+// ablation benchmark.
 type NaiveStack struct {
 	capacity int
 	lines    []mem.Line // index 0 = MRU
@@ -98,9 +101,9 @@ const DefaultGroupSize = 64
 // doubly-linked list of groups of up to 2×groupSize lines with a
 // line→group index. A reference walks the group list to sum distances, so
 // it costs O(#groups + groupSize) instead of O(capacity). It is retained
-// as the reference for the indexed production stack (RangeStack): the two
-// must agree exactly on distances AND on Walks(), which calibrates the
-// cost model.
+// as the reference for the production stack (MarkerStack): the two must
+// agree exactly on distances AND on Walks(), which calibrates the cost
+// model.
 type WalkRangeStack struct {
 	capacity  int
 	groupSize int
@@ -288,417 +291,124 @@ func (s *WalkRangeStack) evictTail() {
 	}
 }
 
-// RangeStack is the production stack: the same range-list group structure
-// as WalkRangeStack, but with the group order held in a slice and a
-// Fenwick (binary-indexed) tree over group line counts. A distance query
-// sums the lines above the hit group in O(log G) instead of walking G
-// groups, and the miss path reads the group count in O(1). Group
-// splits/merges/removals rebuild the position index in O(G), which they
-// amortize: structural changes happen at most once per Θ(groupSize)
-// references.
+// MarkerStack is the production stack: an Olken / Bennett–Kruskal
+// marker tree over a sliding window of reference positions. The line
+// table maps each line to the position of its latest reference, and the
+// tree carries one marker per line at that position, so the markers
+// after a line's previous position count exactly the distinct lines
+// referenced since — its stack depth minus one. A reference costs one
+// table probe and one fused count-and-move in the tree.
 //
-// The group partition evolves exactly as WalkRangeStack's, so distances,
-// Len/Full, and the modeled Walks() are bit-identical between the two —
-// the cost model of DESIGN.md §5 stays calibrated to the paper-era walk
-// counts while the real Go work becomes sub-linear.
-type RangeStack struct {
-	capacity  int
-	groupSize int
-	order     []*igroup // index 0 = MRU-side group
-	index     lineTable
-	headCount int   // live line count of order[0], kept out of the tree
-	tree      []int // 1-based Fenwick tree over positions 1..len(order)-1
-	size      int
-	walks     uint64
-	free      []*igroup  // retired groups, recycled by the next split
-	scratch   []mem.Line // merge staging buffer, swapped with group backing
+// The window spans 2×capacity positions. When it fills, the most recent
+// capacity lines are renumbered to the front of the window, in order,
+// and every older line is dropped: its depth is already past capacity,
+// so its next reference misses whether or not the table remembers it.
+// Memory is therefore O(capacity) however long the stream, and the
+// renumbering costs O(capacity) once per ≥ capacity references.
+//
+// The paper's cost model counts range-list walks, which a marker tree
+// does not perform: Walks() replays the range list's group sizes from the
+// distances (walkModel), so distances, Len/Full, and the modeled Walks()
+// are bit-identical to WalkRangeStack's and the DESIGN.md §5 calibration
+// is unchanged.
+type MarkerStack struct {
+	capacity int
+	table    lineTable  // line → position of its latest reference
+	tree     markerTree // one marker per tabled line, at that position
+	lines    []mem.Line // lines[p] = the line referenced at position p
+	next     int        // position of the next reference
+	walk     walkModel
 }
 
-// igroup is one range-list group. Every group except the head stores its
-// lines in MRU-first order; the head stores them reversed (MRU at the
-// slice end) so the hot-path MRU insert is an O(1) append instead of a
-// front-insert copy. The head's count lives in headCount rather than the
-// Fenwick tree for the same reason: a push touches one integer, not
-// O(log G) tree nodes.
-type igroup struct {
-	lines []mem.Line
-	pos   int // position in order
-}
-
-// NewRangeStack returns an empty indexed range-list stack.
-func NewRangeStack(capacity, groupSize int) *RangeStack {
+// NewStack returns an empty production stack holding at most capacity
+// lines; groupSize (≤ 0 = DefaultGroupSize) is the range-list group size
+// the modeled walks are counted against.
+func NewStack(capacity, groupSize int) *MarkerStack {
 	if capacity <= 0 {
 		panic("core: non-positive stack capacity")
 	}
-	if groupSize <= 0 {
-		groupSize = DefaultGroupSize
+	window := 2 * capacity
+	s := &MarkerStack{
+		capacity: capacity,
+		lines:    make([]mem.Line, window),
+		walk:     newWalkModel(capacity, groupSize),
 	}
-	s := &RangeStack{
-		capacity:  capacity,
-		groupSize: groupSize,
-		order:     []*igroup{{lines: make([]mem.Line, 0, 2*groupSize)}},
-		scratch:   make([]mem.Line, 0, 2*groupSize),
-	}
-	s.index.init(capacity)
-	s.reindex()
+	// Every tabled line holds a distinct window position, so the table
+	// never exceeds window entries and, sized for one more, never grows.
+	s.table.init(window + 1)
+	s.tree.init(window)
 	return s
 }
 
-// newGroup returns an empty group with 2×groupSize backing, recycling a
-// retired one when possible so steady-state split/merge churn allocates
-// nothing.
-func (s *RangeStack) newGroup() *igroup {
-	if n := len(s.free); n > 0 {
-		g := s.free[n-1]
-		s.free = s.free[:n-1]
-		g.lines = g.lines[:0]
-		return g
-	}
-	return &igroup{lines: make([]mem.Line, 0, 2*s.groupSize)}
-}
-
-// lineTable is a purpose-built line→group hash index: open addressing
-// with linear probing, Fibonacci hashing, and backward-shift deletion.
-// The generic Go map was the single largest cost left on the reference
-// hot path once the group walk went sub-linear; this table does a
-// lookup/insert/delete in a couple of cache lines with no allocation
-// after init. Capacity is fixed at construction (the stack never holds
-// more than its capacity in lines), so the table never grows or rehashes.
-type lineTable struct {
-	keys []mem.Line
-	vals []*igroup // nil = empty slot
-	mask uint64
-}
-
-// init sizes the table for at most capacity live entries at ≤ 50% load.
-func (t *lineTable) init(capacity int) {
-	slots := 8
-	for slots < 2*capacity {
-		slots <<= 1
-	}
-	t.keys = make([]mem.Line, slots)
-	t.vals = make([]*igroup, slots)
-	t.mask = uint64(slots - 1)
-}
-
-// slot is the home position of k (Fibonacci hashing: high multiply bits
-// folded onto the table size).
-//
-//rapidmrc:hotpath
-func (t *lineTable) slot(k mem.Line) uint64 {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	return (h ^ h>>29) & t.mask
-}
-
-// find returns the group holding k and its slot, or (nil, slot) with the
-// empty slot where k would be inserted. The slot stays valid for a later
-// place/update as long as no del intervenes (set never moves entries, and
-// probing for existing keys terminates before any empty slot).
-//
-//rapidmrc:hotpath
-func (t *lineTable) find(k mem.Line) (*igroup, uint64) {
-	i := t.slot(k)
-	for t.vals[i] != nil {
-		if t.keys[i] == k {
-			return t.vals[i], i
-		}
-		i = (i + 1) & t.mask
-	}
-	return nil, i
-}
-
-// place writes k→g into the empty slot a failed find returned.
-//
-//rapidmrc:hotpath
-func (t *lineTable) place(k mem.Line, g *igroup, slot uint64) {
-	t.keys[slot], t.vals[slot] = k, g
-}
-
-// update rebinds the existing entry at slot to g.
-//
-//rapidmrc:hotpath
-func (t *lineTable) update(slot uint64, g *igroup) { t.vals[slot] = g }
-
-// set inserts or updates k→g.
-func (t *lineTable) set(k mem.Line, g *igroup) {
-	i := t.slot(k)
-	for t.vals[i] != nil {
-		if t.keys[i] == k {
-			t.vals[i] = g
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	t.keys[i], t.vals[i] = k, g
-}
-
-// del removes k, backward-shifting the probe cluster so lookups stay
-// tombstone-free (Knuth 6.4 algorithm R).
-func (t *lineTable) del(k mem.Line) {
-	i := t.slot(k)
-	for {
-		if t.vals[i] == nil {
-			return // not present
-		}
-		if t.keys[i] == k {
-			break
-		}
-		i = (i + 1) & t.mask
-	}
-	j := i
-	for {
-		t.vals[i] = nil
-		for {
-			j = (j + 1) & t.mask
-			if t.vals[j] == nil {
-				return
-			}
-			h := t.slot(t.keys[j])
-			// Entry at j may move into the hole at i only if its home
-			// slot is cyclically outside (i, j].
-			var reachable bool
-			if i <= j {
-				reachable = h <= i || h > j
-			} else {
-				reachable = h <= i && h > j
-			}
-			if reachable {
-				t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-				i = j
-				break
-			}
-		}
-	}
-}
-
 // Len implements Stack.
-func (s *RangeStack) Len() int { return s.size }
+func (s *MarkerStack) Len() int { return s.walk.size }
 
 // Full implements Stack.
-func (s *RangeStack) Full() bool { return s.size == s.capacity }
+func (s *MarkerStack) Full() bool { return s.walk.size == s.capacity }
 
 // Walks implements Stack.
-func (s *RangeStack) Walks() uint64 { return s.walks }
+func (s *MarkerStack) Walks() uint64 { return s.walk.walks }
 
-// Reset implements Stack. Retired groups go to the recycling list, the
-// index is cleared in one pass (nil vals mark empty slots, so stale keys
-// are unreachable), and reindex rebuilds the now-trivial Fenwick tree —
-// no allocation survives to the next session's hot path.
-func (s *RangeStack) Reset() {
-	s.free = append(s.free, s.order[1:]...)
-	head := s.order[0]
-	head.lines = head.lines[:0]
-	s.order = s.order[:1]
-	clear(s.index.vals)
-	s.size = 0
-	s.walks = 0
-	s.reindex()
-}
-
-// add applies delta to the line count of the group at position pos. The
-// head (pos 0) is a plain counter — the hot-path push costs one add, not
-// O(log G) tree updates.
-//
-//rapidmrc:hotpath
-func (s *RangeStack) add(pos, delta int) {
-	if pos == 0 {
-		s.headCount += delta
-		return
-	}
-	for j := pos; j < len(s.order); j += j & (-j) {
-		s.tree[j] += delta
-	}
-}
-
-// linesAbove returns the total line count of groups at positions < pos.
-//
-//rapidmrc:hotpath
-func (s *RangeStack) linesAbove(pos int) int {
-	if pos == 0 {
-		return 0
-	}
-	t := s.headCount
-	for j := pos - 1; j > 0; j -= j & (-j) {
-		t += s.tree[j]
-	}
-	return t
-}
-
-// reindex reassigns group positions and rebuilds the Fenwick tree in
-// O(G), after a structural change (split, merge, group removal).
-func (s *RangeStack) reindex() {
-	n := len(s.order)
-	s.order[0].pos = 0
-	s.headCount = len(s.order[0].lines)
-	if cap(s.tree) < n {
-		s.tree = make([]int, n, 2*n)
-	} else {
-		s.tree = s.tree[:n]
-		for i := range s.tree {
-			s.tree[i] = 0
-		}
-	}
-	for p := 1; p < n; p++ {
-		g := s.order[p]
-		g.pos = p
-		s.tree[p] += len(g.lines)
-		if j := p + (p & -p); j < n {
-			s.tree[j] += s.tree[p]
-		}
-	}
+// Reset implements Stack: the table, tree, and walk model are cleared in
+// place, so a reset stack allocates nothing.
+func (s *MarkerStack) Reset() {
+	s.table.reset()
+	s.tree.init(len(s.lines))
+	s.next = 0
+	s.walk.reset()
 }
 
 // Reference implements Stack.
-func (s *RangeStack) Reference(line mem.Line) int {
-	g, slot := s.index.find(line)
-	if g == nil {
-		// Modeled cost: the paper-era walk visits every group to
-		// establish absence, even though the indexed miss path does no
-		// walking at all.
-		s.walks += uint64(len(s.order))
-		s.pushFront(line)
-		s.index.place(line, s.order[0], slot)
-		s.size++
-		if s.size > s.capacity {
-			s.evictTail()
-		}
+//
+//rapidmrc:hotpath
+func (s *MarkerStack) Reference(line mem.Line) int {
+	if s.next == len(s.lines) {
+		s.renumber()
+	}
+	i := s.next
+	s.next++
+	s.lines[i] = line
+	p, seen := s.table.touch(line, 0, int32(i))
+	if !seen {
+		s.tree.mark(i)
+		s.walk.miss()
 		return Infinite
 	}
-
-	// Modeled cost: groups above g, plus g itself.
-	s.walks += uint64(g.pos) + 1
-	dist := s.linesAbove(g.pos)
-	if g.pos == 0 {
-		// The head stores lines reversed: raw index r is logical MRU
-		// position len-1-r. Scan from the MRU end — hits cluster there.
-		last := len(g.lines) - 1
-		r := last
-		for g.lines[r] != line {
-			r--
-		}
-		dist += last - r + 1
-		copy(g.lines[r:], g.lines[r+1:])
-		g.lines = g.lines[:last]
-		s.headCount--
-	} else {
-		pos := 0
-		for g.lines[pos] != line {
-			pos++
-		}
-		dist += pos + 1
-		g.lines = append(g.lines[:pos], g.lines[pos+1:]...)
-		s.add(g.pos, -1)
+	// Every marker sits at or below p or strictly between p and i; the
+	// latter are the distinct lines referenced since line's previous
+	// reference.
+	d := s.table.n - int(s.tree.prefixMove(int(p), i)) + 1
+	if d > s.capacity {
+		s.walk.miss()
+		return Infinite
 	}
-
-	// Move to the top, restructuring as the walk variant would.
-	if len(g.lines) == 0 {
-		s.removeGroup(g.pos)
-	} else if len(g.lines) < s.groupSize/2 && g.pos+1 < len(s.order) {
-		s.mergeWithNext(g)
-	}
-	s.pushFront(line)
-	s.index.update(slot, s.order[0])
-	return dist
+	s.walk.hit(d)
+	return d
 }
 
-// pushFront makes line the MRU entry of the head group, splitting the
-// head when it grows to twice the group size. The head's reversed layout
-// makes this an append — no per-push copy.
-func (s *RangeStack) pushFront(line mem.Line) {
-	h := s.order[0]
-	h.lines = append(h.lines, line)
-	s.headCount++
-	if len(h.lines) >= 2*s.groupSize {
-		s.splitHead()
-	}
-}
-
-// splitHead moves the LRU half of the head group into a new second
-// group, reindexing the moved lines. In the head's reversed layout the
-// LRU half is the raw prefix; the back group stores MRU-first, so the
-// moved lines are reversed out.
-func (s *RangeStack) splitHead() {
-	h := s.order[0]
-	half := len(h.lines) / 2
-	backLen := len(h.lines) - half
-	back := s.newGroup()
-	back.lines = back.lines[:backLen]
-	for i := range back.lines {
-		back.lines[i] = h.lines[backLen-1-i]
-	}
-	copy(h.lines, h.lines[backLen:])
-	h.lines = h.lines[:half]
-	for _, l := range back.lines {
-		s.index.set(l, back)
-	}
-	s.order = append(s.order, nil)
-	copy(s.order[2:], s.order[1:len(s.order)-1])
-	s.order[1] = back
-	s.reindex()
-}
-
-// mergeWithNext folds the group after g into g, reindexing the absorbed
-// lines; merging keeps groups ≥ groupSize/2 so the group count stays
-// Θ(capacity/groupSize).
-func (s *RangeStack) mergeWithNext(g *igroup) {
-	n := s.order[g.pos+1]
-	if len(g.lines)+len(n.lines) >= 2*s.groupSize {
-		return // merging would immediately violate the size bound
-	}
-	for _, l := range n.lines {
-		s.index.set(l, g)
-	}
-	if g.pos == 0 {
-		// The absorbed lines sit below the head's LRU end: in the
-		// reversed layout they become the new raw prefix, reversed.
-		// Build into the scratch buffer and swap backings.
-		merged := s.scratch[:0]
-		for i := len(n.lines) - 1; i >= 0; i-- {
-			merged = append(merged, n.lines[i])
-		}
-		merged = append(merged, g.lines...)
-		s.scratch, g.lines = g.lines, merged
-	} else {
-		g.lines = append(g.lines, n.lines...)
-	}
-	s.removeGroup(g.pos + 1)
-}
-
-// removeGroup drops the group at position pos; an empty list is replaced
-// with a fresh head group so pushFront always has a target.
-func (s *RangeStack) removeGroup(pos int) {
-	s.free = append(s.free, s.order[pos])
-	s.order = append(s.order[:pos], s.order[pos+1:]...)
-	if len(s.order) == 0 {
-		s.order = append(s.order, s.newGroup())
-	} else if pos == 0 {
-		// A promoted head switches to the reversed layout.
-		h := s.order[0].lines
-		for i, j := 0, len(h)-1; i < j; i, j = i+1, j-1 {
-			h[i], h[j] = h[j], h[i]
+// renumber makes room when the window is full: the most recent capacity
+// markers — the lines still on the stack — move to positions 0..k-1 in
+// their current order, and the older lines leave the table. Kept lines
+// are compacted in place (a kept marker's new position never exceeds its
+// old one), then the table and tree are rebuilt from them.
+func (s *MarkerStack) renumber() {
+	drop := s.table.n - s.capacity
+	k := 0
+	for w, word := range s.tree.bits {
+		for ; word != 0; word &= word - 1 {
+			if drop > 0 {
+				drop--
+				continue
+			}
+			s.lines[k] = s.lines[w<<6+bits.TrailingZeros64(word)]
+			k++
 		}
 	}
-	s.reindex()
-}
-
-// evictTail drops the LRU line.
-func (s *RangeStack) evictTail() {
-	t := s.order[len(s.order)-1]
-	var last mem.Line
-	if t.pos == 0 {
-		// Single-group stack: the tail is the reversed head, LRU at raw
-		// index 0.
-		last = t.lines[0]
-		copy(t.lines, t.lines[1:])
-		t.lines = t.lines[:len(t.lines)-1]
-	} else {
-		last = t.lines[len(t.lines)-1]
-		t.lines = t.lines[:len(t.lines)-1]
+	s.table.reset()
+	s.tree.init(len(s.lines))
+	for q, line := range s.lines[:k] {
+		s.table.touch(line, 0, int32(q))
+		s.tree.mark(q)
 	}
-	s.add(t.pos, -1)
-	s.index.del(last)
-	s.size--
-	if len(t.lines) == 0 && len(s.order) > 1 {
-		s.removeGroup(t.pos)
-	}
+	s.next = k
 }

@@ -8,8 +8,12 @@ import (
 	"rapidmrc/internal/mem"
 )
 
+// The TestRangeStack* and TestIndexedStack* edge cases pin the production
+// stack (NewStack) to range-list semantics: its distances, occupancy, and
+// modeled walks must match the walking range list's.
+
 func TestRangeStackCapacityOne(t *testing.T) {
-	s := NewRangeStack(1, 4)
+	s := NewStack(1, 4)
 	if d := s.Reference(10); d != Infinite {
 		t.Fatalf("cold distance %d", d)
 	}
@@ -27,7 +31,7 @@ func TestRangeStackCapacityOne(t *testing.T) {
 
 func TestRangeStackGroupSplitAndMergePaths(t *testing.T) {
 	// Tiny groups force frequent splits; alternating hits force merges.
-	s := NewRangeStack(64, 2)
+	s := NewStack(64, 2)
 	naive := NewNaiveStack(64)
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 10_000; i++ {
@@ -39,7 +43,7 @@ func TestRangeStackGroupSplitAndMergePaths(t *testing.T) {
 }
 
 func TestRangeStackAllSameLine(t *testing.T) {
-	s := NewRangeStack(100, 8)
+	s := NewStack(100, 8)
 	s.Reference(5)
 	for i := 0; i < 1000; i++ {
 		if d := s.Reference(5); d != 1 {
@@ -52,7 +56,7 @@ func TestRangeStackAllSameLine(t *testing.T) {
 }
 
 func TestRangeStackSequentialSweepNeverHits(t *testing.T) {
-	s := NewRangeStack(1000, 16)
+	s := NewStack(1000, 16)
 	for i := 0; i < 50_000; i++ {
 		if d := s.Reference(mem.Line(i)); d != Infinite {
 			t.Fatalf("stream hit at %d: distance %d", i, d)
@@ -67,7 +71,7 @@ func TestRangeStackExactCapacityCycle(t *testing.T) {
 	// A cycle exactly at capacity: every access after the first pass has
 	// distance == capacity (the maximum hit distance).
 	const capacity = 200
-	s := NewRangeStack(capacity, 8)
+	s := NewStack(capacity, 8)
 	for i := 0; i < capacity; i++ {
 		s.Reference(mem.Line(i))
 	}
@@ -79,7 +83,7 @@ func TestRangeStackExactCapacityCycle(t *testing.T) {
 		}
 	}
 	// One line beyond capacity turns the cycle into all-misses.
-	s2 := NewRangeStack(capacity, 8)
+	s2 := NewStack(capacity, 8)
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i <= capacity; i++ {
 			if d := s2.Reference(mem.Line(i)); pass > 0 && d != Infinite {
@@ -90,7 +94,7 @@ func TestRangeStackExactCapacityCycle(t *testing.T) {
 }
 
 // TestIndexedStackMatchesWalkStack property-tests the production
-// Fenwick-indexed stack against the paper-era walking range list: on
+// marker stack against the paper-era walking range list: on
 // random traces — including eviction churn at capacity and group
 // split/merge boundaries — distances, occupancy, AND the modeled walk
 // counts must be bit-identical, so the DESIGN.md §5 cost model stays
@@ -103,7 +107,7 @@ func TestIndexedStackMatchesWalkStack(t *testing.T) {
 		footprint := int(footprint16)%(2*capacity) + 1
 		r := rand.New(rand.NewSource(seed))
 		walk := NewWalkRangeStack(capacity, groupSize)
-		idx := NewRangeStack(capacity, groupSize)
+		idx := NewStack(capacity, groupSize)
 		for i := 0; i < 4000; i++ {
 			line := mem.Line(r.Intn(footprint))
 			dw := walk.Reference(line)
@@ -129,13 +133,13 @@ func TestIndexedStackMatchesWalkStack(t *testing.T) {
 	}
 }
 
-// TestIndexedStackEvictionChurn drives the indexed stack at exact
+// TestIndexedStackEvictionChurn drives the production stack at exact
 // capacity through a footprint slightly larger than capacity, the regime
 // where every reference both hits the eviction path and perturbs group
 // boundaries.
 func TestIndexedStackEvictionChurn(t *testing.T) {
 	const capacity = 128
-	idx := NewRangeStack(capacity, 4)
+	idx := NewStack(capacity, 4)
 	naive := NewNaiveStack(capacity)
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 20_000; i++ {
@@ -217,6 +221,27 @@ func TestDecimationLowersCurve(t *testing.T) {
 		if dec.MRC.MPKI[i] > full.MRC.MPKI[i]+1e-9 {
 			t.Fatalf("decimated curve above full at %d: %v vs %v",
 				i, dec.MRC.MPKI[i], full.MRC.MPKI[i])
+		}
+	}
+}
+
+// TestStackManySmallGroups drives the range list into many one- and
+// two-line groups — a small hot set hit at shallow depths between cold
+// misses, at a group size too small for any merge to fire — so the
+// modeled group count nears capacity, far above capacity/groupSize. The
+// production stack's walk model must keep up with the walking range list.
+func TestStackManySmallGroups(t *testing.T) {
+	const capacity, groupSize = 60, 3
+	walk := NewWalkRangeStack(capacity, groupSize)
+	s := NewStack(capacity, groupSize)
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 20_000; i++ {
+		l := mem.Line(r.Intn(10))
+		if i%8 == 0 {
+			l = mem.Line(1_000 + i) // cold
+		}
+		if dw, ds := walk.Reference(l), s.Reference(l); dw != ds || walk.Walks() != s.Walks() {
+			t.Fatalf("ref %d: walk (%d, %d walks) marker (%d, %d walks)", i, dw, walk.Walks(), ds, s.Walks())
 		}
 	}
 }

@@ -138,13 +138,7 @@ func (e *StreamEngine) Reset(target int) error {
 	e.consumed, e.warm, e.recorded = 0, 0, 0
 	e.warming = true
 	e.auto = false
-	e.staticLimit = int(float64(target) * e.cfg.StaticWarmupFrac)
-	if e.fixed {
-		e.staticLimit = e.cfg.FixedWarmupEntries
-		if e.staticLimit >= target {
-			e.staticLimit = target - 1
-		}
-	}
+	e.staticLimit = e.cfg.staticWarmupLimit(target)
 	return nil
 }
 

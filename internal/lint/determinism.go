@@ -18,17 +18,16 @@ import (
 // bit-identically too. Operational timestamps (epoch-latency metrics)
 // carry explained //lint:allow suppressions.
 var deterministicPkgs = map[string]bool{
-	"rapidmrc/internal/core":          true,
-	"rapidmrc/internal/core/parstack": true,
-	"rapidmrc/internal/cache":         true,
-	"rapidmrc/internal/platform":      true,
-	"rapidmrc/internal/pmu":           true,
-	"rapidmrc/internal/workload":      true,
-	"rapidmrc/internal/prefetch":      true,
-	"rapidmrc/internal/approx":        true,
-	"rapidmrc/internal/sample":        true,
-	"rapidmrc/internal/service":       true,
-	"rapidmrc/internal/dynamic":       true,
+	"rapidmrc/internal/core":     true,
+	"rapidmrc/internal/cache":    true,
+	"rapidmrc/internal/platform": true,
+	"rapidmrc/internal/pmu":      true,
+	"rapidmrc/internal/workload": true,
+	"rapidmrc/internal/prefetch": true,
+	"rapidmrc/internal/approx":   true,
+	"rapidmrc/internal/sample":   true,
+	"rapidmrc/internal/service":  true,
+	"rapidmrc/internal/dynamic":  true,
 }
 
 // Determinism flags reads of ambient state — wall clock, the global

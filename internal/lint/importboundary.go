@@ -14,51 +14,51 @@ const internalPrefix = "rapidmrc/internal/"
 // machine-readable form of the architecture diagram in DESIGN.md
 // ("Static invariants"):
 //
-//	layer 0  mem
+//	layer 0  mem runner
 //	layer 1  core cache cpu color prefetch pmu workload tracefile
-//	         contend runner prof report
-//	layer 2  platform partition phase approx sample core/parstack
+//	         contend prof report
+//	layer 2  platform partition phase approx sample
 //	layer 3  benchsuite service
 //	layer 4  dynamic
 //	layer 5  experiments
 //
-// service sits above the compute engines it pools (core, core/parstack)
-// and the platform it serves, but below dynamic: the closed-loop
-// controller draws its recomputation engines from a service pool, while
-// nothing in the compute core may reach up into the service layer.
+// runner imports no internal package, so it sits at the bottom with mem
+// and core can fan its chunk passes out over it. service sits above the
+// compute engines it pools (core, sample) and the platform it serves,
+// but below dynamic: the closed-loop controller draws its recomputation
+// engines from a service pool, while nothing in the compute core may
+// reach up into the service layer.
 //
 // Keys are either a top-level internal package name ("core") or an exact
-// sub-package path ("core/parstack"); the exact path wins, so a
-// sub-package can sit at a different layer than its parent (parstack
-// consumes core's serial engine as its oracle, so it must be above it).
-// Uncataloged sub-packages inherit the parent's layer.
+// sub-package path ("core/sub"); the exact path wins, so a sub-package
+// can sit at a different layer than its parent. Uncataloged sub-packages
+// inherit the parent's layer.
 //
 // A new internal package must be added here before anything can import
 // it — an unknown package is itself a finding, so the catalog cannot rot.
 var pkgLayer = map[string]int{
-	"mem":           0,
-	"core":          1,
-	"core/parstack": 2,
-	"cache":         1,
-	"cpu":           1,
-	"color":         1,
-	"prefetch":      1,
-	"pmu":           1,
-	"workload":      1,
-	"tracefile":     1,
-	"contend":       1,
-	"runner":        1,
-	"prof":          1,
-	"report":        1,
-	"platform":      2,
-	"partition":     2,
-	"phase":         2,
-	"approx":        2,
-	"sample":        2,
-	"benchsuite":    3,
-	"service":       3,
-	"dynamic":       4,
-	"experiments":   5,
+	"mem":         0,
+	"runner":      0,
+	"core":        1,
+	"cache":       1,
+	"cpu":         1,
+	"color":       1,
+	"prefetch":    1,
+	"pmu":         1,
+	"workload":    1,
+	"tracefile":   1,
+	"contend":     1,
+	"prof":        1,
+	"report":      1,
+	"platform":    2,
+	"partition":   2,
+	"phase":       2,
+	"approx":      2,
+	"sample":      2,
+	"benchsuite":  3,
+	"service":     3,
+	"dynamic":     4,
+	"experiments": 5,
 }
 
 // exemptPkgs sit outside the simulator layering: the lint tooling itself

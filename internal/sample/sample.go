@@ -225,7 +225,7 @@ func NewEngine(cfg core.Config, scfg Config, target int) (*Engine, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	e.stack = core.NewRangeStack(capacity, cfg.GroupSize)
+	e.stack = core.NewStack(capacity, cfg.GroupSize)
 	if err := e.Reset(target); err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 	"rapidmrc/internal/workload"
 )
 
-// fuzzTrace mirrors the parstack suite's generator: repetition runs and
+// fuzzTrace mirrors core's parallel-engine suite's generator: repetition runs and
 // mixed locality, so the sampling equivalence stresses the same input
 // space as the stream≡batch and parallel≡serial properties.
 func fuzzTrace(r *rand.Rand, n int) []mem.Line {

@@ -23,8 +23,14 @@ const (
 const maxRegisterBody = 64 << 10
 
 // feedBodyLimit is the largest feed body, in bytes, a tenant whose queue
-// holds maxQueued entries accepts.
-func feedBodyLimit(maxQueued int) int64 {
+// holds maxQueued entries accepts under a global admission budget of
+// budget entries. A batch larger than a positive budget can never be
+// admitted, so the budget caps the bound too; a negative budget (no
+// global bound) leaves it to maxQueued.
+func feedBodyLimit(maxQueued, budget int) int64 {
+	if budget > 0 {
+		maxQueued = min(maxQueued, budget)
+	}
 	n := int64(max(maxQueued, 0))
 	if n > (math.MaxInt64-feedEnvelope)/feedBytesPerLine {
 		return math.MaxInt64

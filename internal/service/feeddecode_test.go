@@ -98,14 +98,18 @@ func TestDecodeFeedNoAllocs(t *testing.T) {
 
 func TestFeedBodyLimit(t *testing.T) {
 	for _, tc := range []struct {
-		maxQueued int
-		want      int64
+		maxQueued, budget int
+		want              int64
 	}{
-		{0, 4096}, {-7, 4096}, {64, 24*64 + 4096}, {DefaultMaxQueued, 24*DefaultMaxQueued + 4096},
-		{math.MaxInt, math.MaxInt64},
+		{0, -1, 4096}, {-7, -1, 4096}, {64, -1, 24*64 + 4096},
+		{DefaultMaxQueued, DefaultGlobalBudget, 24*DefaultMaxQueued + 4096},
+		{math.MaxInt, -1, math.MaxInt64},
+		// A positive budget caps the bound; a larger one leaves it.
+		{64, 10, 24*10 + 4096}, {64, 1000, 24*64 + 4096},
+		{math.MaxInt, DefaultGlobalBudget, 24*DefaultGlobalBudget + 4096},
 	} {
-		if got := feedBodyLimit(tc.maxQueued); got != tc.want {
-			t.Errorf("feedBodyLimit(%d) = %d, want %d", tc.maxQueued, got, tc.want)
+		if got := feedBodyLimit(tc.maxQueued, tc.budget); got != tc.want {
+			t.Errorf("feedBodyLimit(%d, %d) = %d, want %d", tc.maxQueued, tc.budget, got, tc.want)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		s := feedScratches.Get().(*feedScratch)
 		defer feedScratches.Put(s)
-		req, err := decodeFeed(http.MaxBytesReader(w, r.Body, feedBodyLimit(t.cfg.MaxQueued)), s)
+		req, err := decodeFeed(http.MaxBytesReader(w, r.Body, feedBodyLimit(t.cfg.MaxQueued, svc.cfg.GlobalBudget)), s)
 		if err != nil {
 			writeDecodeError(w, err)
 			return

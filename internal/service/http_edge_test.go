@@ -348,3 +348,56 @@ func TestHTTPBodyLimits(t *testing.T) {
 		t.Errorf("%d tenants after an oversized register, want 1", n)
 	}
 }
+
+// TestHTTPBodyLimitCappedByBudget pins the feed-body bound to the global
+// admission budget: a tenant registered with a max_queued far above the
+// budget still gets the budget-derived bound, and a body past it is a
+// 413 that leaves the tenant and the budget untouched. With the budget
+// disabled (negative) the tenant's own max_queued bound applies.
+func TestHTTPBodyLimitCappedByBudget(t *testing.T) {
+	const budget = 64
+	lines := make([]uint64, budget)
+	for i := range lines {
+		lines[i] = math.MaxUint64
+	}
+	canon, err := json.Marshal(FeedRequest{Lines: lines, Instructions: math.MaxUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 24*budget + 4096
+	pad := func(n int) string { return string(canon) + strings.Repeat(" ", n-len(canon)) }
+
+	svc := New(Config{GlobalBudget: budget})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	tn, err := svc.Register("big", TenantConfig{Target: 1000, MaxQueued: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/tenants/big/feed"
+	before := countersOf(svc, tn)
+	code, body := postRaw(t, ts.Client(), url, pad(limit+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the budget's bound: status %d, want 413 (%s)", code, body)
+	}
+	if got := countersOf(svc, tn); got != before {
+		t.Errorf("413 changed the tenant or budget: %+v, was %+v", got, before)
+	}
+	if code, body := postRaw(t, ts.Client(), url, pad(limit)); code != http.StatusAccepted {
+		t.Fatalf("body at the budget's bound: status %d, want 202 (%s)", code, body)
+	}
+
+	open := New(Config{GlobalBudget: -1})
+	ts2 := httptest.NewServer(NewHandler(open))
+	defer ts2.Close()
+	tn2, err := open.Register("q", TenantConfig{Target: 1000, MaxQueued: 4 * budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := postRaw(t, ts2.Client(), ts2.URL+"/tenants/q/feed", pad(limit+1)); code != http.StatusAccepted {
+		t.Fatalf("no budget: body within max_queued's bound: status %d, want 202 (%s)", code, body)
+	}
+	if got := countersOf(open, tn2); got.Entries != budget || got.Batches != 1 {
+		t.Errorf("no budget: tenant %+v, want %d entries in 1 batch", got, budget)
+	}
+}

@@ -1,7 +1,7 @@
 // Package service is the tenant-capable core behind the facade and the
 // mrcd daemon: a registry of concurrently profiled workloads, a
 // capacity-bounded pool that recycles compute engines across tenants
-// (reset-and-reuse instead of reallocating the ~650 KB of stack, index,
+// (reset-and-reuse instead of reallocating the ~1.3 MB of stack, index,
 // and histogram state each probing period costs), and explicit
 // backpressure between capture and compute — bounded per-tenant ingest
 // queues under a global admission budget, shedding with a typed error
@@ -22,14 +22,13 @@ import (
 	"sync"
 
 	"rapidmrc/internal/core"
-	"rapidmrc/internal/core/parstack"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/sample"
 )
 
 // Engine is the incremental compute core a session drives: the serial
 // core.StreamEngine (O(stack) memory, O(points) snapshots), the
-// chunk-parallel parstack.Feeder (buffers the trace, snapshots recompute
+// chunk-parallel core.Feeder (buffers the trace, snapshots recompute
 // in parallel), or the SHARDS-sampled sample.Engine. The exact engines
 // produce bit-identical results for the same feed sequence, and so does
 // the sampled one at rate 1.0.
@@ -85,7 +84,7 @@ func keyOf(e Engine) (k engineKey, ok bool) {
 	switch e := e.(type) {
 	case *core.StreamEngine:
 		return engineKey{cfg: e.Config()}, true
-	case *parstack.Feeder:
+	case *core.Feeder:
 		return engineKey{cfg: e.Config(), parallel: true}, true
 	case *sample.Engine:
 		return engineKey{cfg: e.Config(), sampling: e.SampleConfig()}, true
@@ -149,7 +148,7 @@ func (p *EnginePool) get(k engineKey, target, workers int) (Engine, error) {
 		return nil, errors.New("service: engine target " + strconv.Itoa(target) + " must be positive")
 	}
 	switch e := p.take(k).(type) {
-	case *parstack.Feeder:
+	case *core.Feeder:
 		return e, e.Reset(target, workers)
 	case *core.StreamEngine:
 		return e, e.Reset(target)
@@ -158,7 +157,7 @@ func (p *EnginePool) get(k engineKey, target, workers int) (Engine, error) {
 	}
 	switch k.kind() {
 	case kindParallel:
-		return parstack.NewFeeder(k.cfg, target, workers)
+		return core.NewFeeder(k.cfg, target, workers)
 	case kindSampled:
 		return sample.NewEngine(k.cfg, k.sampling, target)
 	}
