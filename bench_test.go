@@ -22,6 +22,7 @@ import (
 	"rapidmrc/internal/experiments"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/platform"
+	"rapidmrc/internal/sample"
 	"rapidmrc/internal/workload"
 )
 
@@ -224,8 +225,9 @@ func BenchmarkStackAblationMcf(b *testing.B) {
 
 // BenchmarkStreamVsBatch compares the two halves of the equivalence the
 // streaming tentpole pins: the batch core.Compute over a whole resident
-// trace against the StreamEngine fed one reference at a time, on the
-// paper's 160 k mcf probing period and the Figure 4a-scale 1600 k one.
+// trace against the exact streaming engine (sample.Engine at full rate)
+// fed one reference at a time, on the paper's 160 k mcf probing period
+// and the Figure 4a-scale 1600 k one.
 // Both arms consume the identical corrected trace; ns/ref is the metric
 // the 1.5× acceptance bound reads, and allocs/op shows the stream's
 // O(stack) footprint against batch's O(entries) input.
@@ -245,7 +247,7 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 		b.Run("stream/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e, err := core.NewStreamEngine(core.DefaultConfig(), len(trace))
+				e, err := sample.NewEngine(core.DefaultConfig(), sample.Config{}, len(trace))
 				if err != nil {
 					b.Fatal(err)
 				}

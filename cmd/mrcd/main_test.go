@@ -119,7 +119,7 @@ func TestDaemonSmoke(t *testing.T) {
 			sys.Run(200_000)
 			return sys
 		}
-		// Reference: the fused in-process workflow (pooled serial engine,
+		// Reference: the fused in-process workflow (pooled exact engine,
 		// transposed at the configured 16-color point).
 		refSys := mk()
 		curve, stats, err := refSys.Stream(0, nil)

@@ -7,7 +7,6 @@
 //
 //	mrcgen -app mcf
 //	mrcgen -app mcf -stream -epoch 20000
-//	mrcgen -app mcf -parallel-trace 4
 //	mrcgen -app mcf -sampling-rate 0.1
 //	mrcgen -app swim -entries 1600000 -real
 //	mrcgen -list
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"rapidmrc"
 	"rapidmrc/internal/mem"
@@ -44,7 +42,6 @@ func main() {
 		simplified = flag.Bool("simplified", false, "capture in single-issue, in-order, no-prefetch mode")
 		withReal   = flag.Bool("real", false, "also measure the real MRC (16 full runs) and report the distance")
 		parallel   = flag.Int("parallel", 0, "worker pool size for the real-MRC runs (0 = one per CPU, 1 = serial)")
-		parTrace   = flag.Int("parallel-trace", 0, "process the trace itself with N parallel chunk passes (0 = serial engine, negative = one chunk per CPU); results are bit-identical")
 		sampling   = flag.Float64("sampling-rate", 0, "SHARDS-sample the probing period at this rate in (0, 1] before the stack engine (0 = off); the curve gains a confidence band")
 		list       = flag.Bool("list", false, "list available applications")
 		save       = flag.String("save", "", "write the captured (uncorrected) trace to this file")
@@ -77,14 +74,6 @@ func main() {
 	if *simplified {
 		opts = append(opts, rapidmrc.WithSimplifiedMode())
 	}
-	// Translate flag shorthand to the option's strict domain: the options
-	// reject worker counts below 1, so "one per CPU" is spelled out here.
-	if *parTrace < 0 {
-		*parTrace = runtime.GOMAXPROCS(0)
-	}
-	if *parTrace != 0 {
-		opts = append(opts, rapidmrc.WithTraceParallelism(*parTrace))
-	}
 	if *sampling != 0 {
 		// The option validates the rate at apply time (a *sample.RateError
 		// for anything outside (0, 1]); the constructor surfaces it.
@@ -105,17 +94,13 @@ func main() {
 	)
 	switch {
 	case *stream && *load != "":
-		curve, stats, err = streamFromFile(*load, *epoch, *parTrace)
+		curve, stats, err = streamFromFile(*load, *epoch)
 	case *stream:
 		curve, stats, err = streamOnline(*app, *epoch, opts)
 	case *load != "":
 		trace, err = loadTrace(*load)
 		if err == nil {
-			if *parTrace != 0 {
-				curve, stats, err = rapidmrc.NewEngine().ComputeParallel(trace, *parTrace)
-			} else {
-				curve, stats, err = rapidmrc.NewEngine().Compute(trace)
-			}
+			curve, stats, err = rapidmrc.NewEngine().Compute(trace)
 		}
 	default:
 		curve, stats, trace, err = rapidmrc.Online(*app, opts...)
@@ -207,10 +192,8 @@ func streamOnline(app string, epoch int, opts []rapidmrc.SystemOption) (*rapidmr
 }
 
 // streamFromFile replays an archived trace through the streaming engine
-// one entry at a time — with the serial engine the whole log is never
-// resident; parTrace != 0 switches to the chunk-parallel back-end,
-// which buffers the replayed entries (see Engine.NewParallelStream).
-func streamFromFile(path string, epoch, parTrace int) (*rapidmrc.Curve, *rapidmrc.Stats, error) {
+// one entry at a time — the whole log is never resident.
+func streamFromFile(path string, epoch int) (*rapidmrc.Curve, *rapidmrc.Stats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -221,12 +204,7 @@ func streamFromFile(path string, epoch, parTrace int) (*rapidmrc.Curve, *rapidmr
 	if err != nil {
 		return nil, nil, err
 	}
-	var st *rapidmrc.Stream
-	if parTrace != 0 {
-		st, err = rapidmrc.NewEngine().NewParallelStream(r.Len(), parTrace)
-	} else {
-		st, err = rapidmrc.NewEngine().NewStream(r.Len())
-	}
+	st, err := rapidmrc.NewEngine().NewStream(r.Len())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -221,7 +221,8 @@ type Sampler struct {
 
 // NewSampler returns a sampler expecting a probing period of target
 // references, with the warmup policy parameterized exactly as
-// core.NewStreamEngine.
+// sample.NewEngine's at full rate (and core.Compute's over a
+// target-entry trace).
 func NewSampler(cfg core.Config, target int) (*Sampler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -6,8 +6,8 @@ import "strconv"
 type Tier uint8
 
 const (
-	// TierSimulated is the full Mattson simulation (StreamEngine or the
-	// chunk-parallel feeder).
+	// TierSimulated is the Mattson simulation (the streaming engine,
+	// exact or spatially sampled).
 	TierSimulated Tier = iota
 	// TierAnalytical is the O(histogram) estimator fast path.
 	TierAnalytical

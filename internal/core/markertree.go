@@ -8,20 +8,19 @@ import "math/bits"
 // previous access from its current one yields exactly the number of
 // distinct intervening lines — the reuse distance minus one.
 //
-// The engine never needs a general range count: in the chunk pass every
-// marker lies strictly below the position being processed, and in the
-// merge every query of a chunk shares the chunk start as its upper end
-// (maintained incrementally — see merge). Both reduce to the one-sided
-// prefix(x), the number of markers at positions ≤ x. That asymmetry
+// The stack never needs a general range count: every marker lies
+// strictly below the position being processed, so a query reduces to
+// the one-sided prefix count — the number of markers at positions ≤ x —
+// fused with the marker's move to the current position. That asymmetry
 // picks the representation: a bitmap with one bit per position, plus a
 // radix-8 hierarchy of block counts. The bottom counted level spans a
-// 512-position superblock (8 bitmap words) — below that, prefix just
+// 512-position superblock (8 bitmap words) — below that, the count just
 // popcounts the sibling words of the bitmap itself, which costs the same
 // as reading per-word counts but removes a whole level from every
-// update. mark and move are then O(levels) plain increments — not the
-// O(log n) dependent-chain ascent of a Fenwick tree — and prefix peels
-// at most 7 siblings per level, a short run of independent adds the CPU
-// can overlap. A Fenwick tree was measured first and lost: updates
+// update. mark and prefixMove's update are then O(levels) plain
+// increments — not the O(log n) dependent-chain ascent of a Fenwick
+// tree — and the count peels at most 7 siblings per level, a short run
+// of independent adds the CPU can overlap. A Fenwick tree was measured first and lost: updates
 // dominate (every reference marks or moves, only hits query), and its
 // update path is a serial pointer-chase the hierarchy replaces with
 // three flat stores.
@@ -47,7 +46,7 @@ var sibMask = func() (m [8][7]int32) {
 // when possible. The bitmap is padded to whole superblocks and every
 // count level to a multiple of 8 entries so the unrolled sibling reads
 // stay in bounds; pad words and entries are never written and stay zero.
-// The level stack stops once a level fits in 8 entries, so prefix can
+// The level stack stops once a level fits in 8 entries, so prefixMove can
 // sum the top level directly.
 func (t *markerTree) init(n int) {
 	words := ((n+63)>>6 + 7) &^ 7
@@ -98,66 +97,18 @@ func (t *markerTree) mark(i int) {
 	}
 }
 
-// move clears the marker at j and sets one at i (j ≠ i). Levels whose
-// block contains both positions are untouched, so the loop exits at the
-// first shared block — small moves never touch the count levels at all.
-// (The top level has ≤8 entries, so the indices always converge to
-// block 0 before running past it.)
-//
-//rapidmrc:hotpath
-func (t *markerTree) move(j, i int) {
-	t.bits[j>>6] &^= 1 << (uint(j) & 63)
-	t.bits[i>>6] |= 1 << (uint(i) & 63)
-	bj, bi := j>>9, i>>9
-	for k := 0; bj != bi; k++ {
-		l := t.lvls[k]
-		l[bj]--
-		l[bi]++
-		bj >>= 3
-		bi >>= 3
-	}
-}
-
-// prefix returns the number of markers at positions ≤ x (x ≥ 0): a
-// partial-word popcount, the sibling words of x's superblock, then the
-// sibling blocks below x's block at every count level. Each step is
-// seven mask-selected adds — unrolled, branch-free, and independent, so
-// the CPU overlaps them freely.
-//
-//rapidmrc:hotpath
-func (t *markerTree) prefix(x int) int32 {
-	w := x >> 6
-	s := int32(bits.OnesCount64(t.bits[w] & (2<<(uint(x)&63) - 1)))
-	sb := t.bits[w&^7 : w&^7+8 : w&^7+8]
-	mw := &sibMask[w&7]
-	s += int32(bits.OnesCount64(sb[0]))&mw[0] + int32(bits.OnesCount64(sb[1]))&mw[1] +
-		int32(bits.OnesCount64(sb[2]))&mw[2] + int32(bits.OnesCount64(sb[3]))&mw[3] +
-		int32(bits.OnesCount64(sb[4]))&mw[4] + int32(bits.OnesCount64(sb[5]))&mw[5] +
-		int32(bits.OnesCount64(sb[6]))&mw[6]
-	b := x >> 9
-	last := len(t.lvls) - 1
-	for k := 0; k < last; k++ {
-		l := t.lvls[k][b&^7:]
-		mk := &sibMask[b&7]
-		s += l[0]&mk[0] + l[1]&mk[1] + l[2]&mk[2] +
-			l[3]&mk[3] + l[4]&mk[4] + l[5]&mk[5] + l[6]&mk[6]
-		b >>= 3
-	}
-	l := t.lvls[last]
-	mk := &sibMask[b]
-	s += l[0]&mk[0] + l[1]&mk[1] + l[2]&mk[2] +
-		l[3]&mk[3] + l[4]&mk[4] + l[5]&mk[5] + l[6]&mk[6]
-	return s
-}
-
-// prefixMove is prefix(p) fused with move(p, i) for i > p — the hit
-// path's exact pairing. The query's level walk and the update's ascent
+// prefixMove returns the number of markers at positions ≤ p and moves
+// p's marker to i > p — the hit path's exact pairing. The count is a
+// partial-word popcount, the sibling words of p's superblock, then the
+// sibling blocks below p's block at every count level, each step seven
+// mask-selected adds (unrolled, branch-free, independent, so the CPU
+// overlaps them freely). The query's level walk and the update's ascent
 // share one index chain, so the blocks the update touches are already
 // in registers when the sums are taken. Reads happen before the marker
-// moves, so the count includes p's own marker, exactly as a separate
-// prefix-then-move would; and since i > p, the update at i's block can
-// never sit among the siblings strictly below p's block, so interleaving
-// cannot disturb the sums.
+// moves, so the count includes p's own marker; and since i > p, the
+// update at i's block can never sit among the siblings strictly below
+// p's block, so interleaving cannot disturb the sums. Levels whose block
+// contains both positions are untouched.
 //
 //rapidmrc:hotpath
 func (t *markerTree) prefixMove(p, i int) int32 {

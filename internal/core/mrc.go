@@ -160,21 +160,6 @@ var newStack = func(capacity, groupSize int) Stack {
 	return NewStack(capacity, groupSize)
 }
 
-// errAllWarmup is the internal signal that warmup consumed every
-// reference; the exported entry points wrap it with their own phrasing.
-var errAllWarmup = errors.New("core: warmup consumed all references")
-
-// staticWarmupLimit is the warmup length the policy falls back to over a
-// probing period of target entries: StaticWarmupFrac of it, or exactly
-// FixedWarmupEntries (clamped to leave one recorded entry) when that
-// override is set.
-func (c Config) staticWarmupLimit(target int) int {
-	if c.FixedWarmupEntries < 0 {
-		return int(float64(target) * c.StaticWarmupFrac)
-	}
-	return min(c.FixedWarmupEntries, target-1)
-}
-
 // EffectiveInstructions prorates the application progress over the whole
 // log to the recorded (post-warmup) portion, for MPKI normalization. It
 // is exported for the sampled engine, which must normalize exactly as
@@ -189,9 +174,9 @@ func EffectiveInstructions(instructions uint64, recorded, consumed int) uint64 {
 
 // CurveFromHist integrates a stack-distance histogram into the MRC:
 // Miss(size) = references with distance > size, plus infinite, normalized
-// to MPKI. Shared by the batch and parallel computations and the
-// StreamEngine snapshots, so all paths are identical by construction at
-// this stage.
+// to MPKI. Shared by the batch computation and the sampled engine's
+// snapshots (which replicate its operation order over weights), so all
+// paths are identical by construction at this stage.
 func CurveFromHist(hist []uint64, inf, instrEff uint64, cfg Config) []float64 {
 	mpki := make([]float64, cfg.Points)
 	// Suffix sums over the histogram, evaluated at each point boundary.
@@ -215,6 +200,8 @@ func CurveFromHist(hist []uint64, inf, instrEff uint64, cfg Config) []float64 {
 // Compute runs Mattson's algorithm over a corrected trace log and builds
 // the MRC. instructions is the application progress during the probing
 // period (used for MPKI normalization, prorated to the recorded portion).
+// It is the serial oracle every streaming and sampled path is pinned
+// bit-identical to.
 func Compute(trace []mem.Line, instructions uint64, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -222,19 +209,7 @@ func Compute(trace []mem.Line, instructions uint64, cfg Config) (*Result, error)
 	if len(trace) == 0 {
 		return nil, errors.New("core: empty trace log")
 	}
-	res, err := compute(trace, instructions, cfg, len(trace), 1)
-	if err == errAllWarmup {
-		return nil, errors.New("core: warmup consumed the entire " + strconv.Itoa(len(trace)) + "-entry trace")
-	}
-	return res, err
-}
-
-// simulate is the one batch loop behind Compute and ComputeParallel: it
-// references every trace entry on stack, warming it up first, and builds
-// the Result from the recorded distances and the stack's modeled walks.
-// target is the probing-period length the static warmup fallback is a
-// fraction of.
-func simulate(stack Stack, trace []mem.Line, instructions uint64, cfg Config, target int) (*Result, error) {
+	stack := newStack(cfg.StackLines, cfg.GroupSize)
 	hist := make([]uint64, cfg.StackLines+1)
 	var inf, hits uint64
 
@@ -243,8 +218,11 @@ func simulate(stack Stack, trace []mem.Line, instructions uint64, cfg Config, ta
 	// such workloads have small working sets and the static warmup is
 	// adequate (§5.2.1). A non-negative FixedWarmupEntries overrides the
 	// policy with an exact length.
-	staticLimit := cfg.staticWarmupLimit(target)
+	staticLimit := int(float64(len(trace)) * cfg.StaticWarmupFrac)
 	fixed := cfg.FixedWarmupEntries >= 0
+	if fixed {
+		staticLimit = min(cfg.FixedWarmupEntries, len(trace)-1)
+	}
 	warm := 0
 	auto := false
 	for warm < len(trace) {
@@ -271,7 +249,7 @@ func simulate(stack Stack, trace []mem.Line, instructions uint64, cfg Config, ta
 		hist[d]++
 	}
 	if recorded == 0 {
-		return nil, errAllWarmup
+		return nil, errors.New("core: warmup consumed the entire " + strconv.Itoa(len(trace)) + "-entry trace")
 	}
 
 	// Effective instructions: the probing period covers the full log;

@@ -1,9 +1,8 @@
 // Package core implements RapidMRC itself: the Mattson LRU stack
 // simulator (a Bennett–Kruskal marker tree, with the paper-era range list
 // of Kim, Hill & Wood kept as its cost model), stack distance histograms,
-// MRC generation with warmup handling, the chunk-parallel form of the
-// same computation, the trace corrections of §3.1.1, vertical-offset
-// transposition, and the MPKI distance metric of §5.2.1.
+// MRC generation with warmup handling, the trace corrections of §3.1.1,
+// vertical-offset transposition, and the MPKI distance metric of §5.2.1.
 package core
 
 import (
@@ -368,7 +367,7 @@ func (s *MarkerStack) Reference(line mem.Line) int {
 	i := s.next
 	s.next++
 	s.lines[i] = line
-	p, seen := s.table.touch(line, 0, int32(i))
+	p, seen := s.table.touch(line, int32(i))
 	if !seen {
 		s.tree.mark(i)
 		s.walk.miss()
@@ -407,7 +406,7 @@ func (s *MarkerStack) renumber() {
 	s.table.reset()
 	s.tree.init(len(s.lines))
 	for q, line := range s.lines[:k] {
-		s.table.touch(line, 0, int32(q))
+		s.table.touch(line, int32(q))
 		s.tree.mark(q)
 	}
 	s.next = k

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -84,264 +83,5 @@ func TestStreamCorrectorRunBreakEdge(t *testing.T) {
 	}
 	if !reflect.DeepEqual(batch, got) || c.Converted() != conv {
 		t.Fatalf("batch %v (conv %d), stream %v (conv %d)", batch, conv, got, c.Converted())
-	}
-}
-
-// streamConfigs are the geometries the equivalence property runs over:
-// the default, a tiny stack with constant eviction churn and group
-// split/merge pressure, and a fixed-warmup override.
-func streamConfigs() []Config {
-	def := DefaultConfig()
-
-	churn := DefaultConfig()
-	churn.StackLines = 64
-	churn.Points = 8
-	churn.LinesPerPoint = 8
-	churn.GroupSize = 4
-
-	fixed := DefaultConfig()
-	fixed.StackLines = 256
-	fixed.Points = 4
-	fixed.LinesPerPoint = 64
-	fixed.GroupSize = 8
-	fixed.FixedWarmupEntries = 100
-
-	return []Config{def, churn, fixed}
-}
-
-// feedAll streams a corrected trace through a fresh engine.
-func feedAll(t *testing.T, cfg Config, trace []mem.Line) *StreamEngine {
-	t.Helper()
-	e, err := NewStreamEngine(cfg, len(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range trace {
-		e.Feed(l)
-	}
-	return e
-}
-
-func sameResult(t *testing.T, want, got *Result) bool {
-	t.Helper()
-	switch {
-	case !reflect.DeepEqual(want.MRC.MPKI, got.MRC.MPKI):
-		t.Logf("MPKI: want %v, got %v", want.MRC.MPKI, got.MRC.MPKI)
-	case !reflect.DeepEqual(want.Hist, got.Hist):
-		t.Log("histograms differ")
-	case want.InfMisses != got.InfMisses:
-		t.Logf("InfMisses: want %d, got %d", want.InfMisses, got.InfMisses)
-	case want.WarmupEntries != got.WarmupEntries:
-		t.Logf("WarmupEntries: want %d, got %d", want.WarmupEntries, got.WarmupEntries)
-	case want.AutoWarmup != got.AutoWarmup:
-		t.Logf("AutoWarmup: want %v, got %v", want.AutoWarmup, got.AutoWarmup)
-	case want.Recorded != got.Recorded:
-		t.Logf("Recorded: want %d, got %d", want.Recorded, got.Recorded)
-	case want.StackHitRate != got.StackHitRate:
-		t.Logf("StackHitRate: want %v, got %v", want.StackHitRate, got.StackHitRate)
-	case want.Instructions != got.Instructions:
-		t.Logf("Instructions: want %d, got %d", want.Instructions, got.Instructions)
-	case want.ModelCycles != got.ModelCycles:
-		t.Logf("ModelCycles: want %d, got %d", want.ModelCycles, got.ModelCycles)
-	default:
-		return true
-	}
-	return false
-}
-
-// TestStreamEngineMatchesCompute is the equivalence property of the
-// streaming tentpole: feeding a trace one reference at a time and taking
-// a final snapshot is bit-identical to the batch Compute — curve,
-// histogram, warmup outcome, stack hit rate, and modeled cycles.
-func TestStreamEngineMatchesCompute(t *testing.T) {
-	for _, cfg := range streamConfigs() {
-		cfg := cfg
-		f := func(seed int64, size uint16, instr uint32) bool {
-			r := rand.New(rand.NewSource(seed))
-			n := int(size%3000) + 2
-			trace := repTrace(r, n)
-			CorrectPrefetchRepetitions(trace)
-			instructions := uint64(instr) + 1
-
-			want, err := Compute(trace, instructions, cfg)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			e := feedAll(t, cfg, trace)
-			got, err := e.Snapshot(instructions)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			return sameResult(t, want, got)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-	}
-}
-
-// TestStreamSnapshotMidStream checks the epoch reads: every mid-stream
-// snapshot is a valid monotone (non-increasing) curve, snapshots do not
-// disturb the stream (the final result still matches batch), and each
-// snapshot equals the batch computation over the prefix it covers.
-func TestStreamSnapshotMidStream(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StackLines = 128
-	cfg.Points = 8
-	cfg.LinesPerPoint = 16
-	cfg.GroupSize = 4
-
-	r := rand.New(rand.NewSource(7))
-	trace := repTrace(r, 4000)
-	CorrectPrefetchRepetitions(trace)
-	const instructions = 123_456
-
-	e, err := NewStreamEngine(cfg, len(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := 0
-	for i, l := range trace {
-		e.Feed(l)
-		if (i+1)%500 != 0 {
-			continue
-		}
-		instrSoFar := uint64(instructions) * uint64(i+1) / uint64(len(trace))
-		snap, err := e.Snapshot(instrSoFar)
-		if err != nil {
-			continue // still warming
-		}
-		snaps++
-		for p := 1; p < len(snap.MRC.MPKI); p++ {
-			if snap.MRC.MPKI[p] > snap.MRC.MPKI[p-1] {
-				t.Fatalf("snapshot at %d entries not monotone: %v", i+1, snap.MRC.MPKI)
-			}
-		}
-		// A snapshot must equal the batch result over the same prefix
-		// when the warmup policy saw the same probing-period length.
-		pe, err := NewStreamEngine(cfg, len(trace))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pl := range trace[:i+1] {
-			pe.Feed(pl)
-		}
-		psnap, err := pe.Snapshot(instrSoFar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameResult(t, psnap, snap) {
-			t.Fatalf("snapshot at %d entries differs from prefix replay", i+1)
-		}
-	}
-	if snaps == 0 {
-		t.Fatal("no mid-stream snapshot succeeded")
-	}
-
-	// The snapshots must not have disturbed the stream.
-	want, err := Compute(trace, instructions, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Snapshot(instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameResult(t, want, got) {
-		t.Fatal("final snapshot differs from batch after mid-stream snapshots")
-	}
-}
-
-// TestStreamEvictionChurn drives a tiny stack far past capacity so every
-// reference evicts, exercising group recycling under streaming.
-func TestStreamEvictionChurn(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StackLines = 32
-	cfg.Points = 4
-	cfg.LinesPerPoint = 8
-	cfg.GroupSize = 4
-
-	// Cyclic sweep wider than capacity: all recorded references miss.
-	trace := make([]mem.Line, 2000)
-	for i := range trace {
-		trace[i] = mem.Line(i % 100)
-	}
-	want, err := Compute(trace, 1000, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := feedAll(t, cfg, trace)
-	got, err := e.Snapshot(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameResult(t, want, got) {
-		t.Fatal("eviction-churn stream diverged from batch")
-	}
-	if got.StackHitRate != 0 {
-		t.Fatalf("cyclic sweep past capacity should never hit, rate %v", got.StackHitRate)
-	}
-}
-
-func TestStreamEngineErrors(t *testing.T) {
-	if _, err := NewStreamEngine(DefaultConfig(), 0); err == nil {
-		t.Error("target 0 accepted")
-	}
-	bad := DefaultConfig()
-	bad.StackLines = -1
-	if _, err := NewStreamEngine(bad, 100); err == nil {
-		t.Error("invalid config accepted")
-	}
-	e, err := NewStreamEngine(DefaultConfig(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Snapshot(10); err == nil {
-		t.Error("snapshot before any recorded reference succeeded")
-	}
-	e.Feed(1)
-	if !e.Warming() {
-		t.Error("engine not warming after one entry")
-	}
-}
-
-// TestStreamSnapshotWhileWarming pins the mid-warm-up Snapshot contract:
-// at every prefix of the warmup phase the engine must return a clean,
-// descriptive error — never a partial Result and never a panic — and
-// must start answering the moment the first reference is recorded.
-func TestStreamSnapshotWhileWarming(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StackLines = 64
-	cfg.Points = 8
-	cfg.LinesPerPoint = 8
-	cfg.GroupSize = 4
-	const target = 1000
-	e, err := NewStreamEngine(cfg, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < target; i++ {
-		e.Feed(mem.Line(i % 200))
-		res, err := e.Snapshot(1_000)
-		if e.Warming() {
-			if err == nil {
-				t.Fatalf("entry %d: snapshot during warmup returned a result", i+1)
-			}
-			if res != nil {
-				t.Fatalf("entry %d: snapshot during warmup returned non-nil result alongside error", i+1)
-			}
-			if !strings.Contains(err.Error(), "warmup") {
-				t.Fatalf("entry %d: warmup snapshot error not descriptive: %v", i+1, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("entry %d: snapshot after warmup failed: %v", i+1, err)
-		}
-		if res.Recorded != e.Recorded() {
-			t.Fatalf("entry %d: snapshot recorded %d, engine %d", i+1, res.Recorded, e.Recorded())
-		}
 	}
 }

@@ -93,9 +93,9 @@ func ExtSampling(w io.Writer, cfg Config) ([]SamplingRow, []SamplingSummary, err
 		cap := m.CollectTrace(cfg.entries())
 		core.CorrectPrefetchRepetitions(cap.Lines)
 
-		// Ground truth and timing baseline: the full serial engine over
-		// the same corrected trace.
-		full, err := core.NewStreamEngine(core.DefaultConfig(), len(cap.Lines))
+		// Ground truth and timing baseline: the same engine at full rate
+		// (exact profiling) over the same corrected trace.
+		full, err := sample.NewEngine(core.DefaultConfig(), sample.Config{}, len(cap.Lines))
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
 		}

@@ -14,20 +14,18 @@ const internalPrefix = "rapidmrc/internal/"
 // machine-readable form of the architecture diagram in DESIGN.md
 // ("Static invariants"):
 //
-//	layer 0  mem runner
+//	layer 0  mem
 //	layer 1  core cache cpu color prefetch pmu workload tracefile
-//	         contend prof report
+//	         contend runner prof report
 //	layer 2  platform partition phase approx sample
 //	layer 3  benchsuite service
 //	layer 4  dynamic
 //	layer 5  experiments
 //
-// runner imports no internal package, so it sits at the bottom with mem
-// and core can fan its chunk passes out over it. service sits above the
-// compute engines it pools (core, sample) and the platform it serves,
-// but below dynamic: the closed-loop controller draws its recomputation
-// engines from a service pool, while nothing in the compute core may
-// reach up into the service layer.
+// service sits above the compute engines it pools (core, sample) and
+// the platform it serves, but below dynamic: the closed-loop controller
+// draws its recomputation engines from a service pool, while nothing in
+// the compute core may reach up into the service layer.
 //
 // Keys are either a top-level internal package name ("core") or an exact
 // sub-package path ("core/sub"); the exact path wins, so a sub-package
@@ -38,7 +36,6 @@ const internalPrefix = "rapidmrc/internal/"
 // it — an unknown package is itself a finding, so the catalog cannot rot.
 var pkgLayer = map[string]int{
 	"mem":         0,
-	"runner":      0,
 	"core":        1,
 	"cache":       1,
 	"cpu":         1,
@@ -48,6 +45,7 @@ var pkgLayer = map[string]int{
 	"workload":    1,
 	"tracefile":   1,
 	"contend":     1,
+	"runner":      1,
 	"prof":        1,
 	"report":      1,
 	"platform":    2,

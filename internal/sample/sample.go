@@ -18,17 +18,22 @@
 // count exceeds a budget the threshold halves, lowering the rate for the
 // remainder of the stream. Samples recorded earlier keep the weight that
 // was in force when they were recorded (per-sample weighting). Because
-// entries cannot be evicted from the range stack by hash, references
+// entries cannot be evicted from the stack by hash, references
 // already on the stack at the old rate stay there — a documented
 // second-order bias; distances that scale beyond StackLines are counted
 // as infinite, so the effective modeled capacity self-adjusts.
 //
 // Every snapshot carries a confidence band derived from the effective
 // sample size (Kish: (Σw)²/Σw²) of the weighted miss proportion at each
-// curve point. At rate 1.0 the engine is bit-identical to
-// core.StreamEngine — same histogram, curve, warmup outcome, and modeled
-// cycles — and the bands collapse to the curve (no sampling error); the
-// property tests in sample_test.go pin this.
+// curve point.
+//
+// Engine is the repository's only streaming engine: exact profiling is
+// the engine at rate 1.0 (a zero Config), where the filter passes every
+// reference and Feed skips the hash. At that rate a final snapshot is
+// bit-identical to core.Compute over the same trace — same histogram,
+// curve, warmup outcome, stack hit rate, and modeled cycles — and the
+// bands collapse to the curve (no sampling error); the property tests in
+// engine_test.go and sample_test.go pin this.
 package sample
 
 import (
@@ -52,11 +57,12 @@ const bucketMask = Buckets - 1
 // configuration does not choose one.
 const DefaultLevel = 0.95
 
-// Config parameterizes the sampler.
+// Config parameterizes the sampler. The zero value is exact profiling:
+// NewEngine reads a zero Rate as 1.0.
 type Config struct {
 	// Rate is the target sampling rate in (0, 1]: the fraction of the
 	// cache-line address space whose references are kept. 1.0 keeps
-	// everything (bit-identical to the serial engine).
+	// everything (bit-identical to core.Compute).
 	Rate float64
 	// SMax, when > 0, enables the fixed-size SHARDS variant: once the
 	// kept-sample count reaches the budget the threshold halves (and
@@ -87,12 +93,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// level resolves the configured confidence level.
-func (c Config) level() float64 {
-	if c.Level == 0 {
-		return DefaultLevel
+// Normalize resolves the defaults NewEngine applies: a zero Rate becomes
+// 1.0 and a zero Level DefaultLevel. Two configurations that normalize
+// alike build engines that behave identically, so a pool keys on the
+// normalized form.
+func (c Config) Normalize() Config {
+	if c.Rate == 0 {
+		c.Rate = 1
 	}
-	return c.Level
+	if c.Level == 0 {
+		c.Level = DefaultLevel
+	}
+	return c
 }
 
 // RateError reports a sampling rate outside (0, 1] or non-finite.
@@ -116,9 +128,9 @@ func zScore(level float64) float64 {
 
 // hashLine spreads a cache-line address over the hash space: the
 // splitmix64 finalizer, whose avalanche keeps stride-heavy synthetic
-// address streams from aliasing into one bucket region. It runs once
-// per captured reference — before the filter rejects — so it shares
-// Feed's allocation-free pin.
+// address streams from aliasing into one bucket region. Below full rate
+// it runs once per captured reference — before the filter rejects — so
+// it shares Feed's allocation-free pin.
 //
 //rapidmrc:hotpath
 func hashLine(l mem.Line) uint64 {
@@ -163,11 +175,19 @@ func (b Bands) Width() float64 {
 	return sum / float64(len(b.Low))
 }
 
-// Engine is the sampled counterpart of core.StreamEngine: it consumes
-// every captured reference, keeps the hash-selected fraction, and
-// produces epoch snapshots whose curves carry confidence bands. It
-// satisfies the service engine contract (Feed/Consumed/Warming/Snapshot)
-// and the pool's reset-and-reuse lifecycle. Not safe for concurrent use.
+// Engine is the incremental form of core.Compute: it consumes every
+// captured reference, keeps the hash-selected fraction (all of them at
+// rate 1.0), maintains the LRU stack, the warmup policy and the weighted
+// stack-distance histogram as references arrive, and produces epoch
+// snapshots whose curves carry confidence bands. Memory is O(StackLines)
+// — no portion of the trace is retained. It is the engine the service
+// pool recycles (reset-and-reuse). Not safe for concurrent use.
+//
+// At rate 1.0, feeding a trace and taking a final Snapshot is
+// bit-identical to core.Compute over the same trace as long as target
+// equals the trace length: the warmup policy's static fallback is a
+// fraction of the probing-period length, which the batch path reads from
+// len(trace) and the streaming path must be told up front.
 type Engine struct {
 	cfg  core.Config
 	scfg Config
@@ -200,13 +220,16 @@ type Engine struct {
 	bands Bands // from the latest Snapshot
 }
 
-// NewEngine returns a sampled engine expecting a probing period of
-// target captured entries (the pre-filter count, as for
-// core.NewStreamEngine).
+// NewEngine returns an engine expecting a probing period of target
+// captured entries (the pre-filter count). target drives the static
+// warmup fallback exactly as len(trace) does in core.Compute; feeding
+// more or fewer entries is allowed (snapshots prorate over what was
+// actually consumed). A zero scfg profiles exactly (rate 1.0).
 func NewEngine(cfg core.Config, scfg Config, target int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	scfg = scfg.Normalize()
 	if err := scfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -279,7 +302,7 @@ func (e *Engine) Reset(target int) error {
 // setStaticLimit sizes the warmup budget for the rate currently in
 // force. The budget counts stack references, which arrive at ~rate× the
 // captured stream, so the static fraction scales with the rate (exact at
-// rate 1.0, where this is the serial engine's computation) — and shrinks
+// rate 1.0, where this is core.Compute's computation) — and shrinks
 // again whenever s_max adaptation halves the rate mid-warmup, so warmup
 // cannot swallow the whole down-adapted stream.
 func (e *Engine) setStaticLimit() {
@@ -299,8 +322,8 @@ func (e *Engine) setStaticLimit() {
 // Config returns the compute configuration — the pool's matching key.
 func (e *Engine) Config() core.Config { return e.cfg }
 
-// SampleConfig returns the sampling configuration — the second half of
-// the pool's matching key.
+// SampleConfig returns the normalized sampling configuration — the
+// second half of the pool's matching key.
 func (e *Engine) SampleConfig() Config { return e.scfg }
 
 // Rate returns the effective sampling rate currently in force (below
@@ -326,14 +349,15 @@ func (e *Engine) Warming() bool { return e.warming }
 func (e *Engine) Target() int { return e.target }
 
 // Feed consumes one captured reference. The hash filter runs first; a
-// rejected reference costs one hash and one compare. A kept reference
-// follows the serial engine's warmup state machine exactly, then records
-// its stack distance scaled by the weight in force.
+// rejected reference costs one hash and one compare. At full rate the
+// filter passes everything, so the hash is skipped. A kept reference
+// follows core.Compute's warmup policy exactly, then records its stack
+// distance scaled by the weight in force.
 //
 //rapidmrc:hotpath
 func (e *Engine) Feed(line mem.Line) {
 	e.consumed++
-	if hashLine(line)&bucketMask >= e.threshold {
+	if e.threshold != Buckets && hashLine(line)&bucketMask >= e.threshold {
 		if !e.warming {
 			e.post++
 		}
@@ -358,6 +382,19 @@ func (e *Engine) Feed(line mem.Line) {
 	e.post++
 	d := e.stack.Reference(line)
 	e.recorded++
+	if e.threshold == Buckets {
+		// Full rate: every weight is exactly 1 and a distance is its own
+		// histogram index.
+		e.sumW++
+		e.sumW2++
+		if d == core.Infinite {
+			e.infW++
+			return
+		}
+		e.hitsW++
+		e.histW[d]++
+		return
+	}
 	w := e.weight
 	e.sumW += w
 	e.sumW2 += w * w
@@ -410,14 +447,16 @@ func (e *Engine) adapt() {
 // Snapshot builds the curve from everything consumed so far, with its
 // confidence band (readable via Bands until the next Snapshot).
 // instructions is the application's progress over the consumed portion
-// of the probing period, exactly as for core.StreamEngine.Snapshot;
-// MPKI normalization prorates over all post-warmup references — sampled
-// or not — so the time window matches the unsampled engine's.
+// of the probing period; MPKI normalization prorates over all
+// post-warmup references — sampled or not — so the time window matches
+// core.Compute's. The stream may keep feeding after a snapshot; the
+// snapshot is an independent copy. It fails while warmup has consumed
+// every sampled reference.
 func (e *Engine) Snapshot(instructions uint64) (*core.Result, error) {
 	if e.recorded == 0 {
-		return nil, errors.New("sample: no references recorded from " +
-			strconv.Itoa(e.consumed) + " fed at rate " +
-			strconv.FormatFloat(e.rate, 'g', 4, 64))
+		return nil, errors.New("sample: warmup consumed all " +
+			strconv.Itoa(e.sampled) + " sampled of " + strconv.Itoa(e.consumed) +
+			" entries fed so far at rate " + strconv.FormatFloat(e.rate, 'g', 4, 64))
 	}
 	instrEff := core.EffectiveInstructions(instructions, e.post, e.consumed)
 	mpki, missW := curveFromWeightedHist(e.histW, e.infW, instrEff, e.cfg)
@@ -472,7 +511,7 @@ func (e *Engine) deriveBands(mpki, missW []float64, instrEff uint64) Bands {
 	b := Bands{
 		Low:   make([]float64, len(mpki)),
 		High:  make([]float64, len(mpki)),
-		Level: e.scfg.level(),
+		Level: e.scfg.Level,
 		Rate:  e.rate,
 	}
 	if e.threshold == Buckets && e.adapted == 0 {

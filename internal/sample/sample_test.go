@@ -14,9 +14,8 @@ import (
 	"rapidmrc/internal/workload"
 )
 
-// fuzzTrace mirrors core's parallel-engine suite's generator: repetition runs and
-// mixed locality, so the sampling equivalence stresses the same input
-// space as the stream≡batch and parallel≡serial properties.
+// fuzzTrace builds a random trace with repetition runs and mixed
+// locality, the input space the stream≡batch properties stress.
 func fuzzTrace(r *rand.Rand, n int) []mem.Line {
 	trace := make([]mem.Line, 0, n)
 	for len(trace) < n {
@@ -67,23 +66,16 @@ func testConfigs() []core.Config {
 }
 
 // TestRateOneBitIdentical is the satellite property: at rate 1.0 the
-// sampled engine is the serial engine — histogram, curve, warmup
-// outcome, stack hit rate, and ModelCycles all bit-identical — across
-// fuzzed traces and all three geometries.
+// sampled engine is the serial oracle core.Compute — histogram, curve,
+// warmup outcome, stack hit rate, and ModelCycles all bit-identical —
+// across fuzzed traces and all three geometries.
 func TestRateOneBitIdentical(t *testing.T) {
 	for ci, cfg := range testConfigs() {
 		cfg := cfg
 		serial := func(seed int64, size uint16) *core.Result {
 			r := rand.New(rand.NewSource(seed))
 			trace := fuzzTrace(r, int(size%4000)+1)
-			e, err := core.NewStreamEngine(cfg, len(trace))
-			if err != nil {
-				return nil
-			}
-			for _, l := range trace {
-				e.Feed(l)
-			}
-			res, err := e.Snapshot(10_000_000)
+			res, err := core.Compute(trace, 10_000_000, cfg)
 			if err != nil {
 				return nil
 			}
@@ -123,28 +115,23 @@ func TestRateOneWorkloadZoo(t *testing.T) {
 			trace[i] = mem.LineOf(g.Next().Addr)
 		}
 		for ci, cfg := range testConfigs() {
-			se, err := core.NewStreamEngine(cfg, refs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			e, err := sample.NewEngine(cfg, sample.Config{Rate: 1.0}, refs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, l := range trace {
-				se.Feed(l)
 				e.Feed(l)
 			}
-			want, err := se.Snapshot(3_000_000)
+			want, err := core.Compute(trace, 3_000_000, cfg)
 			if err != nil {
-				t.Fatalf("%s cfg %d: serial: %v", name, ci, err)
+				t.Fatalf("%s cfg %d: Compute: %v", name, ci, err)
 			}
 			got, err := e.Snapshot(3_000_000)
 			if err != nil {
 				t.Fatalf("%s cfg %d: sampled: %v", name, ci, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s cfg %d: rate-1.0 result diverges from serial", name, ci)
+				t.Errorf("%s cfg %d: rate-1.0 result diverges from core.Compute", name, ci)
 			}
 			b := e.Bands()
 			if b.Width() != 0 {
@@ -183,19 +170,14 @@ func TestSampledCurveTracksFull(t *testing.T) {
 	const n = 120_000
 	r := rand.New(rand.NewSource(3))
 	trace := fuzzTrace(r, n)
-	se, err := core.NewStreamEngine(cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, err := sample.NewEngine(cfg, sample.Config{Rate: 0.1}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range trace {
-		se.Feed(l)
 		e.Feed(l)
 	}
-	want, err := se.Snapshot(30_000_000)
+	want, err := core.Compute(trace, 30_000_000, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

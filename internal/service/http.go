@@ -40,7 +40,6 @@ func parseWait(v string) (bool, error) {
 type RegisterRequest struct {
 	ID           string `json:"id"`
 	Target       int    `json:"target,omitempty"`
-	Workers      int    `json:"workers,omitempty"`
 	NoCorrection bool   `json:"no_correction,omitempty"`
 	MaxQueued    int    `json:"max_queued,omitempty"`
 	EpochEntries int    `json:"epoch_entries,omitempty"`
@@ -162,7 +161,6 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		_, err := svc.Register(req.ID, TenantConfig{
 			Target:       req.Target,
-			Workers:      req.Workers,
 			NoCorrection: req.NoCorrection,
 			MaxQueued:    req.MaxQueued,
 			EpochEntries: req.EpochEntries,
@@ -414,9 +412,7 @@ func writeMetrics(w http.ResponseWriter, svc *Service) {
 		draining = 1
 	}
 	gauge("rapidmrc_draining", draining)
-	gauge("rapidmrc_pool_idle_serial", int64(st.Pool.IdleSerial))
-	gauge("rapidmrc_pool_idle_parallel", int64(st.Pool.IdleParallel))
-	gauge("rapidmrc_pool_idle_sampled", int64(st.Pool.IdleSampled))
+	gauge("rapidmrc_pool_idle", int64(st.Pool.Idle))
 	gauge("rapidmrc_pool_hits", int64(st.Pool.Hits))
 	gauge("rapidmrc_pool_misses", int64(st.Pool.Misses))
 	gauge("rapidmrc_pool_drops", int64(st.Pool.Drops))

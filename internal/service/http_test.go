@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rapidmrc/internal/core"
+	"rapidmrc/internal/mem"
 )
 
 // doJSON issues a request with an optional JSON body and decodes the
@@ -77,16 +78,10 @@ func TestHTTPFeedCurveBitIdentical(t *testing.T) {
 		t.Fatalf("curve: status %d", code)
 	}
 
-	// Reference: the same stream driven by hand.
-	eng, err := core.NewStreamEngine(core.DefaultConfig(), len(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var corr core.StreamCorrector
-	for _, l := range trace {
-		eng.Feed(corr.Feed(l))
-	}
-	want, err := eng.Snapshot(instr)
+	// Reference: the serial oracle over the batch-corrected trace.
+	corrected := append([]mem.Line(nil), trace...)
+	converted := core.CorrectPrefetchRepetitions(corrected)
+	want, err := core.Compute(corrected, instr, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +89,28 @@ func TestHTTPFeedCurveBitIdentical(t *testing.T) {
 		t.Fatalf("HTTP curve diverges:\nwant %v\ngot  %v", want.MRC.MPKI, cr.MPKI)
 	}
 	if cr.WarmupEntries != want.WarmupEntries || cr.AutoWarmup != want.AutoWarmup ||
-		cr.StackHitRate != want.StackHitRate || cr.Converted != corr.Converted() {
+		cr.StackHitRate != want.StackHitRate || cr.Converted != converted {
 		t.Errorf("curve metadata diverges: %+v", cr)
+	}
+
+	// An unsampled tenant runs the same engine as a sampled one, but its
+	// curve carries no sampling rate or band fields and its stats report
+	// rate 0.
+	var fields map[string]json.RawMessage
+	if code := doJSON(t, c, "GET", ts.URL+"/tenants/app/curve", nil, &fields); code != http.StatusOK {
+		t.Fatalf("raw curve: status %d", code)
+	}
+	for _, k := range []string{"sampling_rate", "band_low", "band_high", "band_level", "eff_samples"} {
+		if _, ok := fields[k]; ok {
+			t.Errorf("unsampled curve carries %q: %s", k, fields[k])
+		}
+	}
+	var st TenantStats
+	if code := doJSON(t, c, "GET", ts.URL+"/tenants/app/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	if st.SamplingRate != 0 || st.BandWidthMPKI != 0 {
+		t.Errorf("unsampled stats: sampling rate %v, band width %v", st.SamplingRate, st.BandWidthMPKI)
 	}
 
 	// Transposed read: the v-offset applied server-side must equal the
@@ -130,8 +145,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if code := doJSON(t, c, "POST", ts.URL+"/tenants", RegisterRequest{ID: "a"}, nil); code != http.StatusConflict {
 		t.Errorf("duplicate register: %d", code)
 	}
-	if code := doJSON(t, c, "POST", ts.URL+"/tenants", RegisterRequest{ID: "bad", Workers: -2}, nil); code != http.StatusBadRequest {
-		t.Errorf("invalid workers: %d", code)
+	if code := doJSON(t, c, "POST", ts.URL+"/tenants", RegisterRequest{ID: "bad", SamplingRate: 2}, nil); code != http.StatusBadRequest {
+		t.Errorf("invalid sampling rate: %d", code)
 	}
 
 	// Overflow the global budget: typed shed detail on the 429.
@@ -307,7 +322,7 @@ func TestHTTPSampling(t *testing.T) {
 	for _, want := range []string{
 		`rapidmrc_tenant_sampling_rate_milli{tenant="s"} 100`,
 		`rapidmrc_tenant_band_width_milli_mpki{tenant="s"}`,
-		"rapidmrc_pool_idle_sampled",
+		"rapidmrc_pool_idle ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

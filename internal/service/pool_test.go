@@ -29,7 +29,7 @@ func synthTrace(seed int64, n int) []mem.Line {
 }
 
 // feedSnap pushes a trace through an engine and snapshots it.
-func feedSnap(t *testing.T, e Engine, trace []mem.Line, instr uint64) *core.Result {
+func feedSnap(t *testing.T, e *sample.Engine, trace []mem.Line, instr uint64) *core.Result {
 	t.Helper()
 	for _, l := range trace {
 		e.Feed(l)
@@ -43,48 +43,44 @@ func feedSnap(t *testing.T, e Engine, trace []mem.Line, instr uint64) *core.Resu
 
 // TestPoolReuseBitIdentical is the pool's central property: an engine
 // recycled through Put/Get — carrying arbitrary prior state — produces
-// exactly the result a newly constructed engine does, for both the
-// serial and the chunk-parallel back-ends.
+// exactly the result a newly constructed engine does.
 func TestPoolReuseBitIdentical(t *testing.T) {
 	cfg := core.DefaultConfig()
 	dirty := synthTrace(1, 3000)
-	for _, workers := range []int{0, 3} {
-		pool := NewEnginePool(4)
+	pool := NewEnginePool(4)
 
-		// Dirty an engine with an unrelated stream, then recycle it.
-		first, err := pool.Get(cfg, len(dirty), workers)
+	// Dirty an engine with an unrelated stream, then recycle it.
+	first, err := pool.Get(cfg, len(dirty), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSnap(t, first, dirty, 99_999)
+	pool.Put(first)
+
+	for round, seed := range []int64{7, 42, 1234} {
+		trace := synthTrace(seed, 2000+500*round)
+		reused, err := pool.Get(cfg, len(trace), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedSnap(t, first, dirty, 99_999)
-		pool.Put(first)
-
-		for round, seed := range []int64{7, 42, 1234} {
-			trace := synthTrace(seed, 2000+500*round)
-			reused, err := pool.Get(cfg, len(trace), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if round == 0 && reused != first {
-				t.Fatalf("workers=%d: expected the recycled engine, got a fresh one", workers)
-			}
-			got := feedSnap(t, reused, trace, 123_456)
-
-			fresh, err := NewEnginePool(1).Get(cfg, len(trace), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := feedSnap(t, fresh, trace, 123_456)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d round %d: recycled engine diverges:\nwant %+v\ngot  %+v",
-					workers, round, want, got)
-			}
-			pool.Put(reused)
+		if round == 0 && reused != first {
+			t.Fatal("expected the recycled engine, got a fresh one")
 		}
-		st := pool.Stats()
-		if st.Hits == 0 {
-			t.Errorf("workers=%d: no pool hits recorded: %+v", workers, st)
+		got := feedSnap(t, reused, trace, 123_456)
+
+		fresh, err := NewEnginePool(1).Get(cfg, len(trace), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := feedSnap(t, fresh, trace, 123_456)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d: recycled engine diverges:\nwant %+v\ngot  %+v", round, want, got)
+		}
+		pool.Put(reused)
+	}
+	st := pool.Stats()
+	if st.Hits == 0 {
+		t.Errorf("no pool hits recorded: %+v", st)
 	}
 }
 
@@ -109,8 +105,8 @@ func TestPoolConfigMatching(t *testing.T) {
 	if got == e {
 		t.Fatal("engine with mismatched config was reused")
 	}
-	if got.(*core.StreamEngine).Config() != other {
-		t.Fatalf("Get returned config %+v, want %+v", got.(*core.StreamEngine).Config(), other)
+	if got.Config() != other {
+		t.Fatalf("Get returned config %+v, want %+v", got.Config(), other)
 	}
 	back, err := pool.Get(cfg, 500, 0)
 	if err != nil {
@@ -125,7 +121,7 @@ func TestPoolConfigMatching(t *testing.T) {
 func TestPoolCapacity(t *testing.T) {
 	cfg := core.DefaultConfig()
 	pool := NewEnginePool(2)
-	engines := make([]Engine, 3)
+	engines := make([]*sample.Engine, 3)
 	for i := range engines {
 		e, err := pool.Get(cfg, 100, 0)
 		if err != nil {
@@ -137,45 +133,33 @@ func TestPoolCapacity(t *testing.T) {
 		pool.Put(e)
 	}
 	st := pool.Stats()
-	if st.IdleSerial != 2 {
-		t.Errorf("IdleSerial = %d, want 2", st.IdleSerial)
+	if st.Idle != 2 {
+		t.Errorf("Idle = %d, want 2", st.Idle)
 	}
 	if st.Drops != 1 {
 		t.Errorf("Drops = %d, want 1", st.Drops)
 	}
 }
 
-// fakeEngine is a foreign Engine implementation the pool must refuse.
-type fakeEngine struct{}
-
-func (fakeEngine) Feed(mem.Line)                         {}
-func (fakeEngine) Consumed() int                         { return 0 }
-func (fakeEngine) Warming() bool                         { return false }
-func (fakeEngine) Snapshot(uint64) (*core.Result, error) { return nil, nil }
-
-// TestPoolRejectsForeignEngines checks Put ignores nil and unknown types.
+// TestPoolRejectsForeignEngines checks Put ignores a nil engine.
 func TestPoolRejectsForeignEngines(t *testing.T) {
 	pool := NewEnginePool(2)
 	pool.Put(nil)
-	pool.Put(fakeEngine{})
-	st := pool.Stats()
-	if st.IdleSerial != 0 || st.IdleParallel != 0 {
-		t.Errorf("foreign engines retained: %+v", st)
+	if st := pool.Stats(); st != (PoolStats{}) {
+		t.Errorf("nil engine retained: %+v", st)
 	}
 }
 
 // TestPoolRejectsBadTarget checks the target is validated for both fresh
-// construction and reset-reuse, for every engine kind — and that a
-// rejected request leaves a retained engine in place without counting a
-// hit.
+// construction and reset-reuse, exact and sampled — and that a rejected
+// request leaves a retained engine in place without counting a hit.
 func TestPoolRejectsBadTarget(t *testing.T) {
 	cfg := core.DefaultConfig()
 	for _, tc := range []struct {
 		kind string
 		spec TenantConfig
 	}{
-		{"serial", TenantConfig{Engine: cfg}},
-		{"parallel", TenantConfig{Engine: cfg, Workers: 2}},
+		{"exact", TenantConfig{Engine: cfg}},
 		{"sampled", TenantConfig{Engine: cfg, Sampling: sample.Config{Rate: 0.5}}},
 	} {
 		pool := NewEnginePool(2)
@@ -194,10 +178,8 @@ func TestPoolRejectsBadTarget(t *testing.T) {
 		if _, err := pool.Open(spec); err == nil {
 			t.Errorf("%s: negative target accepted on reset", tc.kind)
 		}
-		if tc.spec.Sampling == (sample.Config{}) {
-			if _, err := pool.Get(cfg, -3, tc.spec.Workers); err == nil {
-				t.Errorf("%s: Get accepted a negative target", tc.kind)
-			}
+		if _, err := pool.Get(cfg, -3, tc.spec.Sampling.Rate); err == nil {
+			t.Errorf("%s: Get accepted a negative target", tc.kind)
 		}
 		if after := pool.Stats(); after != before {
 			t.Errorf("%s: rejected target touched the pool: %+v -> %+v", tc.kind, before, after)

@@ -119,9 +119,9 @@ func TestSampledTenantBands(t *testing.T) {
 	}
 }
 
-// TestRegisterSamplingValidation pins the typed rejection of bad rates
-// and the serial-engine requirement, plus the service-default
-// inheritance and the negative-disables override.
+// TestRegisterSamplingValidation pins the typed rejection of bad rates,
+// plus the service-default inheritance and the negative-disables
+// override.
 func TestRegisterSamplingValidation(t *testing.T) {
 	svc := New(Config{})
 	for i, rate := range []float64{-0.0000001 - 1, 1.5, 2, math.NaN(), math.Inf(1)} {
@@ -139,12 +139,6 @@ func TestRegisterSamplingValidation(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Errorf("case %d: rate %v: got %v, want *sample.RateError", i, rate, err)
 		}
-	}
-	if _, err := svc.Register("p", TenantConfig{
-		Workers:  2,
-		Sampling: sample.Config{Rate: 0.5},
-	}); err == nil {
-		t.Error("sampling over the parallel engine accepted")
 	}
 
 	// Service-wide default: tenants inherit the daemon rate unless they
@@ -191,14 +185,14 @@ func TestPoolRecyclesSampledEngines(t *testing.T) {
 	if err := svc.Evict("a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.Pool().Stats().IdleSampled; got != 1 {
-		t.Fatalf("idle sampled engines = %d, want 1", got)
+	if got := svc.Pool().Stats().Idle; got != 1 {
+		t.Fatalf("idle engines = %d, want 1", got)
 	}
 	b, err := svc.Register("b", TenantConfig{Target: len(trace), Sampling: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Pool().Stats(); st.IdleSampled != 0 || st.Hits == 0 {
+	if st := svc.Pool().Stats(); st.Idle != 0 || st.Hits == 0 {
 		t.Fatalf("recycled engine not reused: %+v", st)
 	}
 	if err := b.Feed(raw, 424_242); err != nil {
@@ -235,7 +229,7 @@ func TestPoolRecyclesSampledEngines(t *testing.T) {
 	if c.Config().Sampling != other {
 		t.Fatalf("config not preserved: %+v", c.Config().Sampling)
 	}
-	if st := svc.Pool().Stats(); st.IdleSampled != 1 {
+	if st := svc.Pool().Stats(); st.Idle != 1 {
 		t.Fatalf("mismatched engine was consumed: %+v", st)
 	}
 }

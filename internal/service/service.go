@@ -92,7 +92,7 @@ func (s *Service) Pool() *EnginePool { return s.pool }
 // core.DefaultConfig(). The profiling session is then opened from the
 // service's pool. It fails
 // with ErrTenantExists if id is taken, ErrDraining during shutdown, or
-// Open's error: a *ProfileError for invalid Workers or Sampling fields,
+// Open's error: a *ProfileError for an invalid Sampling field,
 // or the engine constructor's error for an invalid configuration.
 func (s *Service) Register(id string, cfg TenantConfig) (*Tenant, error) {
 	if id == "" {

@@ -8,6 +8,7 @@ import (
 
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
+	"rapidmrc/internal/sample"
 )
 
 // rawTrace converts a synthetic trace to the feed wire form.
@@ -24,8 +25,8 @@ func TestRegisterLifecycle(t *testing.T) {
 	if _, err := svc.Register("", TenantConfig{}); err == nil {
 		t.Error("empty tenant id accepted")
 	}
-	if _, err := svc.Register("a", TenantConfig{Workers: -1}); err == nil {
-		t.Error("negative workers accepted")
+	if _, err := svc.Register("a", TenantConfig{Sampling: sample.Config{Rate: 2}}); err == nil {
+		t.Error("sampling rate 2 accepted")
 	}
 	a, err := svc.Register("a", TenantConfig{})
 	if err != nil {
@@ -63,58 +64,49 @@ func TestRegisterLifecycle(t *testing.T) {
 }
 
 // TestTenantMatchesDirectEngine pins the tenant feed path bit-identical
-// to driving a corrector + stream engine by hand, for both back-ends.
+// to the serial oracle: core.Compute over the batch-corrected trace.
 func TestTenantMatchesDirectEngine(t *testing.T) {
 	trace := synthTrace(3, 4000)
 	raw := rawTrace(trace)
 	const instr = 777_777
 
-	for _, workers := range []int{0, 2} {
-		svc := New(Config{})
-		tn, err := svc.Register("app", TenantConfig{Target: len(trace), Workers: workers})
-		if err != nil {
+	svc := New(Config{})
+	tn, err := svc.Register("app", TenantConfig{Target: len(trace)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Feed in uneven batches with split instruction progress.
+	cuts := []int{0, 997, 1500, 3999, len(raw)}
+	fed := uint64(0)
+	for i := 1; i < len(cuts); i++ {
+		part := instr * uint64(cuts[i]-cuts[i-1]) / uint64(len(raw))
+		if i == len(cuts)-1 {
+			part = instr - fed
+		}
+		fed += part
+		if err := tn.Feed(raw[cuts[i-1]:cuts[i]], part); err != nil {
 			t.Fatal(err)
 		}
-		// Feed in uneven batches with split instruction progress.
-		cuts := []int{0, 997, 1500, 3999, len(raw)}
-		fed := uint64(0)
-		for i := 1; i < len(cuts); i++ {
-			part := instr * uint64(cuts[i]-cuts[i-1]) / uint64(len(raw))
-			if i == len(cuts)-1 {
-				part = instr - fed
-			}
-			fed += part
-			if err := tn.Feed(raw[cuts[i-1]:cuts[i]], part); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ep, err := tn.Snapshot(true)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	ep, err := tn.Snapshot(true)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		eng, err := core.NewStreamEngine(core.DefaultConfig(), len(trace))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var corr core.StreamCorrector
-		for _, l := range trace {
-			eng.Feed(corr.Feed(l))
-		}
-		want, err := eng.Snapshot(instr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, ep.Result) {
-			t.Fatalf("workers=%d: tenant result diverges from direct engine:\nwant %+v\ngot  %+v",
-				workers, want, ep.Result)
-		}
-		if ep.Converted != corr.Converted() {
-			t.Errorf("workers=%d: Converted = %d, want %d", workers, ep.Converted, corr.Converted())
-		}
-		if ep.Entries != len(trace) || ep.Instructions != instr {
-			t.Errorf("workers=%d: epoch covers %d entries / %d instr", workers, ep.Entries, ep.Instructions)
-		}
+	corrected := append([]mem.Line(nil), trace...)
+	converted := core.CorrectPrefetchRepetitions(corrected)
+	want, err := core.Compute(corrected, instr, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, ep.Result) {
+		t.Fatalf("tenant result diverges from Compute:\nwant %+v\ngot  %+v", want, ep.Result)
+	}
+	if ep.Converted != converted {
+		t.Errorf("Converted = %d, want %d", ep.Converted, converted)
+	}
+	if ep.Entries != len(trace) || ep.Instructions != instr {
+		t.Errorf("epoch covers %d entries / %d instr", ep.Entries, ep.Instructions)
 	}
 }
 

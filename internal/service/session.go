@@ -1,8 +1,6 @@
 package service
 
 import (
-	"errors"
-	"strconv"
 	"time"
 
 	"rapidmrc/internal/approx"
@@ -11,14 +9,12 @@ import (
 	"rapidmrc/internal/sample"
 )
 
-// ProfileError is Open's rejection of a profiling field: a negative
-// worker count, a sampling rate outside (0, 1] (Err is then the
-// *sample.RateError), or sampling combined with the chunk-parallel
-// engine. The facade reports its own option errors for the same fields
-// with this type, so every surface fails the same way.
+// ProfileError is Open's rejection of a profiling field: an invalid
+// sampling configuration (Err is the *sample.RateError for a rate
+// outside (0, 1]). The facade reports its own option errors for the
+// same field with this type, so every surface fails the same way.
 type ProfileError struct {
-	// Field names the rejected TenantConfig field: "Workers" or
-	// "Sampling".
+	// Field names the rejected TenantConfig field: "Sampling".
 	Field string
 	// Err is the cause; its message is the error's message.
 	Err error
@@ -38,7 +34,8 @@ func (e *ProfileError) Unwrap() error { return e.Err }
 // and that tier's policy. A Session is not safe for concurrent use.
 type Session struct {
 	pool    *EnginePool
-	eng     Engine                // nil once closed
+	eng     *sample.Engine        // nil once closed
+	sampled bool                  // sampling was requested: epochs carry bands
 	corr    *core.StreamCorrector // nil when correction is disabled
 	sampler *approx.Sampler       // nil when the analytical tier is off
 	policy  *approx.Policy        // nil when the analytical tier is off
@@ -51,45 +48,35 @@ type Session struct {
 }
 
 // Validate checks cfg's profiling fields the way Open does, without
-// drawing an engine: negative Workers, a Sampling rate outside (0, 1],
-// and sampling with Workers > 0 fail with a *ProfileError. Callers that
-// must reject a configuration before doing any work (the facade's
-// constructors) call it; Open calls it first.
+// drawing an engine: a non-zero Sampling config that fails
+// sample.Config.Validate (a rate outside (0, 1], say) fails with a
+// *ProfileError. Callers that must reject a configuration before doing
+// any work (the facade's constructors) call it; Open calls it first.
 func (cfg TenantConfig) Validate() error {
-	if cfg.Workers < 0 {
-		return &ProfileError{Field: "Workers",
-			Err: errors.New("service: workers must be >= 0, got " + strconv.Itoa(cfg.Workers))}
-	}
 	if cfg.Sampling != (sample.Config{}) {
 		if err := cfg.Sampling.Validate(); err != nil {
 			return &ProfileError{Field: "Sampling", Err: err}
-		}
-		if cfg.Workers > 0 {
-			return &ProfileError{Field: "Sampling",
-				Err: errors.New("service: sampling requires the serial engine (workers must be 0)")}
 		}
 	}
 	return nil
 }
 
 // Open starts a session for cfg's profiling fields — Engine, Target,
-// Workers, NoCorrection, Sampling and Approx; the others are ignored.
-// It is the one place the engine is picked: a non-zero Sampling config
-// runs the SHARDS-sampled engine, Workers > 0 the chunk-parallel feeder,
-// anything else the serial incremental engine, reset from the pool when
-// a matching one is retained. It fails with Validate's *ProfileError,
-// or with the engine constructor's error for an invalid Engine config or
-// Target.
+// NoCorrection, Sampling and Approx; the others are ignored. The engine
+// is reset from the pool when a matching one is retained: exact for a
+// zero Sampling config, SHARDS-sampled otherwise, and only a sampled
+// session's epochs carry a sampling rate and bands. It fails with
+// Validate's *ProfileError, or with the engine constructor's error for
+// an invalid Engine config or Target.
 func (p *EnginePool) Open(cfg TenantConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng, err := p.get(engineKey{cfg: cfg.Engine, sampling: cfg.Sampling, parallel: cfg.Workers > 0},
-		cfg.Target, cfg.Workers)
+	eng, err := p.get(cfg.Engine, cfg.Sampling, cfg.Target)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{pool: p, eng: eng, crossVal: -1}
+	s := &Session{pool: p, eng: eng, sampled: cfg.Sampling != (sample.Config{}), crossVal: -1}
 	if !cfg.NoCorrection {
 		s.corr = new(core.StreamCorrector)
 	}
@@ -177,8 +164,8 @@ func (s *Session) Snapshot(instructions uint64) (*Epoch, error) {
 		Result:       res,
 		Converted:    s.converted(),
 	}
-	if se, ok := s.eng.(*sample.Engine); ok {
-		b := se.Bands()
+	if s.sampled {
+		b := s.eng.Bands()
 		ep.SamplingRate = b.Rate
 		ep.BandLow = b.Low
 		ep.BandHigh = b.High

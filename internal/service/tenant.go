@@ -12,18 +12,13 @@ import (
 )
 
 // TenantConfig parameterizes one registered workload. Its profiling
-// fields — Engine, Target, Workers, NoCorrection, Sampling, Approx — are
-// also the spec EnginePool.Open starts a Session from.
+// fields — Engine, Target, NoCorrection, Sampling, Approx — are also the
+// spec EnginePool.Open starts a Session from.
 type TenantConfig struct {
 	// Target is the probing-period length in log entries — the basis of
 	// the engine's static-warmup fallback, exactly as in
-	// core.NewStreamEngine. Zero uses DefaultTarget.
+	// sample.NewEngine. Zero uses DefaultTarget.
 	Target int
-	// Workers selects the engine: 0 runs the serial incremental engine;
-	// n >= 1 runs the chunk-parallel feeder with n chunk passes (which
-	// buffers the trace and recomputes at each snapshot). Negative is
-	// rejected by Open.
-	Workers int
 	// NoCorrection disables the streaming prefetch-repetition rewrite
 	// (the zero value keeps the paper's correction on).
 	NoCorrection bool
@@ -47,7 +42,7 @@ type TenantConfig struct {
 	// sampled engine, whose epochs carry confidence bands. A zero Rate
 	// inherits the service-wide default (Config.SamplingRate); a negative
 	// Rate forces full-rate profiling even when the service default
-	// samples. Sampling requires the serial engine (Workers must be 0).
+	// samples.
 	Sampling sample.Config
 }
 
@@ -453,10 +448,12 @@ func (t *Tenant) Stats() TenantStats {
 	if t.det != nil {
 		st.PhaseTransitions = t.det.Transitions()
 	}
-	if se, ok := sess.eng.(*sample.Engine); ok {
-		st.SamplingRate = se.Rate()
-	} else if sess.Closed() && t.cfg.Sampling.Rate > 0 {
-		st.SamplingRate = t.cfg.Sampling.Rate // finalized: report the config
+	if sess.sampled {
+		if sess.Closed() {
+			st.SamplingRate = t.cfg.Sampling.Rate // finalized: report the config
+		} else {
+			st.SamplingRate = sess.eng.Rate()
+		}
 	}
 	if t.last != nil {
 		st.BandWidthMPKI = sample.Bands{Low: t.last.BandLow, High: t.last.BandHigh}.Width()

@@ -35,7 +35,6 @@ package rapidmrc
 
 import (
 	"fmt"
-	"runtime"
 
 	"rapidmrc/internal/approx"
 	"rapidmrc/internal/core"
@@ -241,11 +240,9 @@ func WithApproxThreshold(t float64) EngineOption {
 	return func(e *Engine) { e.approxThreshold = t }
 }
 
-// spec is the profiling session an Engine workflow opens: workers == 0
-// runs the serial incremental engine, workers >= 1 the chunk-parallel
-// feeder.
-func (e *Engine) spec(target, workers int) service.TenantConfig {
-	return service.TenantConfig{Engine: e.cfg, Target: target, Workers: workers, NoCorrection: !e.correct}
+// spec is the profiling session an Engine workflow opens.
+func (e *Engine) spec(target int) service.TenantConfig {
+	return service.TenantConfig{Engine: e.cfg, Target: target, NoCorrection: !e.correct}
 }
 
 // NewEngine returns an Engine with the paper's defaults.
@@ -289,25 +286,7 @@ func openStream(spec service.TenantConfig) (*Stream, error) {
 // fraction of (batch Compute reads it from len(trace); a stream must be
 // told up front).
 func (e *Engine) NewStream(targetEntries int) (*Stream, error) {
-	return openStream(e.spec(targetEntries, 0))
-}
-
-// NewParallelStream is NewStream backed by the chunk-parallel engine:
-// the same Feed/Snapshot surface and bit-identical results, but each
-// snapshot runs the PARDA-style computation with up to workers
-// concurrent chunk passes (the count is capped at GOMAXPROCS —
-// splitting beyond the runnable parallelism only inflates the serial
-// merge). workers must be at least 1; pass runtime.GOMAXPROCS(0) for
-// one per CPU. The trade: references are buffered, so memory is
-// O(entries fed) and every snapshot is a full recompute. Prefer it when
-// snapshots are taken once or twice per probing period and trace
-// throughput is the bottleneck; prefer NewStream when snapshots are
-// frequent or memory is tight.
-func (e *Engine) NewParallelStream(targetEntries, workers int) (*Stream, error) {
-	if workers < 1 {
-		return nil, errTraceWorkers("NewParallelStream", workers)
-	}
-	return openStream(e.spec(targetEntries, workers))
+	return openStream(e.spec(targetEntries))
 }
 
 // Feed consumes one raw logged cache-line address. It fails with
@@ -347,7 +326,7 @@ func (s *Stream) Snapshot(instructions uint64) (*Curve, *Stats, error) {
 // Compute corrects the trace and runs the stack algorithm, returning the
 // raw (untransposed) curve.
 func (e *Engine) Compute(t *Trace) (*Curve, *Stats, error) {
-	return profileTrace(e.spec(0, 0), t)
+	return profileTrace(e.spec(0), t)
 }
 
 // EstimateStats describes one tiered estimation: which tier produced the
@@ -416,19 +395,6 @@ func (e *Engine) Estimate(t *Trace) (*Curve, *EstimateStats, error) {
 	}
 	st.Compute = cs
 	return curve, st, nil
-}
-
-// ComputeParallel is Compute with the trace itself processed in
-// parallel: the log is split into up to workers chunks whose reuse
-// distances are computed concurrently and reconciled at the boundaries
-// (workers ≤ 0 means one per CPU; the count is capped at GOMAXPROCS).
-// The result is bit-identical to Compute — curve, statistics, and
-// modeled cycles — the property tests pin the equivalence.
-func (e *Engine) ComputeParallel(t *Trace, workers int) (*Curve, *Stats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return profileTrace(e.spec(0, workers), t)
 }
 
 // profileTrace opens a session for spec with the trace length as its

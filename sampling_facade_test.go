@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rapidmrc/internal/sample"
-	"rapidmrc/internal/service"
 )
 
 // TestOnlineSamplingRateOneBitIdentical pins the facade promise: the
@@ -97,8 +96,7 @@ func TestStreamSamplingBands(t *testing.T) {
 
 // TestWithSamplingRateValidation pins the apply-time option contract:
 // rates outside (0, 1] surface a *sample.RateError from the
-// constructor, and sampling cannot combine with the chunk-parallel
-// trace engine.
+// constructor.
 func TestWithSamplingRateValidation(t *testing.T) {
 	for _, rate := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
 		_, err := NewSystem("mcf", WithSamplingRate(rate))
@@ -106,16 +104,5 @@ func TestWithSamplingRateValidation(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Errorf("rate %v: got %v, want *sample.RateError", rate, err)
 		}
-	}
-	// The conflict is an option error: the constructor reports it before
-	// booting a machine, and Online before its warm-up and capture.
-	var pe *service.ProfileError
-	_, err := NewSystem("mcf", WithSeed(1), WithTraceEntries(20_000),
-		WithSamplingRate(0.5), WithTraceParallelism(2))
-	if !errors.As(err, &pe) {
-		t.Errorf("NewSystem: got %v, want *service.ProfileError for sampling + trace parallelism", err)
-	}
-	if _, _, _, err := Online("mcf", WithSamplingRate(0.5), WithTraceParallelism(2)); !errors.As(err, &pe) {
-		t.Errorf("Online: got %v, want *service.ProfileError for sampling + trace parallelism", err)
 	}
 }

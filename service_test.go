@@ -116,11 +116,10 @@ func TestPooledPathsMatchSerialReferenceZoo(t *testing.T) {
 
 // TestStreamCloseBothOrders is the finalization regression: Feed and
 // Snapshot fail with the typed ErrStreamClosed after Close, whether the
-// stream was fed first or closed untouched, for both back-ends.
+// stream was fed first or closed untouched.
 func TestStreamCloseBothOrders(t *testing.T) {
 	for _, mkStream := range []func() (*Stream, error){
 		func() (*Stream, error) { return NewEngine().NewStream(1000) },
-		func() (*Stream, error) { return NewEngine().NewParallelStream(1000, 2) },
 	} {
 		// Order 1: feed, close, then feed/snapshot.
 		st, err := mkStream()
@@ -162,36 +161,27 @@ func TestStreamCloseBothOrders(t *testing.T) {
 }
 
 // TestWorkerOptionValidation pins the option-apply-time validation: the
-// worker-count options and NewParallelStream reject counts below one,
-// and the error surfaces from whichever constructor consumed them.
+// worker-count option rejects counts below one, and the error surfaces
+// from whichever constructor consumed it.
 func TestWorkerOptionValidation(t *testing.T) {
 	for _, n := range []int{0, -1, -8} {
 		if _, err := NewSystem("mcf", WithParallelism(n)); err == nil {
 			t.Errorf("WithParallelism(%d) accepted by NewSystem", n)
 		}
-		if _, err := NewSystem("mcf", WithTraceParallelism(n)); err == nil {
-			t.Errorf("WithTraceParallelism(%d) accepted by NewSystem", n)
-		}
 		if _, err := RealCurve("mcf", WithParallelism(n)); err == nil {
 			t.Errorf("WithParallelism(%d) accepted by RealCurve", n)
-		}
-		if _, _, _, err := Online("mcf", WithTraceParallelism(n)); err == nil {
-			t.Errorf("WithTraceParallelism(%d) accepted by Online", n)
 		}
 		if _, err := NewManager([]string{"mcf", "art"}, WithParallelism(n)); err == nil {
 			t.Errorf("WithParallelism(%d) accepted by NewManager", n)
 		}
-		if _, err := NewEngine().NewParallelStream(1000, n); err == nil {
-			t.Errorf("NewParallelStream(workers=%d) accepted", n)
-		}
 	}
 	// The first invalid option wins even when followed by valid ones.
-	_, err := NewSystem("mcf", WithTraceParallelism(0), WithSeed(3))
-	if err == nil || !contains(err.Error(), "WithTraceParallelism") {
+	_, err := NewSystem("mcf", WithParallelism(0), WithSeed(3))
+	if err == nil || !contains(err.Error(), "WithParallelism") {
 		t.Errorf("option error lost: %v", err)
 	}
 	// Valid counts still work.
-	if _, err := NewSystem("mcf", WithParallelism(1), WithTraceParallelism(2)); err != nil {
+	if _, err := NewSystem("mcf", WithParallelism(1)); err != nil {
 		t.Errorf("valid worker counts rejected: %v", err)
 	}
 }

@@ -82,12 +82,8 @@ func TestProfileRejectionsMatchAcrossSurfaces(t *testing.T) {
 		opts   []SystemOption
 		field  string
 	}{
-		{"negative workers", service.TenantConfig{Workers: -1},
-			[]SystemOption{WithTraceParallelism(-1)}, "Workers"},
 		{"rate above 1", service.TenantConfig{Sampling: sample.Config{Rate: 1.5}},
 			[]SystemOption{WithSamplingRate(1.5)}, "Sampling"},
-		{"sampling with workers", service.TenantConfig{Workers: 2, Sampling: sample.Config{Rate: 0.5}},
-			[]SystemOption{WithSamplingRate(0.5), WithTraceParallelism(2)}, "Sampling"},
 	} {
 		check := func(surface string, err error) {
 			t.Helper()

@@ -1,7 +1,6 @@
 package rapidmrc
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -165,89 +164,5 @@ func TestNewStreamRejectsBadTarget(t *testing.T) {
 	}
 	if _, err := NewEngine().NewStream(-5); err == nil {
 		t.Error("negative target accepted")
-	}
-	if _, err := NewEngine().NewParallelStream(0, 4); err == nil {
-		t.Error("parallel stream target 0 accepted")
-	}
-}
-
-// TestEngineParallelMatchesSerial pins the facade-level equivalence of
-// the chunk-parallel trace engine: ComputeParallel and a fully-fed
-// NewParallelStream must both reproduce Compute exactly — curve and all
-// statistics — on a real captured trace, at several worker counts.
-func TestEngineParallelMatchesSerial(t *testing.T) {
-	sys, err := NewSystem("mcf", WithSeed(17), WithTraceEntries(30_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(200_000)
-	trace := sys.Capture()
-
-	batchCurve, batchStats, err := NewEngine().Compute(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStats := func(tag string, stats *Stats) {
-		t.Helper()
-		if stats.Converted != batchStats.Converted ||
-			stats.WarmupEntries != batchStats.WarmupEntries ||
-			stats.AutoWarmup != batchStats.AutoWarmup ||
-			stats.StackHitRate != batchStats.StackHitRate ||
-			stats.ComputeCycles != batchStats.ComputeCycles {
-			t.Errorf("%s: stats diverge: batch %+v, got %+v", tag, batchStats, stats)
-		}
-	}
-	for _, workers := range []int{1, 3, 4, -1} {
-		curve, stats, err := NewEngine().ComputeParallel(trace, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := Distance(batchCurve, curve); d != 0 {
-			t.Errorf("workers=%d: ComputeParallel curve differs by %v MPKI", workers, d)
-		}
-		sameStats(fmt.Sprintf("ComputeParallel workers=%d", workers), stats)
-	}
-
-	st, err := NewEngine().NewParallelStream(len(trace.Lines), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range trace.Lines {
-		st.Feed(l)
-	}
-	curve, stats, err := st.Snapshot(trace.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := Distance(batchCurve, curve); d != 0 {
-		t.Errorf("parallel stream curve differs by %v MPKI", d)
-	}
-	sameStats("parallel stream", stats)
-}
-
-// TestSystemStreamTraceParallelism runs the fused streaming workflow
-// with WithTraceParallelism against the default incremental engine on
-// identically-seeded systems: the anchored curves must be identical.
-func TestSystemStreamTraceParallelism(t *testing.T) {
-	run := func(opts ...SystemOption) (*Curve, *Stats) {
-		base := []SystemOption{WithSeed(5), WithTraceEntries(30_000)}
-		sys, err := NewSystem("mcf", append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Run(200_000)
-		curve, stats, err := sys.Stream(0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return curve, stats
-	}
-	serialCurve, serialStats := run()
-	parCurve, parStats := run(WithTraceParallelism(4))
-	if d := Distance(serialCurve, parCurve); d != 0 {
-		t.Fatalf("WithTraceParallelism changed the streamed curve by %v MPKI", d)
-	}
-	if parStats.Shift != serialStats.Shift || parStats.StackHitRate != serialStats.StackHitRate {
-		t.Errorf("stats diverge: serial %+v, parallel %+v", serialStats, parStats)
 	}
 }

@@ -31,7 +31,6 @@ type sysOptions struct {
 	refColors    int
 	traceBuffer  int
 	workers      int
-	traceWorkers int
 	samplingRate float64
 	// err records the first invalid option; constructors surface it
 	// instead of building a system (validate-at-apply-time).
@@ -98,33 +97,6 @@ func WithParallelism(n int) SystemOption {
 	}
 }
 
-// WithTraceParallelism switches trace-processing workflows (Online,
-// System.Stream) to the chunk-parallel in-trace engine: the probing
-// period's log is split into up to n chunks whose reuse distances are
-// computed concurrently, then reconciled at the boundaries. Results are
-// bit-identical to the default engines; only the cost model changes
-// (streaming buffers the trace and snapshots are full recomputes — see
-// Engine.NewParallelStream). n < 1 is rejected — the error surfaces
-// from the constructor the options are passed to (pass
-// runtime.GOMAXPROCS(0) for one worker per CPU); the default (option
-// absent) keeps the serial engines.
-func WithTraceParallelism(n int) SystemOption {
-	return func(o *sysOptions) {
-		if n < 1 {
-			o.fail(errTraceWorkers("WithTraceParallelism", n))
-			return
-		}
-		o.traceWorkers = n
-	}
-}
-
-// errTraceWorkers rejects a trace-engine worker count below one, typed
-// like the service's own Workers rejection.
-func errTraceWorkers(what string, n int) error {
-	return &service.ProfileError{Field: "Workers", Err: fmt.Errorf(
-		"rapidmrc: %s requires at least 1 worker, got %d (use runtime.GOMAXPROCS(0) for one per CPU)", what, n)}
-}
-
 // WithSamplingRate filters the probing period through a SHARDS-style
 // spatial sampler before the Mattson stack: only references whose
 // hashed line address falls under the rate's threshold reach the
@@ -134,9 +106,7 @@ func errTraceWorkers(what string, n int) error {
 // accuracy cost; rate 1 is bit-identical to the unsampled engine. The
 // rate must lie in (0, 1] — anything else, including NaN, is rejected
 // at apply time and the error surfaces from the constructor the
-// options are passed to, like WithParallelism. Sampling runs on the
-// serial incremental engine; combining it with WithTraceParallelism is
-// rejected by the constructor.
+// options are passed to, like WithParallelism.
 func WithSamplingRate(rate float64) SystemOption {
 	return func(o *sysOptions) {
 		if err := (sample.Config{Rate: rate}).Validate(); err != nil {
@@ -157,10 +127,10 @@ func WithReferencePoint(colors int) SystemOption {
 }
 
 // spec is the profiling session a System workflow opens over one
-// probing period: the paper's engine defaults with the options' trace
-// engine and sampling rate.
+// probing period: the paper's engine defaults with the options'
+// sampling rate.
 func (o *sysOptions) spec() service.TenantConfig {
-	spec := NewEngine().spec(o.entries, o.traceWorkers)
+	spec := NewEngine().spec(o.entries)
 	spec.Sampling.Rate = o.samplingRate
 	return spec
 }
