@@ -135,12 +135,24 @@ func benchTrace(n int) []mem.Line {
 // BenchmarkStackMarker and BenchmarkStackNaive quantify the production
 // stack against the textbook one (DESIGN.md ablation): same trace, same
 // capacity. BenchmarkStackMarker exercises the production marker-tree
-// stack.
+// stack counting walks for the cost model; BenchmarkStackMarkerUnpriced
+// the same stack without the walk model, as mrcd tenants run it.
 func BenchmarkStackMarker(b *testing.B) {
 	trace := benchTrace(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := core.NewStack(15360, core.DefaultGroupSize)
+		for _, l := range trace {
+			s.Reference(l)
+		}
+	}
+}
+
+func BenchmarkStackMarkerUnpriced(b *testing.B) {
+	trace := benchTrace(100_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := core.NewUnpricedStack(15360)
 		for _, l := range trace {
 			s.Reference(l)
 		}

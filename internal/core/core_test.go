@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -472,9 +473,9 @@ func TestComputeWalkVsIndexedIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(orig func(int, int) Stack) { newStack = orig }(newStack)
-	newStack = func(capacity, groupSize int) Stack {
-		return NewWalkRangeStack(capacity, groupSize)
+	defer func(orig func(Config) Stack) { newStack = orig }(newStack)
+	newStack = func(cfg Config) Stack {
+		return NewWalkRangeStack(cfg.StackLines, cfg.GroupSize)
 	}
 	walked, err := Compute(trace, 360_000, cfg)
 	if err != nil {
@@ -489,6 +490,68 @@ func TestComputeWalkVsIndexedIdentical(t *testing.T) {
 	}
 	if indexed.InfMisses != walked.InfMisses || indexed.StackHitRate != walked.StackHitRate {
 		t.Fatal("histogram bookkeeping diverged between stack implementations")
+	}
+}
+
+// TestComputeUnpricedWalksIdentical pins that pricing walks changes
+// nothing but ModelCycles: with CostPerWalk 0, Compute returns the same
+// histogram, curve, warmup outcome, and stack hit rate as with walks
+// priced, and ModelCycles is exactly entries×CostFixed. The cases cover
+// automatic warmup, the static fallback, a fixed warmup, and a tiny
+// stack with eviction churn.
+func TestComputeUnpricedWalksIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	mixed := make([]mem.Line, 120_000)
+	for i := range mixed {
+		switch r.Intn(4) {
+		case 0:
+			mixed[i] = mem.Line(r.Intn(1000))
+		case 1, 2:
+			mixed[i] = mem.Line(2000 + r.Intn(12000))
+		default:
+			mixed[i] = mem.Line(1_000_000 + i)
+		}
+	}
+	fixed := DefaultConfig()
+	fixed.FixedWarmupEntries = 5000
+	churn := DefaultConfig()
+	churn.StackLines, churn.Points, churn.LinesPerPoint, churn.GroupSize = 64, 8, 8, 4
+	cases := []struct {
+		name  string
+		trace []mem.Line
+		cfg   Config
+		auto  bool
+	}{
+		{"auto warmup", mixed, DefaultConfig(), true},
+		{"static warmup", cyclicTrace(3000, 40_000), DefaultConfig(), false},
+		{"fixed warmup", mixed, fixed, false},
+		{"churn", mixed, churn, true},
+	}
+	for _, tc := range cases {
+		priced, err := Compute(tc.trace, 360_000, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if priced.AutoWarmup != tc.auto {
+			t.Fatalf("%s: AutoWarmup = %v, want %v", tc.name, priced.AutoWarmup, tc.auto)
+		}
+		cfg := tc.cfg
+		cfg.CostPerWalk = 0
+		unpriced, err := Compute(tc.trace, 360_000, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(len(tc.trace)) * cfg.CostFixed; unpriced.ModelCycles != want {
+			t.Errorf("%s: unpriced ModelCycles = %d, want entries×CostFixed = %d", tc.name, unpriced.ModelCycles, want)
+		}
+		if priced.ModelCycles <= unpriced.ModelCycles {
+			t.Errorf("%s: priced ModelCycles %d not above unpriced %d", tc.name, priced.ModelCycles, unpriced.ModelCycles)
+		}
+		same := *unpriced
+		same.ModelCycles = priced.ModelCycles
+		if !reflect.DeepEqual(priced, &same) {
+			t.Errorf("%s: unpriced result diverges beyond ModelCycles:\npriced   %+v\nunpriced %+v", tc.name, priced, unpriced)
+		}
 	}
 }
 

@@ -22,7 +22,18 @@ type stackScript struct {
 }
 
 func (stackScript) Generate(r *rand.Rand, _ int) reflect.Value {
-	c := 1 + r.Intn(64)
+	return reflect.ValueOf(genScript(r, 1+r.Intn(64)))
+}
+
+// tinyScript is a stackScript at capacities 1–3, where every few
+// references renumber the window and evictions dominate.
+type tinyScript struct{ stackScript }
+
+func (tinyScript) Generate(r *rand.Rand, _ int) reflect.Value {
+	return reflect.ValueOf(tinyScript{genScript(r, 1+r.Intn(3))})
+}
+
+func genScript(r *rand.Rand, c int) stackScript {
 	s := stackScript{capacity: c, groupSize: 1 + r.Intn(8)}
 	n := 48*c + r.Intn(8*c)
 	footprint := 1 + r.Intn(2*c+2)
@@ -35,7 +46,7 @@ func (stackScript) Generate(r *rand.Rand, _ int) reflect.Value {
 		}
 	}
 	s.resetAt = r.Intn(n)
-	return reflect.ValueOf(s)
+	return s
 }
 
 // stackObs is what one reference lets a caller observe.
@@ -63,10 +74,9 @@ func runScript(st Stack, sc stackScript, withWalks bool) []stackObs {
 	return out
 }
 
-// markerRun runs the script on the production stack, failing t unless
-// the window was renumbered at least 10 times.
-func markerRun(t *testing.T, sc stackScript, withWalks bool) []stackObs {
-	s := NewStack(sc.capacity, sc.groupSize)
+// markerRun runs the script on s, failing t unless the window was
+// renumbered at least 10 times.
+func markerRun(t *testing.T, s *MarkerStack, sc stackScript, withWalks bool) []stackObs {
 	out := make([]stackObs, len(sc.refs))
 	wraps := 0
 	for i, l := range sc.refs {
@@ -101,11 +111,53 @@ func TestMarkerStackMatchesOracles(t *testing.T) {
 	walk := func(sc stackScript) []stackObs {
 		return runScript(NewWalkRangeStack(sc.capacity, sc.groupSize), sc, true)
 	}
-	if err := quick.CheckEqual(func(sc stackScript) []stackObs { return markerRun(t, sc, false) }, naive, cfg); err != nil {
+	marker := func(sc stackScript, withWalks bool) []stackObs {
+		return markerRun(t, NewStack(sc.capacity, sc.groupSize), sc, withWalks)
+	}
+	if err := quick.CheckEqual(func(sc stackScript) []stackObs { return marker(sc, false) }, naive, cfg); err != nil {
 		t.Errorf("vs NaiveStack: %v", err)
 	}
-	if err := quick.CheckEqual(func(sc stackScript) []stackObs { return markerRun(t, sc, true) }, walk, cfg); err != nil {
+	if err := quick.CheckEqual(func(sc stackScript) []stackObs { return marker(sc, true) }, walk, cfg); err != nil {
 		t.Errorf("vs WalkRangeStack: %v", err)
+	}
+}
+
+// TestUnpricedMarkerStackMatchesNaive pins the stack that skips the walk
+// model: on the same scripts, and on capacities 1–3 where renumbering
+// and eviction are constant, it agrees with the textbook stack on every
+// distance, Len, and Full, and its Walks stays 0 — Walks is recorded, so
+// a nonzero count would differ from the naive side's zero.
+func TestUnpricedMarkerStackMatchesNaive(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 200}
+	naive := func(sc stackScript) []stackObs { return runScript(NewNaiveStack(sc.capacity), sc, false) }
+	unpriced := func(sc stackScript) []stackObs { return markerRun(t, NewUnpricedStack(sc.capacity), sc, true) }
+	if err := quick.CheckEqual(unpriced, naive, cfg); err != nil {
+		t.Errorf("capacities 1–64: %v", err)
+	}
+	tiny := func(sc tinyScript) []stackObs { return unpriced(sc.stackScript) }
+	tinyNaive := func(sc tinyScript) []stackObs { return naive(sc.stackScript) }
+	if err := quick.CheckEqual(tiny, tinyNaive, cfg); err != nil {
+		t.Errorf("capacities 1–3: %v", err)
+	}
+}
+
+// TestNewStackForFollowsPricing checks NewStackFor counts walks exactly
+// when the config prices them.
+func TestNewStackForFollowsPricing(t *testing.T) {
+	cfg := DefaultConfig()
+	if s := NewStackFor(cfg, 64); s.walk == nil {
+		t.Error("priced config built a stack without the walk model")
+	}
+	cfg.CostPerWalk = 0
+	s := NewStackFor(cfg, 64)
+	if s.walk != nil {
+		t.Error("unpriced config built a stack with the walk model")
+	}
+	for i := 0; i < 1000; i++ {
+		s.Reference(mem.Line(i % 100))
+	}
+	if s.Walks() != 0 {
+		t.Errorf("unpriced stack reports %d walks", s.Walks())
 	}
 }
 

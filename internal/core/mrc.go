@@ -152,12 +152,13 @@ type Result struct {
 	ModelCycles uint64
 }
 
-// newStack builds the stack Compute simulates with. It is a package
+// newStack builds the stack Compute simulates with: the production
+// stack, counting walks only when cfg prices them. It is a package
 // variable so the equivalence test can swap in the paper-era walking
 // variant and pin that both stacks produce identical curves and modeled
 // cycle counts.
-var newStack = func(capacity, groupSize int) Stack {
-	return NewStack(capacity, groupSize)
+var newStack = func(cfg Config) Stack {
+	return NewStackFor(cfg, cfg.StackLines)
 }
 
 // EffectiveInstructions prorates the application progress over the whole
@@ -209,7 +210,7 @@ func Compute(trace []mem.Line, instructions uint64, cfg Config) (*Result, error)
 	if len(trace) == 0 {
 		return nil, errors.New("core: empty trace log")
 	}
-	stack := newStack(cfg.StackLines, cfg.GroupSize)
+	stack := newStack(cfg)
 	hist := make([]uint64, cfg.StackLines+1)
 	var inf, hits uint64
 

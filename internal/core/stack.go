@@ -29,10 +29,10 @@ type Stack interface {
 	Full() bool
 	// Walks returns the cumulative number of range-list groups (or, for
 	// the naive stack, entries) the paper-era implementation would
-	// traverse — the input to the calculation cost model. Indexed stacks
-	// keep reporting this modeled count even though their real work is
-	// sub-linear, so the DESIGN.md §5 calibration is implementation-
-	// independent.
+	// traverse — the input to the calculation cost model. A MarkerStack
+	// built to count walks reports this modeled count even though its
+	// real work is sub-linear, so the DESIGN.md §5 calibration is
+	// implementation-independent; an unpriced MarkerStack reports 0.
 	Walks() uint64
 	// Reset empties the stack and zeroes Walks while retaining its
 	// allocations, so a pooled engine can be recycled across probing
@@ -306,23 +306,34 @@ func (s *WalkRangeStack) evictTail() {
 // renumbering costs O(capacity) once per ≥ capacity references.
 //
 // The paper's cost model counts range-list walks, which a marker tree
-// does not perform: Walks() replays the range list's group sizes from the
-// distances (walkModel), so distances, Len/Full, and the modeled Walks()
-// are bit-identical to WalkRangeStack's and the DESIGN.md §5 calibration
-// is unchanged.
+// does not perform. A stack built by NewStack replays the range list's
+// group sizes from the distances (walkModel), so its distances, Len/Full,
+// and modeled Walks() are bit-identical to WalkRangeStack's and the
+// DESIGN.md §5 calibration is unchanged. That replay is about 40% of a
+// reference's time, so a stack whose walks are not priced
+// (NewUnpricedStack, or NewStackFor with a zero CostPerWalk) skips it
+// and reports zero Walks(); its distances and Len/Full are the same.
 type MarkerStack struct {
 	capacity int
 	table    lineTable  // line → position of its latest reference
 	tree     markerTree // one marker per tabled line, at that position
 	lines    []mem.Line // lines[p] = the line referenced at position p
 	next     int        // position of the next reference
-	walk     walkModel
+	walk     *walkModel // nil when walks are not counted
 }
 
 // NewStack returns an empty production stack holding at most capacity
-// lines; groupSize (≤ 0 = DefaultGroupSize) is the range-list group size
-// the modeled walks are counted against.
+// lines that counts walks; groupSize (≤ 0 = DefaultGroupSize) is the
+// range-list group size the modeled walks are counted against.
 func NewStack(capacity, groupSize int) *MarkerStack {
+	s := NewUnpricedStack(capacity)
+	s.walk = newWalkModel(capacity, groupSize)
+	return s
+}
+
+// NewUnpricedStack returns an empty production stack holding at most
+// capacity lines that does not count walks: Walks() stays 0.
+func NewUnpricedStack(capacity int) *MarkerStack {
 	if capacity <= 0 {
 		panic("core: non-positive stack capacity")
 	}
@@ -330,7 +341,6 @@ func NewStack(capacity, groupSize int) *MarkerStack {
 	s := &MarkerStack{
 		capacity: capacity,
 		lines:    make([]mem.Line, window),
-		walk:     newWalkModel(capacity, groupSize),
 	}
 	// Every tabled line holds a distinct window position, so the table
 	// never exceeds window entries and, sized for one more, never grows.
@@ -339,14 +349,32 @@ func NewStack(capacity, groupSize int) *MarkerStack {
 	return s
 }
 
-// Len implements Stack.
-func (s *MarkerStack) Len() int { return s.walk.size }
+// NewStackFor returns a production stack of the given capacity that
+// counts walks only when cfg prices them (CostPerWalk > 0). Modeled
+// cycles, entries×CostFixed + walks×CostPerWalk, come out the same
+// either way, since unpriced walks contribute zero.
+func NewStackFor(cfg Config, capacity int) *MarkerStack {
+	if cfg.CostPerWalk == 0 {
+		return NewUnpricedStack(capacity)
+	}
+	return NewStack(capacity, cfg.GroupSize)
+}
+
+// Len implements Stack. An LRU stack holds every distinct line seen up
+// to its capacity; the table holds exactly those lines, plus, between
+// renumberings, lines already pushed past capacity.
+func (s *MarkerStack) Len() int { return min(s.table.n, s.capacity) }
 
 // Full implements Stack.
-func (s *MarkerStack) Full() bool { return s.walk.size == s.capacity }
+func (s *MarkerStack) Full() bool { return s.table.n >= s.capacity }
 
-// Walks implements Stack.
-func (s *MarkerStack) Walks() uint64 { return s.walk.walks }
+// Walks implements Stack; an unpriced stack reports 0.
+func (s *MarkerStack) Walks() uint64 {
+	if s.walk == nil {
+		return 0
+	}
+	return s.walk.walks
+}
 
 // Reset implements Stack: the table, tree, and walk model are cleared in
 // place, so a reset stack allocates nothing.
@@ -354,7 +382,9 @@ func (s *MarkerStack) Reset() {
 	s.table.reset()
 	s.tree.init(len(s.lines))
 	s.next = 0
-	s.walk.reset()
+	if s.walk != nil {
+		s.walk.reset()
+	}
 }
 
 // Reference implements Stack.
@@ -370,7 +400,9 @@ func (s *MarkerStack) Reference(line mem.Line) int {
 	p, seen := s.table.touch(line, int32(i))
 	if !seen {
 		s.tree.mark(i)
-		s.walk.miss()
+		if s.walk != nil {
+			s.walk.miss()
+		}
 		return Infinite
 	}
 	// Every marker sits at or below p or strictly between p and i; the
@@ -378,10 +410,14 @@ func (s *MarkerStack) Reference(line mem.Line) int {
 	// reference.
 	d := s.table.n - int(s.tree.prefixMove(int(p), i)) + 1
 	if d > s.capacity {
-		s.walk.miss()
+		if s.walk != nil {
+			s.walk.miss()
+		}
 		return Infinite
 	}
-	s.walk.hit(d)
+	if s.walk != nil {
+		s.walk.hit(d)
+	}
 	return d
 }
 

@@ -36,7 +36,7 @@ type walkModel struct {
 // groups (the bidirectional scan halves the effective distance).
 const walkBlock = 16
 
-func newWalkModel(capacity, groupSize int) walkModel {
+func newWalkModel(capacity, groupSize int) *walkModel {
 	if groupSize <= 0 {
 		groupSize = DefaultGroupSize
 	}
@@ -48,7 +48,7 @@ func newWalkModel(capacity, groupSize int) walkModel {
 	// (cells outside [s,e) are always zero, so the reads are inert).
 	g := 2 * (4 + capacity/groupSize)
 	g = (g + walkBlock - 1) &^ (walkBlock - 1)
-	return walkModel{
+	return &walkModel{
 		capacity:  capacity,
 		groupSize: groupSize,
 		buf:       make([]int32, g+4),

@@ -248,7 +248,8 @@ func NewEngine(cfg core.Config, scfg Config, target int) (*Engine, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	e.stack = core.NewStack(capacity, cfg.GroupSize)
+	// It counts range-list walks only when cfg.CostPerWalk prices them.
+	e.stack = core.NewStackFor(cfg, capacity)
 	if err := e.Reset(target); err != nil {
 		return nil, err
 	}

@@ -44,10 +44,14 @@ func fuzzTrace(r *rand.Rand, n int) []mem.Line {
 }
 
 // testConfigs mirrors the geometries of the other equivalence suites:
-// the paper default, a tiny stack with eviction churn, and a
-// fixed-warmup override.
+// the paper default, a tiny stack with eviction churn, a fixed-warmup
+// override, and the paper default with unpriced walks (the stack skips
+// the walk model; mrcd tenants' default).
 func testConfigs() []core.Config {
 	def := core.DefaultConfig()
+
+	unpriced := core.DefaultConfig()
+	unpriced.CostPerWalk = 0
 
 	churn := core.DefaultConfig()
 	churn.StackLines = 64
@@ -62,13 +66,13 @@ func testConfigs() []core.Config {
 	fixed.GroupSize = 8
 	fixed.FixedWarmupEntries = 100
 
-	return []core.Config{def, churn, fixed}
+	return []core.Config{def, churn, fixed, unpriced}
 }
 
 // TestRateOneBitIdentical is the satellite property: at rate 1.0 the
 // sampled engine is the serial oracle core.Compute — histogram, curve,
 // warmup outcome, stack hit rate, and ModelCycles all bit-identical —
-// across fuzzed traces and all three geometries.
+// across fuzzed traces and all four configs.
 func TestRateOneBitIdentical(t *testing.T) {
 	for ci, cfg := range testConfigs() {
 		cfg := cfg

@@ -30,6 +30,11 @@ func TestHTTPQueryEdgeCases(t *testing.T) {
 		FeedRequest{Lines: trace, Instructions: 100_000}, nil); code != http.StatusAccepted {
 		t.Fatalf("feed: %d", code)
 	}
+	// Drain the queue first: a no-wait read snapshots only what the
+	// worker has consumed, which may still be all warmup.
+	if code := doJSON(t, c, "GET", ts.URL+"/tenants/app/curve?wait=1", nil, nil); code != http.StatusOK {
+		t.Fatalf("drain: %d", code)
+	}
 
 	cases := []struct {
 		name  string

@@ -203,7 +203,7 @@ func TestPoolRecyclesSampledEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh, err := sample.NewEngine(core.DefaultConfig(), scfg, len(trace))
+	fresh, err := sample.NewEngine(b.Config().Engine, scfg, len(trace))
 	if err != nil {
 		t.Fatal(err)
 	}

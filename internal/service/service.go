@@ -89,8 +89,8 @@ func (s *Service) Pool() *EnginePool { return s.pool }
 // configuration is defaulted: zero Target becomes DefaultTarget, zero
 // MaxQueued, EpochEntries, Approx.Threshold, and Sampling.Rate inherit
 // the service defaults, and a zero Engine config becomes
-// core.DefaultConfig(). The profiling session is then opened from the
-// service's pool. It fails
+// core.DefaultConfig() with CostPerWalk 0 (see TenantConfig.Engine). The
+// profiling session is then opened from the service's pool. It fails
 // with ErrTenantExists if id is taken, ErrDraining during shutdown, or
 // Open's error: a *ProfileError for an invalid Sampling field,
 // or the engine constructor's error for an invalid configuration.
@@ -111,7 +111,10 @@ func (s *Service) Register(id string, cfg TenantConfig) (*Tenant, error) {
 		cfg.Approx.Threshold = s.cfg.ApproxThreshold
 	}
 	if cfg.Engine == (core.Config{}) {
+		// No service surface reads a tenant's modeled cycles, so its
+		// walks go unpriced and the stack skips the walk model.
 		cfg.Engine = core.DefaultConfig()
+		cfg.Engine.CostPerWalk = 0
 	}
 	if cfg.Sampling.Rate < 0 {
 		// Negative forces full-rate profiling even when the service

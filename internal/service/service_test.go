@@ -64,49 +64,70 @@ func TestRegisterLifecycle(t *testing.T) {
 }
 
 // TestTenantMatchesDirectEngine pins the tenant feed path bit-identical
-// to the serial oracle: core.Compute over the batch-corrected trace.
+// to the serial oracle: core.Compute over the batch-corrected trace with
+// the tenant's defaulted config. A zero Engine defaults to unpriced walks
+// (ModelCycles = entries×CostFixed); an explicit priced config still
+// matches core.Compute(DefaultConfig()), the paper's modeled cost.
 func TestTenantMatchesDirectEngine(t *testing.T) {
 	trace := synthTrace(3, 4000)
 	raw := rawTrace(trace)
 	const instr = 777_777
-
-	svc := New(Config{})
-	tn, err := svc.Register("app", TenantConfig{Target: len(trace)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed in uneven batches with split instruction progress.
-	cuts := []int{0, 997, 1500, 3999, len(raw)}
-	fed := uint64(0)
-	for i := 1; i < len(cuts); i++ {
-		part := instr * uint64(cuts[i]-cuts[i-1]) / uint64(len(raw))
-		if i == len(cuts)-1 {
-			part = instr - fed
-		}
-		fed += part
-		if err := tn.Feed(raw[cuts[i-1]:cuts[i]], part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ep, err := tn.Snapshot(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	corrected := append([]mem.Line(nil), trace...)
 	converted := core.CorrectPrefetchRepetitions(corrected)
-	want, err := core.Compute(corrected, instr, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, ep.Result) {
-		t.Fatalf("tenant result diverges from Compute:\nwant %+v\ngot  %+v", want, ep.Result)
-	}
-	if ep.Converted != converted {
-		t.Errorf("Converted = %d, want %d", ep.Converted, converted)
-	}
-	if ep.Entries != len(trace) || ep.Instructions != instr {
-		t.Errorf("epoch covers %d entries / %d instr", ep.Entries, ep.Instructions)
+
+	unpriced := core.DefaultConfig()
+	unpriced.CostPerWalk = 0
+	for _, tc := range []struct {
+		name         string
+		engine, want core.Config // registered, and as defaulted
+	}{
+		{"default", core.Config{}, unpriced},
+		{"priced", core.DefaultConfig(), core.DefaultConfig()},
+	} {
+		svc := New(Config{})
+		tn, err := svc.Register("app", TenantConfig{Target: len(trace), Engine: tc.engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Feed in uneven batches with split instruction progress.
+		cuts := []int{0, 997, 1500, 3999, len(raw)}
+		fed := uint64(0)
+		for i := 1; i < len(cuts); i++ {
+			part := instr * uint64(cuts[i]-cuts[i-1]) / uint64(len(raw))
+			if i == len(cuts)-1 {
+				part = instr - fed
+			}
+			fed += part
+			if err := tn.Feed(raw[cuts[i-1]:cuts[i]], part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep, err := tn.Snapshot(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if got := tn.Config().Engine; got != tc.want {
+			t.Fatalf("%s: engine config %+v, want %+v", tc.name, got, tc.want)
+		}
+		want, err := core.Compute(corrected, instr, tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, ep.Result) {
+			t.Fatalf("%s: tenant result diverges from Compute:\nwant %+v\ngot  %+v", tc.name, want, ep.Result)
+		}
+		if ep.Converted != converted {
+			t.Errorf("%s: Converted = %d, want %d", tc.name, ep.Converted, converted)
+		}
+		if ep.Entries != len(trace) || ep.Instructions != instr {
+			t.Errorf("%s: epoch covers %d entries / %d instr", tc.name, ep.Entries, ep.Instructions)
+		}
+		fixed := uint64(len(trace)) * tc.want.CostFixed
+		if got := ep.Result.ModelCycles; (got == fixed) != (tc.want.CostPerWalk == 0) {
+			t.Errorf("%s: ModelCycles = %d against entries×CostFixed = %d with CostPerWalk %d",
+				tc.name, got, fixed, tc.want.CostPerWalk)
+		}
 	}
 }
 

@@ -30,7 +30,10 @@ type TenantConfig struct {
 	// recompute. Zero disables auto-epochs (snapshots on demand only).
 	EpochEntries int
 	// Engine overrides the compute configuration; the zero value uses
-	// core.DefaultConfig().
+	// core.DefaultConfig() with unpriced walks (CostPerWalk 0), so the
+	// stack skips the walk model and an epoch's ModelCycles is
+	// entries×CostFixed. A config with CostPerWalk > 0 keeps the paper's
+	// full modeled cost.
 	Engine core.Config
 	// Approx configures the analytical serving tier (see internal/approx).
 	// A zero Threshold inherits the service-wide default
