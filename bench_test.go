@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rapidmrc/internal/approx"
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/experiments"
@@ -101,15 +102,63 @@ func BenchmarkCaptureTrace(b *testing.B) {
 // BenchmarkComputeMRC measures the stack-simulation half on a realistic
 // captured trace.
 func BenchmarkComputeMRC(b *testing.B) {
-	m := platform.NewMachine(workload.New(workload.MustByName("twolf"), 1),
-		platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: 1})
-	m.RunInstructions(500_000)
-	cap := m.CollectTrace(160_000)
-	core.CorrectPrefetchRepetitions(cap.Lines)
+	cap := benchCapture("twolf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Compute(cap.Lines, cap.Stats.Instructions, core.DefaultConfig()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchCapture captures and corrects one default-length probing period
+// of app — the trace shape the service's tenants feed.
+func benchCapture(app string) platform.Capture {
+	m := platform.NewMachine(workload.New(workload.MustByName(app), 1),
+		platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: 1})
+	m.RunInstructions(500_000)
+	cap := m.CollectTrace(160_000)
+	core.CorrectPrefetchRepetitions(cap.Lines)
+	return cap
+}
+
+// BenchmarkApproxSampler is the analytical tier's capture cost, the tap
+// a tiered session adds to every reference: a fresh reuse-time sampler
+// fed one corrected mcf probing period.
+func BenchmarkApproxSampler(b *testing.B) {
+	trace := benchCapture("mcf").Lines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := approx.NewSampler(core.DefaultConfig(), len(trace))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range trace {
+			s.Feed(l)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/ref")
+}
+
+// BenchmarkApproxAssess is the analytical tier's serving cost: one tier
+// decision (both estimators over the live histogram, then the policy)
+// on a sampler that has consumed a whole mcf probing period.
+func BenchmarkApproxAssess(b *testing.B) {
+	trace := benchCapture("mcf").Lines
+	s, err := approx.NewSampler(core.DefaultConfig(), len(trace))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, l := range trace {
+		s.Feed(l)
+	}
+	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: approx.DefaultThreshold})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e, _ := approx.Assess(pol, s, 4_000_000, false); e == nil {
+			b.Fatal("no estimate past warmup")
 		}
 	}
 }

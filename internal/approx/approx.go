@@ -194,10 +194,10 @@ func ClassifyShape(curve []float64) Shape {
 }
 
 // Sampler is the cheap capture-side collector: it maintains a
-// last-access table and the bucketed reuse-time histogram at O(1) per
-// reference, mirroring the engine's warmup policy (record only once the
-// distinct-line count has filled the modeled stack, or past the static
-// fraction of the probing period). It is the analytical tier's
+// last-access table (an open-addressed lastTable) and the bucketed
+// reuse-time histogram at O(1) per reference, mirroring the engine's
+// warmup policy (record only once the distinct-line count has filled the
+// modeled stack, or past the static fraction of the probing period). It is the analytical tier's
 // replacement for feeding a Mattson stack. A Sampler is not safe for
 // concurrent use.
 type Sampler struct {
@@ -206,7 +206,7 @@ type Sampler struct {
 	staticLimit int
 	fixed       bool
 
-	last map[mem.Line]int
+	last lastTable
 
 	fine       []uint64
 	coarse     []uint64
@@ -229,11 +229,11 @@ func NewSampler(cfg core.Config, target int) (*Sampler, error) {
 	}
 	s := &Sampler{
 		cfg:    cfg,
-		last:   make(map[mem.Line]int),
 		fine:   make([]uint64, fineSpan*cfg.StackLines),
 		coarse: make([]uint64, coarseBuckets),
 		fixed:  cfg.FixedWarmupEntries >= 0,
 	}
+	s.last.alloc(minLastSlots)
 	if err := s.Reset(target); err != nil {
 		return nil, err
 	}
@@ -254,7 +254,7 @@ func (s *Sampler) Reset(target int) error {
 			s.staticLimit = target - 1
 		}
 	}
-	clear(s.last)
+	s.last.reset()
 	clear(s.fine)
 	clear(s.coarse)
 	s.over, s.cold = 0, 0
@@ -275,27 +275,29 @@ func (s *Sampler) Consumed() int { return s.consumed }
 func (s *Sampler) Warming() bool { return s.warming }
 
 // Feed consumes one corrected cache-line reference.
+//
+//rapidmrc:hotpath
 func (s *Sampler) Feed(line mem.Line) {
 	if s.warming {
 		// Warmup ends when the distinct-line count fills the modeled
 		// stack (the automatic policy) or at the static fraction of the
 		// probing period, whichever first — the same policy the
 		// simulation engines apply.
-		if (!s.fixed && len(s.last) >= s.cfg.StackLines) || s.warm >= s.staticLimit {
+		if (!s.fixed && s.last.n >= s.cfg.StackLines) || s.warm >= s.staticLimit {
 			s.warming = false
-			s.auto = !s.fixed && len(s.last) >= s.cfg.StackLines
+			s.auto = !s.fixed && s.last.n >= s.cfg.StackLines
 		} else {
-			s.last[line] = s.consumed
+			s.last.touch(line, uint64(s.consumed))
 			s.consumed++
 			s.warm++
 			return
 		}
 	}
-	prev, seen := s.last[line]
+	prev, seen := s.last.touch(line, uint64(s.consumed))
 	if !seen {
 		s.cold++
 	} else {
-		t := s.consumed - prev // reuse time in references, >= 1
+		t := s.consumed - int(prev) // reuse time in references, >= 1
 		switch {
 		case t <= len(s.fine):
 			s.fine[t-1]++
@@ -305,18 +307,27 @@ func (s *Sampler) Feed(line mem.Line) {
 			s.over++
 		}
 	}
-	s.last[line] = s.consumed
 	s.consumed++
 	s.recorded++
 }
 
-// Profile snapshots the sampler's histogram. The copy is independent:
-// the sampler may keep feeding afterwards.
-func (s *Sampler) Profile() *Profile {
+// WarmupEntries returns the number of leading references used for
+// warmup so far — the value a Profile taken now would report.
+func (s *Sampler) WarmupEntries() int { return s.warm }
+
+// AutoWarmup reports whether warmup ended through the automatic policy
+// — the value a Profile taken now would report.
+func (s *Sampler) AutoWarmup() bool { return s.auto }
+
+// view returns a Profile that shares the sampler's live histogram
+// instead of copying it. It is valid only until the next Feed or Reset,
+// so it never leaves this package: Assess and Estimate read it
+// synchronously and return estimates that hold no reference to it.
+func (s *Sampler) view() *Profile {
 	return &Profile{
 		cfg:      s.cfg,
-		fine:     append([]uint64(nil), s.fine...),
-		coarse:   append([]uint64(nil), s.coarse...),
+		fine:     s.fine,
+		coarse:   s.coarse,
 		over:     s.over,
 		cold:     s.cold,
 		recorded: s.recorded,
@@ -324,6 +335,22 @@ func (s *Sampler) Profile() *Profile {
 		warmup:   s.warm,
 		auto:     s.auto,
 	}
+}
+
+// Profile snapshots the sampler's histogram. The copy is independent:
+// the sampler may keep feeding afterwards.
+func (s *Sampler) Profile() *Profile {
+	p := s.view()
+	p.fine = append([]uint64(nil), s.fine...)
+	p.coarse = append([]uint64(nil), s.coarse...)
+	return p
+}
+
+// Estimate runs e over the sampler's current histogram without copying
+// it — Profile followed by e.Estimate, minus the copy. e must not
+// retain the profile it is handed; the package's estimators do not.
+func (s *Sampler) Estimate(e Estimator, instructions uint64) (*Estimate, error) {
+	return e.Estimate(s.view(), instructions)
 }
 
 // ProfileTrace builds a profile from a whole corrected trace in one call
@@ -340,5 +367,6 @@ func ProfileTrace(trace []mem.Line, cfg core.Config) (*Profile, error) {
 	for _, l := range trace {
 		s.Feed(l)
 	}
-	return s.Profile(), nil
+	// The sampler goes out of scope here, so its histogram needs no copy.
+	return s.view(), nil
 }

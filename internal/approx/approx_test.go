@@ -3,10 +3,12 @@ package approx
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
+	"rapidmrc/internal/workload"
 )
 
 // testConfig is a small geometry so property tests can run hundreds of
@@ -453,5 +455,271 @@ func TestNewSamplerValidates(t *testing.T) {
 	bad.StackLines = 0
 	if _, err := NewSampler(bad, 100); err == nil {
 		t.Fatal("want error for invalid config")
+	}
+}
+
+// walkCheFagin and walkFullyAssociative are the estimators as they were
+// written over a per-bucket callback walk, with each bucket's tail
+// probabilities divided afresh. They are the oracles the direct-loop
+// estimators must match bit for bit.
+type (
+	walkCheFagin         struct{}
+	walkFullyAssociative struct{}
+)
+
+func (walkCheFagin) Name() string         { return "che" }
+func (walkFullyAssociative) Name() string { return "fullassoc" }
+
+// walkBuckets iterates the histogram's buckets in reuse-time order,
+// handing fn each bucket's width, count, and the tail count before and
+// after absorbing it; fn returning false stops the walk.
+func walkBuckets(p *Profile, fn func(width int, count, tailBefore, tailAfter uint64) bool) {
+	tail := uint64(p.recorded)
+	for _, cnt := range p.fine {
+		after := tail - cnt
+		if !fn(1, cnt, tail, after) {
+			return
+		}
+		tail = after
+	}
+	for _, cnt := range p.coarse {
+		after := tail - cnt
+		if !fn(coarseWidth, cnt, tail, after) {
+			return
+		}
+		tail = after
+	}
+}
+
+func (walkCheFagin) Estimate(p *Profile, instructions uint64) (*Estimate, error) {
+	if p.recorded == 0 {
+		return nil, ErrNoSamples
+	}
+	n := float64(p.recorded)
+	points := p.cfg.Points
+	ratio := make([]float64, points)
+	crossDrop := make([]float64, points)
+	c := 0.0
+	next := 0
+	walkBuckets(p, func(width int, count, tailBefore, tailAfter uint64) bool {
+		pStart := float64(tailBefore) / n
+		pEnd := float64(tailAfter) / n
+		cNext := c + float64(width)*(pStart+pEnd)/2
+		for next < points {
+			target := float64((next + 1) * p.cfg.LinesPerPoint)
+			if target > cNext {
+				break
+			}
+			f := 1.0
+			if cNext > c {
+				f = (target - c) / (cNext - c)
+			}
+			ratio[next] = pStart + f*(pEnd-pStart)
+			crossDrop[next] = pStart - pEnd
+			next++
+		}
+		c = cNext
+		return next < points
+	})
+	floor := float64(p.over+p.cold) / n
+	for ; next < points; next++ {
+		ratio[next] = floor
+	}
+	clampMonotone(ratio)
+	instrEff := core.EffectiveInstructions(instructions, p.recorded, p.consumed)
+	mpki := make([]float64, points)
+	for i, r := range ratio {
+		mpki[i] = 1000 * r * n / float64(instrEff)
+	}
+	return &Estimate{
+		Estimator:   "che",
+		MRC:         core.NewMRC(mpki),
+		MissRatio:   ratio,
+		Uncertainty: uncertainty(p, ratio, crossDrop),
+		Recorded:    p.recorded,
+		InstrEff:    instrEff,
+	}, nil
+}
+
+func (walkFullyAssociative) Estimate(p *Profile, instructions uint64) (*Estimate, error) {
+	if p.recorded == 0 {
+		return nil, ErrNoSamples
+	}
+	n := float64(p.recorded)
+	cfg := p.cfg
+	hist := make([]uint64, cfg.StackLines+1)
+	inf := p.over + p.cold
+	c := 0.0
+	walkBuckets(p, func(width int, count, tailBefore, tailAfter uint64) bool {
+		pStart := float64(tailBefore) / n
+		pEnd := float64(tailAfter) / n
+		cNext := c + float64(width)*(pStart+pEnd)/2
+		if count > 0 {
+			d := int((c + cNext) / 2)
+			if d < 1 {
+				d = 1
+			}
+			if d > cfg.StackLines {
+				inf += count
+			} else {
+				hist[d] += count
+			}
+		}
+		c = cNext
+		return true
+	})
+	instrEff := core.EffectiveInstructions(instructions, p.recorded, p.consumed)
+	mpki := core.CurveFromHist(hist, inf, instrEff, cfg)
+	ratio := make([]float64, len(mpki))
+	for i, v := range mpki {
+		ratio[i] = v * float64(instrEff) / (1000 * n)
+	}
+	clampMonotone(ratio)
+	return &Estimate{
+		Estimator:   "fullassoc",
+		MRC:         core.NewMRC(mpki),
+		MissRatio:   ratio,
+		Uncertainty: uncertainty(p, ratio, nil),
+		Recorded:    p.recorded,
+		InstrEff:    instrEff,
+	}, nil
+}
+
+// sameBits reports whether two float slices are identical bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstWalkOracles estimates p with both estimators and both
+// oracles and fails unless every output matches bit for bit.
+func checkAgainstWalkOracles(t *testing.T, name string, p *Profile, instructions uint64) {
+	t.Helper()
+	for _, pair := range [][2]Estimator{{CheFagin{}, walkCheFagin{}}, {FullyAssociative{}, walkFullyAssociative{}}} {
+		got, gerr := pair[0].Estimate(p, instructions)
+		want, werr := pair[1].Estimate(p, instructions)
+		if gerr != werr {
+			t.Fatalf("%s: %s: error %v, oracle %v", name, pair[0].Name(), gerr, werr)
+		}
+		if gerr != nil {
+			continue
+		}
+		if got.Estimator != want.Estimator ||
+			!sameBits(got.MissRatio, want.MissRatio) || !sameBits(got.MRC.MPKI, want.MRC.MPKI) ||
+			math.Float64bits(got.Uncertainty) != math.Float64bits(want.Uncertainty) ||
+			got.Recorded != want.Recorded || got.InstrEff != want.InstrEff {
+			t.Fatalf("%s: %s diverges from its walk oracle:\ngot  %+v %v\nwant %+v %v",
+				name, pair[0].Name(), got, got.MRC.MPKI, want, want.MRC.MPKI)
+		}
+	}
+}
+
+// edgeProfile builds a profile directly: fill sets counts, and recorded
+// is their total, so the profile is one a sampler could have produced.
+func edgeProfile(cfg core.Config, fill func(p *Profile)) *Profile {
+	p := &Profile{
+		cfg:    cfg,
+		fine:   make([]uint64, fineSpan*cfg.StackLines),
+		coarse: make([]uint64, coarseBuckets),
+	}
+	fill(p)
+	total := p.over + p.cold
+	for _, c := range p.fine {
+		total += c
+	}
+	for _, c := range p.coarse {
+		total += c
+	}
+	p.recorded = int(total)
+	p.consumed = p.recorded + p.warmup
+	return p
+}
+
+// TestEstimatorsMatchWalkOracles pins the direct-loop estimators to the
+// callback-walk oracles bit for bit — miss ratios, MPKI, uncertainty,
+// recorded and effective instructions — over the zoo, the daemon's
+// traces, and edge profiles: no samples, all cold, overflow-heavy, Che
+// resolving every point early, the d < 1 clamp, and distances past the
+// stack.
+func TestEstimatorsMatchWalkOracles(t *testing.T) {
+	small := testConfig()
+	edges := map[string]*Profile{
+		"no samples": edgeProfile(small, func(p *Profile) { p.warmup = 40 }),
+		"all cold":   edgeProfile(small, func(p *Profile) { p.cold = 1000 }),
+		"overflow-heavy": edgeProfile(small, func(p *Profile) {
+			p.over, p.fine[3], p.coarse[7] = 900, 60, 40
+		}),
+		// All mass at reuse time 100: c grows one line per bucket and
+		// resolves every point by bucket 64, before the fine region ends.
+		"che stops early": edgeProfile(small, func(p *Profile) { p.fine[99] = 5000 }),
+		// Reuse time 1 everywhere: the bucket midpoint distance is 0.25.
+		"d below 1": edgeProfile(small, func(p *Profile) { p.fine[0], p.fine[1] = 3000, 10 }),
+		// Mass in the coarse region only, past the 64-line stack.
+		"d past stack": edgeProfile(small, func(p *Profile) {
+			p.fine[4], p.coarse[5], p.coarse[4000], p.cold = 10, 700, 20, 5
+		}),
+	}
+	for name, p := range edges {
+		checkAgainstWalkOracles(t, name, p, 12_345)
+	}
+	if _, err := (CheFagin{}).Estimate(edges["no samples"], 1); err != ErrNoSamples {
+		t.Fatalf("no samples: err = %v, want ErrNoSamples", err)
+	}
+
+	cfg := core.DefaultConfig()
+	for _, name := range workload.SortedNames() {
+		g := workload.New(workload.MustByName(name), 42)
+		trace := make([]mem.Line, 60_000)
+		for i := range trace {
+			trace[i] = mem.LineOf(g.Next().Addr)
+		}
+		p, err := ProfileTrace(trace, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstWalkOracles(t, name, p, 240_000)
+	}
+	traces, err := mrcdTraces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range mrcdApps {
+		p, err := ProfileTrace(traces[app], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstWalkOracles(t, "mrcd "+app, p, 27*uint64(len(traces[app])))
+	}
+}
+
+// TestEstimatorsMatchWalkOraclesRandomHistograms extends the bit
+// identity to arbitrary sparse histograms, heavy coarse and overflow
+// mass included.
+func TestEstimatorsMatchWalkOraclesRandomHistograms(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		cfg := testConfig()
+		if trial%3 == 0 {
+			cfg = core.DefaultConfig()
+		}
+		p := edgeProfile(cfg, func(p *Profile) {
+			for k := rng.Intn(40); k > 0; k-- {
+				p.fine[rng.Intn(len(p.fine))] += uint64(rng.Intn(5000))
+			}
+			for k := rng.Intn(20); k > 0; k-- {
+				p.coarse[rng.Intn(len(p.coarse))] += uint64(rng.Intn(5000))
+			}
+			p.over = uint64(rng.Intn(3)) * uint64(rng.Intn(2000))
+			p.cold = uint64(rng.Intn(3)) * uint64(rng.Intn(2000))
+			p.warmup = rng.Intn(5000)
+		})
+		checkAgainstWalkOracles(t, "random "+strconv.Itoa(trial), p, uint64(1+rng.Intn(1<<30)))
 	}
 }

@@ -30,12 +30,18 @@ func (CheFagin) Estimate(p *Profile, instructions uint64) (*Estimate, error) {
 	// the uncertainty score.
 	crossDrop := make([]float64, points)
 
+	// One trapezoid step per bucket, fine then coarse, in reuse-time
+	// order. pStart carries the previous bucket's tail probability
+	// forward rather than dividing again; the expression is the same, so
+	// the bits are too.
+	tail := uint64(p.recorded)
+	pStart := float64(tail) / n
 	c := 0.0
 	next := 0 // next point index to resolve
-	p.walk(func(width int, count, tailBefore, tailAfter uint64) bool {
-		pStart := float64(tailBefore) / n
-		pEnd := float64(tailAfter) / n
-		cNext := c + float64(width)*(pStart+pEnd)/2
+	step := func(width float64, count uint64) {
+		tail -= count
+		pEnd := float64(tail) / n
+		cNext := c + width*(pStart+pEnd)/2
 		for next < points {
 			target := float64((next + 1) * p.cfg.LinesPerPoint)
 			if target > cNext {
@@ -51,9 +57,20 @@ func (CheFagin) Estimate(p *Profile, instructions uint64) (*Estimate, error) {
 			crossDrop[next] = pStart - pEnd
 			next++
 		}
-		c = cNext
-		return next < points
-	})
+		c, pStart = cNext, pEnd
+	}
+	for _, cnt := range p.fine {
+		if next == points {
+			break
+		}
+		step(1, cnt)
+	}
+	for _, cnt := range p.coarse {
+		if next == points {
+			break
+		}
+		step(coarseWidth, cnt)
+	}
 	// Points the working-set integral never reached: the modeled cache
 	// never fills to their size, so the miss ratio there is exactly the
 	// remaining tail — cold first touches plus overflow mass. (After a
@@ -79,28 +96,6 @@ func (CheFagin) Estimate(p *Profile, instructions uint64) (*Estimate, error) {
 		Recorded:    p.recorded,
 		InstrEff:    instrEff,
 	}, nil
-}
-
-// walk iterates the histogram's buckets in reuse-time order, handing fn
-// each bucket's width, count, and the tail count after absorbing it.
-// fn returning false stops the walk early (the remaining mass is still
-// reflected in the tail counters the caller tracks).
-func (p *Profile) walk(fn func(width int, count, tailBefore, tailAfter uint64) bool) {
-	tail := uint64(p.recorded)
-	for _, cnt := range p.fine {
-		after := tail - cnt
-		if !fn(1, cnt, tail, after) {
-			return
-		}
-		tail = after
-	}
-	for _, cnt := range p.coarse {
-		after := tail - cnt
-		if !fn(coarseWidth, cnt, tail, after) {
-			return
-		}
-		tail = after
-	}
 }
 
 // clampMonotone enforces the physical invariants on a miss-ratio curve:

@@ -29,11 +29,14 @@ func (FullyAssociative) Estimate(p *Profile, instructions uint64) (*Estimate, er
 	hist := make([]uint64, cfg.StackLines+1)
 	inf := p.over + p.cold
 
+	// The same trapezoid walk as CheFagin's, over every bucket.
+	tail := uint64(p.recorded)
+	pStart := float64(tail) / n
 	c := 0.0
-	p.walk(func(width int, count, tailBefore, tailAfter uint64) bool {
-		pStart := float64(tailBefore) / n
-		pEnd := float64(tailAfter) / n
-		cNext := c + float64(width)*(pStart+pEnd)/2
+	step := func(width float64, count uint64) {
+		tail -= count
+		pEnd := float64(tail) / n
+		cNext := c + width*(pStart+pEnd)/2
 		if count > 0 {
 			// Expected stack distance for this bucket's references: the
 			// working-set integral at the bucket midpoint.
@@ -47,9 +50,14 @@ func (FullyAssociative) Estimate(p *Profile, instructions uint64) (*Estimate, er
 				hist[d] += count
 			}
 		}
-		c = cNext
-		return true
-	})
+		c, pStart = cNext, pEnd
+	}
+	for _, cnt := range p.fine {
+		step(1, cnt)
+	}
+	for _, cnt := range p.coarse {
+		step(coarseWidth, cnt)
+	}
 
 	instrEff := core.EffectiveInstructions(instructions, p.recorded, p.consumed)
 	mpki := core.CurveFromHist(hist, inf, instrEff, cfg)

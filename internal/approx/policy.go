@@ -164,17 +164,17 @@ func (p *Policy) Decide(primary, secondary *Estimate, phaseChange bool) Decision
 }
 
 // Assess is the tier decision every surface shares: it estimates the
-// sampler's reuse-time profile with Che/Fagin — the curve an analytical
-// decision serves — and, when that succeeds, with the fully-associative
-// model for the disagreement signal, then asks pol for the verdict. A
-// still-warming sampler yields no estimate and no profile, and pol
-// decides "warming" (or "disabled"). The profile is returned for the
-// warmup description an analytical result reports.
-func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (*Estimate, *Profile, Decision) {
+// sampler's reuse-time histogram with Che/Fagin — the curve an
+// analytical decision serves — and, when that succeeds, with the
+// fully-associative model for the disagreement signal, then asks pol for
+// the verdict. A still-warming sampler yields no estimate, and pol
+// decides "warming" (or "disabled"). The estimators read the live
+// histogram, not a copy; the sampler's WarmupEntries and AutoWarmup give
+// the warmup description an analytical result reports.
+func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (*Estimate, Decision) {
 	var primary, secondary *Estimate
-	var prof *Profile
 	if !s.Warming() {
-		prof = s.Profile()
+		prof := s.view()
 		if e, err := (CheFagin{}).Estimate(prof, instructions); err == nil {
 			primary = e
 			if e2, err := (FullyAssociative{}).Estimate(prof, instructions); err == nil {
@@ -182,7 +182,7 @@ func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (*Es
 			}
 		}
 	}
-	return primary, prof, pol.Decide(primary, secondary, phaseChange)
+	return primary, pol.Decide(primary, secondary, phaseChange)
 }
 
 // relDisagreement is the mean absolute miss-ratio difference between two

@@ -399,7 +399,7 @@ func (c *Controller) approxProbe(i int) bool {
 	var corr core.StreamCorrector
 	st := c.capture(i, pmu.SinkFunc(func(l mem.Line) { smp.Feed(corr.Feed(l)) }), nil)
 	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: c.cfg.ApproxThreshold})
-	est, _, d := approx.Assess(pol, smp, st.Instructions, false)
+	est, d := approx.Assess(pol, smp, st.Instructions, false)
 	if d.Tier != approx.TierAnalytical {
 		c.stats.ApproxEscalations++
 		return false

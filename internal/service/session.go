@@ -190,8 +190,7 @@ func (s *Session) Serve(instructions uint64, phaseChange bool) (*Epoch, error) {
 	d := approx.Decision{Tier: approx.TierSimulated, Reason: "disabled"}
 	var est *approx.Estimate
 	if s.policy != nil {
-		var prof *approx.Profile
-		est, prof, d = approx.Assess(s.policy, s.sampler, instructions, phaseChange)
+		est, d = approx.Assess(s.policy, s.sampler, instructions, phaseChange)
 		s.decision = d
 		if d.Tier == approx.TierAnalytical {
 			// The Result is synthesized (Hist nil, no stack statistics) but
@@ -205,8 +204,8 @@ func (s *Session) Serve(instructions uint64, phaseChange bool) (*Epoch, error) {
 					MRC:           est.MRC.Clone(),
 					Recorded:      est.Recorded,
 					Instructions:  est.InstrEff,
-					WarmupEntries: prof.WarmupEntries(),
-					AutoWarmup:    prof.AutoWarmup(),
+					WarmupEntries: s.sampler.WarmupEntries(),
+					AutoWarmup:    s.sampler.AutoWarmup(),
 				},
 				Converted:    s.converted(),
 				Tier:         approx.TierAnalytical,
@@ -237,7 +236,7 @@ func (s *Session) crossValidate(ep *Epoch) {
 	if s.sampler == nil || s.sampler.Warming() {
 		return
 	}
-	if e, err := (approx.CheFagin{}).Estimate(s.sampler.Profile(), ep.Instructions); err == nil {
+	if e, err := s.sampler.Estimate(approx.CheFagin{}, ep.Instructions); err == nil {
 		s.crossVal = core.Distance(e.MRC, ep.Result.MRC)
 	}
 }

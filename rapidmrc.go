@@ -378,7 +378,7 @@ func (e *Engine) Estimate(t *Trace) (*Curve, *EstimateStats, error) {
 		smp.Feed(line)
 	}
 	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: e.approxThreshold})
-	primary, _, d := approx.Assess(pol, smp, t.Instructions, false)
+	primary, d := approx.Assess(pol, smp, t.Instructions, false)
 	st := &EstimateStats{
 		Tier:         d.Tier.String(),
 		Reason:       d.Reason,
