@@ -14,6 +14,7 @@ package color
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"rapidmrc/internal/mem"
 )
@@ -219,13 +220,20 @@ func (m *Mapper) Repartition(allowed Set) (moved int, cycles uint64) {
 	}
 	m.setAllowed(allowed)
 	m.flushTLB()
+	var victims []mem.Page
 	for vp, pp := range m.table {
-		if allowed.Has(OfPhysPage(pp)) {
-			continue
+		if !allowed.Has(OfPhysPage(pp)) {
+			victims = append(victims, vp)
 		}
-		m.table[vp] = m.allocate()
-		moved++
 	}
+	// Migrate in virtual-page order. Handing out the round-robin frames in
+	// map order would place pages, and so shift every later miss, by Go's
+	// randomized iteration order: two identical machines would diverge.
+	slices.Sort(victims)
+	for _, vp := range victims {
+		m.table[vp] = m.allocate()
+	}
+	moved = len(victims)
 	m.migrated += uint64(moved)
 	return moved, uint64(moved) * MigrationCyclesPerPage
 }

@@ -162,6 +162,29 @@ func TestRepartitionMigratesOnlyDisallowed(t *testing.T) {
 	}
 }
 
+// TestRepartitionDeterministic pins that a repartition places pages the
+// same way on two mappers with the same history: the migrated pages take
+// the new frames in virtual-page order, not in map iteration order.
+func TestRepartitionDeterministic(t *testing.T) {
+	a, b := NewMapper(All), NewMapper(All)
+	for vp := mem.Page(0); vp < 2000; vp++ {
+		a.Translate(vp)
+		b.Translate(vp)
+	}
+	for _, s := range []Set{Range(0, 5), Range(3, 9), First(2)} {
+		ma, _ := a.Repartition(s)
+		mb, _ := b.Repartition(s)
+		if ma != mb {
+			t.Fatalf("repartition to %v moved %d and %d pages", s, ma, mb)
+		}
+		for vp := mem.Page(0); vp < 2000; vp++ {
+			if pa, pb := a.Translate(vp), b.Translate(vp); pa != pb {
+				t.Fatalf("after repartition to %v, page %d maps to %d and %d", s, vp, pa, pb)
+			}
+		}
+	}
+}
+
 // TestSharedAllocatorDisjointFrames verifies two mappers on one Allocator
 // never hand out the same frame, even with overlapping color sets — the
 // invariant co-scheduled workloads rely on.

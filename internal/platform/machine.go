@@ -42,7 +42,9 @@ type Options struct {
 // victim L3, a per-core stream prefetcher, and a PMU.
 //
 // A Machine is not safe for concurrent use, but independent Machines may
-// run on different goroutines as long as they share no caches.
+// run on different goroutines as long as they share no caches. Its run
+// loops read the workload on one extra goroutine of their own, which
+// exits before they return (readahead.go).
 type Machine struct {
 	gen    mem.Generator
 	core   *cpu.Core
@@ -66,17 +68,17 @@ type Machine struct {
 	logNext    mem.Line
 	logPending int
 
-	// Reference batching: Step pulls refs from this buffer, refilled in
-	// bulk via mem.ReadBatch, so the per-reference generator interface
-	// dispatch is paid once per refBatch refs. The generator may therefore
-	// run up to refBatch refs ahead of the machine; the ref sequence the
-	// machine consumes is unchanged.
+	// Reference read-ahead (readahead.go): Step pulls refs from the
+	// current batch, refBuf[refPos:refLen], and takes the next queued or
+	// freshly read batch when it runs dry. taken counts the refs of every
+	// batch taken so far; ended records that the last one was short, i.e.
+	// the generator's stream has ended.
+	ra             *readAhead
 	refBuf         []mem.Ref
 	refPos, refLen int
+	taken          uint64
+	ended          bool
 }
-
-// refBatch is the machine's generator read-ahead, in refs.
-const refBatch = 256
 
 // logRegionBase places the trace log far above any workload region.
 const logRegionBase mem.Line = 1 << 40
@@ -120,10 +122,10 @@ func NewMachine(gen mem.Generator, opt Options) *Machine {
 	}
 }
 
-// Generator returns the workload driving this machine. Note that the
-// machine reads the generator in batches, so its internal position may be
-// up to refBatch refs ahead of the machine's own progress; callers must
-// not step or reset it directly.
+// Generator returns the workload driving this machine. The machine reads
+// the generator ahead of its own progress, by up to readAheadDepth batches
+// of readAheadBatch refs, and during a run a producer goroutine may be
+// reading it; callers must not step or reset it directly.
 func (m *Machine) Generator() mem.Generator { return m.gen }
 
 // Core exposes the execution core (read-only use intended).
@@ -142,14 +144,10 @@ func (m *Machine) L2() *cache.Cache { return m.l2 }
 func (m *Machine) Prefetcher() *prefetch.Prefetcher { return m.pf }
 
 // nextRef returns the next reference of the machine's own workload,
-// refilling the read-ahead buffer in bulk when it runs dry.
+// taking the next batch when the current one runs dry.
 func (m *Machine) nextRef() mem.Ref {
 	if m.refPos >= m.refLen {
-		if m.refBuf == nil {
-			m.refBuf = make([]mem.Ref, refBatch)
-		}
-		m.refLen = mem.ReadBatch(m.gen, m.refBuf)
-		m.refPos = 0
+		m.refill()
 	}
 	r := m.refBuf[m.refPos]
 	m.refPos++
@@ -157,7 +155,8 @@ func (m *Machine) nextRef() mem.Ref {
 }
 
 // Step executes one memory reference and the non-memory instructions
-// preceding it.
+// preceding it. It reads the generator inline when no batch is queued;
+// the run methods below read it on a producer goroutine instead.
 func (m *Machine) Step() { m.StepRef(m.nextRef()) }
 
 // StepRefs executes a slice of references in order — the bulk entry point
@@ -322,6 +321,10 @@ func (m *Machine) l2Demand(pline mem.Line, dirty, stall, train bool) {
 
 // RunInstructions steps until at least n more instructions complete.
 func (m *Machine) RunInstructions(n uint64) {
+	// n instructions take at most n refs: each completes at least one.
+	if m.startReadAhead(n) {
+		defer m.stopReadAhead()
+	}
 	target := m.core.Instructions() + n
 	for m.core.Instructions() < target {
 		m.Step()
@@ -330,6 +333,9 @@ func (m *Machine) RunInstructions(n uint64) {
 
 // RunRefs executes exactly n memory references.
 func (m *Machine) RunRefs(n int) {
+	if n > 0 && m.startReadAhead(uint64(n)) {
+		defer m.stopReadAhead()
+	}
 	for i := 0; i < n; i++ {
 		m.Step()
 	}
@@ -407,6 +413,9 @@ func (m *Machine) Repartition(allowed color.Set) int {
 // The application keeps making (slowed) progress during capture, exactly
 // as on the real machine.
 func (m *Machine) CollectTrace(entries int) Capture {
+	if m.startReadAhead(unbounded) {
+		defer m.stopReadAhead()
+	}
 	m.pmu.StartTrace(entries, m.core.Instructions(), m.core.Cycles())
 	for !m.pmu.TraceFull() {
 		m.Step()
@@ -426,6 +435,9 @@ func (m *Machine) CollectTrace(entries int) Capture {
 // would return from the same machine state: same artifacts, same exception
 // costs, same log-pollution stores.
 func (m *Machine) CollectTraceStream(entries int, sink pmu.Sink) pmu.TraceStats {
+	if m.startReadAhead(unbounded) {
+		defer m.stopReadAhead()
+	}
 	m.pmu.StartTraceTo(sink, entries, m.core.Instructions(), m.core.Cycles())
 	for !m.pmu.TraceFull() {
 		m.Step()
