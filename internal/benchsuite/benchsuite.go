@@ -125,6 +125,38 @@ func splitStep(reps int, app workload.Config, opts platform.Options, n int) (gen
 	return gen, step
 }
 
+// splitSweep times the shared sweep's two halves apart on one stream:
+// the leader building each chunk, then one machine stepping its events,
+// for at least n refs after a 200,000-ref warm-up. It returns the fastest
+// repetition of each half and the refs one repetition drove.
+func splitSweep(reps int, app workload.Config, opts platform.Options, n int) (lead, step time.Duration, refs int) {
+	h := platform.NewSweepHalves(workload.New(app, opts.Seed))
+	m := platform.NewMachine(workload.New(app, opts.Seed), opts)
+	for done := 0; done < 200_000; {
+		done += h.Lead()
+		h.Step(m)
+	}
+	for i := 0; i < reps; i++ {
+		var ld, sd time.Duration
+		refs = 0
+		for refs < n {
+			t0 := time.Now()
+			refs += h.Lead()
+			t1 := time.Now()
+			h.Step(m)
+			ld += t1.Sub(t0)
+			sd += time.Since(t1)
+		}
+		if i == 0 || ld < lead {
+			lead = ld
+		}
+		if i == 0 || sd < step {
+			step = sd
+		}
+	}
+	return lead, step, refs
+}
+
 // mixedTrace builds the mixed-locality synthetic trace the stack and
 // stream measurements replay (the same shape as bench_test.go's ablation
 // input: hot set, warm set, cold streaming tail).
@@ -342,6 +374,21 @@ func Run(cfg Config) (Suite, error) {
 	}, Result{
 		Name: "machine_step_refs", Metric: "ns/ref",
 		Value: nsPerRef(stepD, stepRefs), Refs: stepRefs,
+	})
+
+	// The shared sweep's halves on the same stream: sweep_leader
+	// generates each chunk, runs the leader L1 over it and compacts it to
+	// L2-bound events; sweep_machine_events is one machine stepping those
+	// events. A serial 16-partition sweep costs about one leader plus 16
+	// machines per ref; pooled, the leader builds the next chunk beside
+	// the machines.
+	leadD, evD, sweepRefs := splitSweep(reps, mcf, opts, stepRefs)
+	s.Results = append(s.Results, Result{
+		Name: "sweep_leader", Metric: "ns/ref",
+		Value: nsPerRef(leadD, sweepRefs), Refs: sweepRefs,
+	}, Result{
+		Name: "sweep_machine_events", Metric: "ns/ref",
+		Value: nsPerRef(evD, sweepRefs), Refs: sweepRefs,
 	})
 
 	// The 16-partition real-MRC sweep, both strategies, serial workers —

@@ -159,9 +159,8 @@ func (m *Machine) nextRef() mem.Ref {
 // the run methods below read it on a producer goroutine instead.
 func (m *Machine) Step() { m.StepRef(m.nextRef()) }
 
-// StepRefs executes a slice of references in order — the bulk entry point
-// of the shared-stream partition sweeps, which generate the reference
-// stream once and replay each chunk through every machine.
+// StepRefs executes a slice of references in order, for callers that
+// generate the stream themselves and drive the machine with StepRef.
 //
 //rapidmrc:hotpath
 func (m *Machine) StepRefs(refs []mem.Ref) {
@@ -170,39 +169,32 @@ func (m *Machine) StepRefs(refs []mem.Ref) {
 	}
 }
 
-// StepRefsSharedL1 executes a slice of references whose L1-D outcomes
-// were precomputed (l1Hits[i] is the hit/touch-hit result of refs[i]).
-//
-// The L1-D is virtually indexed and virtually tagged, is never reached by
-// physical-side events (there is no inclusion invalidation from the L2),
-// and its replacement state depends only on the reference stream — so its
-// hit/miss sequence is one more shared function of the stream, exactly
-// like the stream itself. The partition sweep exploits that: one leader
-// L1 simulation per chunk (see sweep.go), and every machine consumes the
-// outcomes. The machine's own L1 cache is left untouched; its PMU, core
-// timing, translation, L2, and L3 behave bit-identically to StepRef.
+// stepEvents executes a compacted stretch of the shared stream (see
+// sweep.go): for each L2-bound event it retires the instructions up to the
+// event's absolute position, then does what StepRef does for that ref
+// after its L1-D lookup; it then retires the instructions up to cut. The
+// refs between events are L1 load hits, which only retire instructions,
+// and Core.Advance is linear, so the machine ends bit-identical to one
+// stepping every ref with StepRef — apart from its own L1-D, which the
+// sweep's leader L1 stands in for and which stays untouched.
 //
 //rapidmrc:hotpath
-func (m *Machine) StepRefsSharedL1(refs []mem.Ref, l1Hits []bool) {
-	for i, r := range refs {
-		m.core.Advance(uint64(r.Gap) + 1)
-		vline := mem.LineOf(r.Addr)
-		switch r.Kind {
-		case mem.Load:
-			if l1Hits[i] {
-				continue
-			}
-			pline := m.mapper.PhysLine(vline)
+func (m *Machine) stepEvents(evs []event, cut uint64) {
+	for _, e := range evs {
+		m.core.Advance(e.instr - m.core.Instructions())
+		pline := m.mapper.PhysLine(e.vline)
+		switch e.kind {
+		case loadMiss:
 			m.onL1DMiss(pline)
 			m.l2Demand(pline, false, true, true)
-		case mem.Store:
-			pline := m.mapper.PhysLine(vline)
-			if !l1Hits[i] {
-				m.onL1DMiss(pline)
-			}
+		case storeMiss:
+			m.onL1DMiss(pline)
+			m.l2Demand(pline, true, false, false)
+		case storeHit:
 			m.l2Demand(pline, true, false, false)
 		}
 	}
+	m.core.Advance(cut - m.core.Instructions())
 }
 
 // StepRef executes one externally supplied memory reference and the

@@ -299,14 +299,18 @@ func TestReadAheadStopsWhenSinkPanics(t *testing.T) {
 
 // finiteGen is a test-only finite stream of n loads, read through the
 // batch interface: its last batch is short or, when n is a multiple of
-// the batch size, the batch after the last full one is empty.
-type finiteGen struct{ n, pos int }
+// the batch size, the batch after the last full one is empty. drained
+// counts the reads made once the stream had ended.
+type finiteGen struct{ n, pos, drained int }
 
 func (g *finiteGen) Next() mem.Ref    { panic("finiteGen is read in batches") }
 func (g *finiteGen) Name() string     { return "finite" }
 func (g *finiteGen) Reset(seed int64) { g.pos = 0 }
 
 func (g *finiteGen) NextBatch(buf []mem.Ref) int {
+	if g.pos == g.n {
+		g.drained++
+	}
 	k := min(len(buf), g.n-g.pos)
 	for i := 0; i < k; i++ {
 		buf[i] = mem.Ref{Addr: mem.Addr(g.pos+i) * mem.LineSize, Kind: mem.Load, Gap: 2}

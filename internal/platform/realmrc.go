@@ -66,7 +66,7 @@ func RealMRC(app workload.Config, cfg RealMRCConfig) []float64 {
 	if cfg.PerMachine {
 		return RealMRCPerMachine(app, cfg)
 	}
-	return realMRCShared(app, cfg)
+	return realMRCShared(app, cfg, sweepChunkRefs)
 }
 
 // RealMRCPerMachine is the one-simulation-per-partition-size strategy:
@@ -144,7 +144,7 @@ func MissRateTimelines(app workload.Config, intervals int, intervalInstr uint64,
 	if cfg.PerMachine {
 		return MissRateTimelinesPerMachine(app, intervals, intervalInstr, cfg)
 	}
-	return missRateTimelinesShared(app, intervals, intervalInstr, cfg)
+	return missRateTimelinesShared(app, intervals, intervalInstr, cfg, sweepChunkRefs)
 }
 
 // MissRateTimelinesPerMachine runs one independent timeline measurement
