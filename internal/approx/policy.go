@@ -32,8 +32,9 @@ const (
 	// gentle curves serve analytically while cliff-dominated ones
 	// escalate (see experiments ext-approx).
 	DefaultThreshold = 0.35
-	// DefaultDisagreement is the cross-estimator disagreement bound, as
-	// a fraction of the curve height.
+	// DefaultDisagreement bounds the mean absolute miss-ratio difference
+	// between the primary and secondary estimators, as a fraction of the
+	// primary curve's height.
 	DefaultDisagreement = 0.15
 	// DefaultCooldown is how many escalated serves follow a phase-change
 	// escalation before the analytical tier is retried.
@@ -46,25 +47,6 @@ type PolicyConfig struct {
 	// be served; <= 0 disables the analytical tier entirely (every serve
 	// simulates), which is the zero value's meaning.
 	Threshold float64
-	// Disagreement bounds the mean absolute miss-ratio difference
-	// between the primary and secondary estimators, as a fraction of the
-	// primary curve's height. Zero uses DefaultDisagreement.
-	Disagreement float64
-	// Cooldown is the number of escalated serves after a phase-change
-	// escalation before the analytical tier is retried. Zero uses
-	// DefaultCooldown.
-	Cooldown int
-}
-
-// withDefaults resolves zero fields.
-func (c PolicyConfig) withDefaults() PolicyConfig {
-	if c.Disagreement == 0 {
-		c.Disagreement = DefaultDisagreement
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	return c
 }
 
 // Enabled reports whether the analytical tier can ever serve.
@@ -108,14 +90,11 @@ type Policy struct {
 	stats    PolicyStats
 }
 
-// NewPolicy returns a policy with zero config fields defaulted. The zero
-// Threshold disables the analytical tier (every decision simulates).
+// NewPolicy returns a policy for cfg. The zero Threshold disables the
+// analytical tier (every decision simulates).
 func NewPolicy(cfg PolicyConfig) *Policy {
-	return &Policy{cfg: cfg.withDefaults()}
+	return &Policy{cfg: cfg}
 }
-
-// Config returns the policy's resolved configuration.
-func (p *Policy) Config() PolicyConfig { return p.cfg }
 
 // Stats returns the decision counters so far.
 func (p *Policy) Stats() PolicyStats { return p.stats }
@@ -141,7 +120,7 @@ func (p *Policy) Decide(primary, secondary *Estimate, phaseChange bool) Decision
 		d.Reason = "warming"
 	case phaseChange:
 		d.Reason = "phase-change"
-		p.cooldown = p.cfg.Cooldown
+		p.cooldown = DefaultCooldown
 		p.stats.Escalations++
 	case p.cooldown > 0:
 		d.Reason = "cooldown"
@@ -149,7 +128,7 @@ func (p *Policy) Decide(primary, secondary *Estimate, phaseChange bool) Decision
 	case d.Uncertainty > p.cfg.Threshold:
 		d.Reason = "uncertain"
 		p.stats.Escalations++
-	case secondary != nil && d.Disagreement > p.cfg.Disagreement:
+	case secondary != nil && d.Disagreement > DefaultDisagreement:
 		d.Reason = "disagreement"
 		p.stats.Escalations++
 	default:

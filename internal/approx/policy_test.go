@@ -12,18 +12,17 @@ func estimate(u float64, ratio ...float64) *Estimate {
 	return &Estimate{Estimator: "test", MissRatio: ratio, Uncertainty: u}
 }
 
-// TestPolicyNeverServesUncertain is the ISSUE's acceptance property: over
-// randomized sequences of decisions, the policy never serves an
-// analytical estimate whose uncertainty exceeds the escalation threshold.
+// TestPolicyNeverServesUncertain is the policy's safety property: over
+// randomized thresholds and sequences of decisions, the policy never
+// serves an analytical estimate whose uncertainty exceeds the escalation
+// threshold, whose disagreement exceeds DefaultDisagreement, or that
+// follows a phase change within DefaultCooldown serves.
 func TestPolicyNeverServesUncertain(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
-		cfg := PolicyConfig{
-			Threshold:    rng.Float64(),
-			Disagreement: rng.Float64(),
-			Cooldown:     1 + rng.Intn(4),
-		}
+		cfg := PolicyConfig{Threshold: rng.Float64()}
 		p := NewPolicy(cfg)
+		sinceChange := DefaultCooldown + 1
 		for step := 0; step < 200; step++ {
 			var primary *Estimate
 			if rng.Float64() < 0.9 {
@@ -35,6 +34,14 @@ func TestPolicyNeverServesUncertain(t *testing.T) {
 					rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 			}
 			phaseChange := rng.Float64() < 0.1
+			// A phase change reported with no estimate decides
+			// "warming" and starts no cooldown.
+			if primary != nil {
+				sinceChange++
+				if phaseChange {
+					sinceChange = 0
+				}
+			}
 			d := p.Decide(primary, secondary, phaseChange)
 			if d.Tier == TierAnalytical {
 				if primary == nil {
@@ -44,8 +51,13 @@ func TestPolicyNeverServesUncertain(t *testing.T) {
 					t.Fatalf("trial %d step %d: served uncertainty %v > threshold %v",
 						trial, step, primary.Uncertainty, cfg.Threshold)
 				}
-				if phaseChange {
-					t.Fatalf("trial %d step %d: served analytical across a phase change", trial, step)
+				if sinceChange <= DefaultCooldown {
+					t.Fatalf("trial %d step %d: served analytical %d serves after a phase change",
+						trial, step, sinceChange)
+				}
+				if secondary != nil && d.Disagreement > DefaultDisagreement {
+					t.Fatalf("trial %d step %d: served disagreement %v > %v",
+						trial, step, d.Disagreement, DefaultDisagreement)
 				}
 				if d.Reason != "" {
 					t.Fatalf("trial %d step %d: analytical serve with reason %q", trial, step, d.Reason)
@@ -77,10 +89,10 @@ func TestPolicyDisabled(t *testing.T) {
 }
 
 // TestPolicyPhaseChangeCooldown pins the state machine: a phase change
-// escalates and the next Cooldown serves stay simulated before the
+// escalates and the next DefaultCooldown serves stay simulated before the
 // analytical tier resumes.
 func TestPolicyPhaseChangeCooldown(t *testing.T) {
-	p := NewPolicy(PolicyConfig{Threshold: 0.5, Cooldown: 2})
+	p := NewPolicy(PolicyConfig{Threshold: 0.5})
 	good := estimate(0.1)
 
 	if d := p.Decide(good, nil, false); d.Tier != TierAnalytical {
@@ -89,7 +101,7 @@ func TestPolicyPhaseChangeCooldown(t *testing.T) {
 	if d := p.Decide(good, nil, true); d.Reason != "phase-change" {
 		t.Fatalf("phase change: %+v", d)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultCooldown; i++ {
 		if d := p.Decide(good, nil, false); d.Reason != "cooldown" {
 			t.Fatalf("cooldown serve %d: %+v", i, d)
 		}
@@ -98,15 +110,15 @@ func TestPolicyPhaseChangeCooldown(t *testing.T) {
 		t.Fatalf("post-cooldown serve: %+v", d)
 	}
 	st := p.Stats()
-	if st.Escalations != 1 || st.Analytical != 2 || st.Simulated != 3 {
+	if st.Escalations != 1 || st.Analytical != 2 || st.Simulated != 1+DefaultCooldown {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
 // TestPolicyDisagreement pins the cross-estimator signal: agreement
-// serves analytically, divergence escalates.
+// serves analytically, divergence past DefaultDisagreement escalates.
 func TestPolicyDisagreement(t *testing.T) {
-	p := NewPolicy(PolicyConfig{Threshold: 0.5, Disagreement: 0.1})
+	p := NewPolicy(PolicyConfig{Threshold: 0.5})
 	a := estimate(0.1, 0.5, 0.4, 0.3, 0.2)
 	close := estimate(0.1, 0.5, 0.41, 0.3, 0.2)
 	far := estimate(0.1, 0.9, 0.1, 0.05, 0.01)
@@ -139,14 +151,10 @@ func TestPolicyWarming(t *testing.T) {
 	}
 }
 
-// TestPolicyDefaults pins the zero-field resolution.
+// TestPolicyDefaults pins the enablement rule: a positive threshold
+// turns the analytical tier on, the zero config leaves it off.
 func TestPolicyDefaults(t *testing.T) {
-	p := NewPolicy(PolicyConfig{Threshold: 0.4})
-	cfg := p.Config()
-	if cfg.Disagreement != DefaultDisagreement || cfg.Cooldown != DefaultCooldown {
-		t.Fatalf("resolved config %+v", cfg)
-	}
-	if !cfg.Enabled() {
+	if !(PolicyConfig{Threshold: 0.4}).Enabled() {
 		t.Fatal("threshold 0.4 should enable the analytical tier")
 	}
 	if (PolicyConfig{}).Enabled() {

@@ -99,115 +99,6 @@ func TestStationaryAppsSettleWithoutChurn(t *testing.T) {
 	}
 }
 
-// TestConvergenceWindowDelaysSettle pins the configurable settle window:
-// demanding more consecutive settled snapshot pairs before cutting a
-// probing period short means later early exits, so the same deterministic
-// run streams more log entries. These apps warm up statically (half the
-// 48k budget), leaving room for up to eleven 2k-epoch snapshots; window 2
-// settles on the third, while window 12 would need more snapshots than
-// the budget holds and so can never exit early.
-func TestConvergenceWindowDelaysSettle(t *testing.T) {
-	apps := []workload.Config{
-		workload.MustByName("crafty"),
-		workload.MustByName("gzip"),
-	}
-	run := func(window int) Stats {
-		cfg := testConfig()
-		cfg.SnapshotEntries = 2000
-		// A loose settle tolerance so every snapshot pair counts as
-		// settled: the only variable left is how many pairs the window
-		// demands.
-		cfg.ConvergedMPKI = 50
-		cfg.ConvergenceWindow = window
-		c, err := New(apps, opt(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Run(8)
-	}
-	fast := run(2)
-	slow := run(12)
-	if fast.Recomputations == 0 || slow.Recomputations == 0 {
-		t.Fatalf("no recomputations: fast %+v slow %+v", fast, slow)
-	}
-	if fast.ProbedEntries >= slow.ProbedEntries {
-		t.Fatalf("window 2 probed %d entries, window 12 probed %d: larger window must delay convergence",
-			fast.ProbedEntries, slow.ProbedEntries)
-	}
-	full := slow.Recomputations * testConfig().TraceEntries
-	if slow.ProbedEntries < full {
-		t.Errorf("window 12 exited early (%d of %d entries) despite needing more snapshots than the budget holds",
-			slow.ProbedEntries, full)
-	}
-}
-
-// TestApproxTierProfiles pins the tiered probing path: with a permissive
-// threshold the stationary apps' recomputations settle on the sampler
-// tier, the controller still gets curves for every app, and the
-// escalation counter stays quiet.
-func TestApproxTierProfiles(t *testing.T) {
-	apps := []workload.Config{
-		workload.MustByName("crafty"),
-		workload.MustByName("gzip"),
-	}
-	cfg := testConfig()
-	cfg.ApproxThreshold = 0.9
-	c, err := New(apps, opt(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Run(8)
-	if st.ApproxProfiles < 2 {
-		t.Fatalf("analytical tier settled %d probes, want at least one per app: %+v",
-			st.ApproxProfiles, st)
-	}
-	if st.ApproxProfiles != st.Recomputations {
-		t.Errorf("%d of %d recomputations analytical under a permissive threshold",
-			st.ApproxProfiles, st.Recomputations)
-	}
-	if c.DebugCurves() == "" {
-		t.Error("no curves after analytical profiling")
-	}
-	for i := range apps {
-		if c.curves[i] == nil {
-			t.Errorf("app %d has no curve", i)
-		}
-	}
-}
-
-// TestApproxTierEscalates pins the honest-cost fallback: a threshold no
-// workload can meet forces every analytical probe to escalate to a full
-// engine probe, which both counters and the probed-entry total (two
-// probing periods per recomputation) must reflect.
-func TestApproxTierEscalates(t *testing.T) {
-	apps := []workload.Config{
-		workload.MustByName("crafty"),
-		workload.MustByName("gzip"),
-	}
-	cfg := testConfig()
-	cfg.ApproxThreshold = 1e-9
-	cfg.SnapshotEntries = 0 // no early exit: makes the 2× cost exact
-	c, err := New(apps, opt(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Run(8)
-	if st.ApproxEscalations == 0 {
-		t.Fatalf("no escalations under an unmeetable threshold: %+v", st)
-	}
-	if st.ApproxProfiles != 0 {
-		t.Errorf("%d probes settled analytically under threshold 1e-9", st.ApproxProfiles)
-	}
-	if st.Recomputations < 2 {
-		t.Fatalf("escalation lost recomputations: %+v", st)
-	}
-	want := 2 * st.Recomputations * cfg.TraceEntries
-	if st.ProbedEntries != want {
-		t.Errorf("probed %d entries, want %d (sampler probe + full probe per recomputation)",
-			st.ProbedEntries, want)
-	}
-}
-
 func TestPhasedAppTriggersRecomputation(t *testing.T) {
 	// A two-phase synthetic app whose heavy phase does not fit the even
 	// split (12,000 lines ≈ 12.5 colors), against a stationary partner:
@@ -297,97 +188,5 @@ func TestDynamicBeatsStaticOnPhasedWorkload(t *testing.T) {
 	if dynFlipper+dynPartner < statFlipper+statPartner {
 		t.Fatalf("combined throughput regressed: dynamic %.3f vs static %.3f",
 			dynFlipper+dynPartner, statFlipper+statPartner)
-	}
-}
-
-// TestSampledTierProfiles pins the SHARDS-sampled probing tier: with
-// permissive escalation bounds the stationary apps' stable-phase
-// recomputations settle on the sampled engine, every app still gets a
-// curve, and the per-app rate progression halves after an accepted
-// probe.
-func TestSampledTierProfiles(t *testing.T) {
-	apps := []workload.Config{
-		workload.MustByName("crafty"),
-		workload.MustByName("gzip"),
-	}
-	cfg := testConfig()
-	cfg.SamplingRate = 0.5
-	cfg.SamplingBandMPKI = 1000 // never escalate on band width
-	cfg.SamplingCrossVal = 1000 // never escalate on cross-validation
-	c, err := New(apps, opt(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Run(8)
-	if st.SampledProfiles < 2 {
-		t.Fatalf("sampled tier settled %d probes, want at least one per app: %+v",
-			st.SampledProfiles, st)
-	}
-	if st.SampledEscalations != 0 {
-		t.Errorf("%d escalations under permissive bounds", st.SampledEscalations)
-	}
-	for i := range apps {
-		if c.curves[i] == nil {
-			t.Errorf("app %d has no curve", i)
-		}
-		if c.sampleRate[i] >= cfg.SamplingRate {
-			t.Errorf("app %d rate %v never progressed below %v",
-				i, c.sampleRate[i], cfg.SamplingRate)
-		}
-		if c.sampleRate[i] < cfg.SamplingRate/8 {
-			t.Errorf("app %d rate %v fell through the default floor", i, c.sampleRate[i])
-		}
-	}
-}
-
-// TestSampledTierEscalates pins the escalation contract: a band-width
-// bound no sampled probe can meet forces every one to fall through to a
-// full-rate probe, resetting the rate progression, and the recomputation
-// counter only reflects curves that were actually adopted.
-func TestSampledTierEscalates(t *testing.T) {
-	apps := []workload.Config{
-		workload.MustByName("crafty"),
-		workload.MustByName("gzip"),
-	}
-	cfg := testConfig()
-	cfg.SamplingRate = 0.25
-	cfg.SamplingBandMPKI = 1e-12 // unmeetable: every sampled probe escalates
-	c, err := New(apps, opt(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Run(8)
-	if st.SampledEscalations == 0 {
-		t.Fatalf("no escalations under an unmeetable band bound: %+v", st)
-	}
-	if st.SampledProfiles != 0 {
-		t.Errorf("%d probes settled sampled under band bound 1e-12", st.SampledProfiles)
-	}
-	if st.Recomputations < 2 {
-		t.Fatalf("escalation lost recomputations: %+v", st)
-	}
-	for i := range apps {
-		if c.curves[i] == nil {
-			t.Errorf("app %d has no curve after escalation", i)
-		}
-		if c.sampleRate[i] != cfg.SamplingRate {
-			t.Errorf("app %d rate %v not reset by escalation", i, c.sampleRate[i])
-		}
-	}
-}
-
-// TestSampledTierValidation pins New's rejection of bad sampled-tier
-// rates.
-func TestSampledTierValidation(t *testing.T) {
-	apps := []workload.Config{
-		workload.MustByName("crafty"),
-		workload.MustByName("gzip"),
-	}
-	for _, rate := range []float64{-0.5, 1.5} {
-		cfg := testConfig()
-		cfg.SamplingRate = rate
-		if _, err := New(apps, opt(), cfg); err == nil {
-			t.Errorf("sampling rate %v accepted", rate)
-		}
 	}
 }

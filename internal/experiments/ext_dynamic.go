@@ -81,14 +81,7 @@ func ExtDynamic(w io.Writer, cfg Config) (*DynamicResult, error) {
 	// first-finisher cutoff would sample different phase mixes).
 	staticMachines := platform.NewCoScheduled(apps,
 		[]color.Set{color.First(8), color.Range(8, 16)}, opt)
-	for remaining := len(staticMachines); remaining > 0; {
-		m := platform.NextByCycles(staticMachines)
-		before := m.Core().Instructions()
-		m.Step()
-		if before < horizon && m.Core().Instructions() >= horizon {
-			remaining--
-		}
-	}
+	platform.RunGang(staticMachines, []uint64{horizon, horizon})
 	static := make([]platform.Metrics, len(staticMachines))
 	for i, m := range staticMachines {
 		static[i] = m.Metrics()

@@ -2,26 +2,40 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestOutputByteStable reruns cheap experiments and requires
-// byte-identical output — the dynamic face of the static maporder and
-// determinism invariants (internal/lint): no map-hash order, clock
-// reads, or global rand draws may leak into emitted files, so archived
-// experiment output diffs clean across runs.
+// TestOutputByteStable runs cheap experiments at testCfg() and requires
+// output byte-identical to the committed goldens in testdata — the
+// dynamic face of the static maporder and determinism invariants
+// (internal/lint): no map-hash order, clock reads, or global rand draws
+// may leak into emitted files, so archived experiment output diffs clean
+// across runs, and a refactor that claims to preserve behaviour is held
+// to the outputs of the code it replaced. CI runs it again under
+// GOMAXPROCS=1, so fig7's pooled co-runs are also pinned independent of
+// the worker count.
+//
+// A change that alters an experiment's output on purpose regenerates the
+// goldens from the repository root with
+//
+//	for id in table1 fig5a fig7 ext-dynamic; do go run ./cmd/experiments -run $id -quick > internal/experiments/testdata/$id.golden; done
+//
+// and explains the diff in CHANGES.md.
 func TestOutputByteStable(t *testing.T) {
-	for _, id := range []string{"table1", "fig5a"} {
-		var first, second bytes.Buffer
-		if err := Run(id, &first, testCfg()); err != nil {
-			t.Fatalf("%s first run: %v", id, err)
+	for _, id := range []string{"table1", "fig5a", "fig7", "ext-dynamic"} {
+		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := Run(id, &second, testCfg()); err != nil {
-			t.Fatalf("%s second run: %v", id, err)
+		var got bytes.Buffer
+		if err := Run(id, &got, testCfg()); err != nil {
+			t.Fatalf("%s: %v", id, err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Errorf("%s output differs between identically seeded runs (%d vs %d bytes)",
-				id, first.Len(), second.Len())
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s output differs from testdata/%s.golden (%d vs %d bytes):\n%s",
+				id, id, got.Len(), len(want), got.String())
 		}
 	}
 }

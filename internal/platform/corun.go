@@ -66,6 +66,31 @@ func NextByCycles(machines []*Machine) *Machine {
 	return best
 }
 
+// RunGang steps the machines under cycle-synchronized interleaving
+// (NextByCycles picks each step) until every machine i has retired
+// targets[i] instructions, counted on its core since boot. A machine
+// that passes its target keeps stepping while the others catch up, so
+// the shared caches see the same interleaving throughout; one that
+// starts at or past its target counts as done from the start.
+func RunGang(machines []*Machine, targets []uint64) {
+	remaining := 0
+	for i, m := range machines {
+		if m.Core().Instructions() < targets[i] {
+			remaining++
+		}
+	}
+	for remaining > 0 {
+		m := NextByCycles(machines)
+		before := m.Core().Instructions()
+		m.Step()
+		for i, mm := range machines {
+			if mm == m && before < targets[i] && m.Core().Instructions() >= targets[i] {
+				remaining--
+			}
+		}
+	}
+}
+
 // CoRun executes the given applications concurrently on a shared L2, each
 // confined to its color set (use color.All for uncontrolled sharing), and
 // returns per-application interval metrics measured after a shared warmup.
@@ -78,23 +103,14 @@ func NextByCycles(machines []*Machine) *Machine {
 // whatever each application achieved by then.
 func CoRun(apps []workload.Config, partitions []color.Set, warmupInstr, sliceInstr uint64, opt CoRunOptions) []Metrics {
 	machines := NewCoScheduled(apps, partitions, opt)
-	next := func() *Machine { return NextByCycles(machines) }
 
 	// Shared warmup: all machines run interleaved until each completes
 	// warmupInstr instructions.
-	remaining := len(machines)
-	if warmupInstr == 0 {
-		remaining = 0
-	}
-	for remaining > 0 {
-		m := next()
-		before := m.Core().Instructions()
-		m.Step()
-		if before < warmupInstr && m.Core().Instructions() >= warmupInstr {
-			remaining--
-		}
-	}
 	targets := make([]uint64, len(machines))
+	for i := range targets {
+		targets[i] = warmupInstr
+	}
+	RunGang(machines, targets)
 	for i, m := range machines {
 		m.ResetMetrics()
 		targets[i] = m.Core().Instructions() + sliceInstr
@@ -102,7 +118,7 @@ func CoRun(apps []workload.Config, partitions []color.Set, warmupInstr, sliceIns
 
 	// Measured region: run until the first application finishes its slice.
 	for {
-		m := next()
+		m := NextByCycles(machines)
 		m.Step()
 		done := false
 		for i, mm := range machines {

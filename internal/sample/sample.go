@@ -175,6 +175,20 @@ func (b Bands) Width() float64 {
 	return sum / float64(len(b.Low))
 }
 
+// Shift moves the bounds in place by a transposition's v-offset, so the
+// band keeps bracketing the shifted curve, clamping at zero as
+// core.MRC.Transpose does.
+func (b Bands) Shift(v float64) {
+	for _, bound := range [][]float64{b.Low, b.High} {
+		for i := range bound {
+			bound[i] += v
+			if bound[i] < 0 {
+				bound[i] = 0
+			}
+		}
+	}
+}
+
 // Engine is the incremental form of core.Compute: it consumes every
 // captured reference, keeps the hash-selected fraction (all of them at
 // rate 1.0), maintains the LRU stack, the warmup policy and the weighted

@@ -334,3 +334,21 @@ func TestSnapshotBeforeRecording(t *testing.T) {
 		t.Error("snapshot of an empty engine succeeded")
 	}
 }
+
+// TestBandsShift pins the transposition of a confidence band: both
+// bounds move by the v-offset in place and clamp at zero.
+func TestBandsShift(t *testing.T) {
+	b := sample.Bands{Low: []float64{0, 1, 3}, High: []float64{2, 4, 6}}
+	b.Shift(-1.5)
+	if want := []float64{0, 0, 1.5}; !reflect.DeepEqual(b.Low, want) {
+		t.Errorf("low %v, want %v", b.Low, want)
+	}
+	if want := []float64{0.5, 2.5, 4.5}; !reflect.DeepEqual(b.High, want) {
+		t.Errorf("high %v, want %v", b.High, want)
+	}
+	b.Shift(2)
+	if want := []float64{2, 2, 3.5}; !reflect.DeepEqual(b.Low, want) {
+		t.Errorf("low after second shift %v, want %v", b.Low, want)
+	}
+	sample.Bands{}.Shift(1) // an unsampled curve has no band to move
+}

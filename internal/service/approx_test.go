@@ -126,14 +126,14 @@ func TestServeEscalatesOnUncertainty(t *testing.T) {
 }
 
 // TestServePhaseChangeCooldown pins the phase integration: a latched
-// phase change forces simulation and the configured cooldown holds the
-// analytical tier off before it resumes.
+// phase change forces simulation and approx.DefaultCooldown serves hold
+// the analytical tier off before it resumes.
 func TestServePhaseChangeCooldown(t *testing.T) {
 	svc := New(Config{})
 	tn, err := svc.Register("app", TenantConfig{
 		Target: 6000,
 		Engine: smallEngine(),
-		Approx: approx.PolicyConfig{Threshold: 0.9, Cooldown: 2},
+		Approx: approx.PolicyConfig{Threshold: 0.9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestServePhaseChangeCooldown(t *testing.T) {
 	if ep, err := tn.Serve(false); err != nil || ep.TierReason != "phase-change" {
 		t.Fatalf("ep %+v err %v, want phase-change escalation", ep, err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < approx.DefaultCooldown; i++ {
 		if ep, err := tn.Serve(false); err != nil || ep.TierReason != "cooldown" {
 			t.Fatalf("serve %d: %+v err %v, want cooldown", i, ep, err)
 		}

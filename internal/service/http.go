@@ -272,18 +272,8 @@ func NewHandler(svc *Service) http.Handler {
 			}
 			m := core.MRC{MPKI: resp.MPKI}
 			resp.Shift = m.Transpose(ref-1, measured)
-			// The band brackets the curve, so the v-offset moves it too
-			// (with the same clamp at the physical floor).
-			for i := range resp.BandLow {
-				resp.BandLow[i] += resp.Shift
-				if resp.BandLow[i] < 0 {
-					resp.BandLow[i] = 0
-				}
-				resp.BandHigh[i] += resp.Shift
-				if resp.BandHigh[i] < 0 {
-					resp.BandHigh[i] = 0
-				}
-			}
+			// The band brackets the curve, so the v-offset moves it too.
+			sample.Bands{Low: resp.BandLow, High: resp.BandHigh}.Shift(resp.Shift)
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})

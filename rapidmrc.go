@@ -190,20 +190,6 @@ func fromEpoch(ep *service.Epoch, err error) (*Curve, *Stats, error) {
 	}, nil
 }
 
-// shiftBands applies a transposition's v-offset to the confidence band
-// so it keeps bracketing the shifted curve, clamping at zero like
-// Transpose does.
-func (st *Stats) shiftBands(shift float64) {
-	for _, band := range [][]float64{st.BandLow, st.BandHigh} {
-		for i := range band {
-			band[i] += shift
-			if band[i] < 0 {
-				band[i] = 0
-			}
-		}
-	}
-}
-
 // Engine computes curves from traces. The zero value is not usable; use
 // NewEngine.
 type Engine struct {

@@ -266,7 +266,7 @@ func (s *System) anchor(curve *Curve, st *Stats) {
 		ref = s.opt.colors.Count()
 	}
 	st.Shift = curve.Transpose(ref, measured)
-	st.shiftBands(st.Shift)
+	sample.Bands{Low: st.BandLow, High: st.BandHigh}.Shift(st.Shift)
 }
 
 // MeasureMPKI runs the application for n instructions and returns its
