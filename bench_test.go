@@ -359,15 +359,14 @@ func BenchmarkMachineStep(b *testing.B) {
 func BenchmarkRealMRCSweep(b *testing.B) {
 	app := workload.MustByName("mcf")
 	for _, arm := range []struct {
-		name       string
-		perMachine bool
-	}{{"perMachine", true}, {"shared", false}} {
+		name  string
+		sweep func(workload.Config, platform.RealMRCConfig) []float64
+	}{{"perMachine", platform.RealMRCPerMachine}, {"shared", platform.RealMRC}} {
 		b.Run(arm.name, func(b *testing.B) {
 			cfg := platform.DefaultRealMRCConfig()
 			cfg.Workers = 1
-			cfg.PerMachine = arm.perMachine
 			for i := 0; i < b.N; i++ {
-				if mrc := platform.RealMRC(app, cfg); len(mrc) != 16 {
+				if mrc := arm.sweep(app, cfg); len(mrc) != 16 {
 					b.Fatalf("got %d-point curve", len(mrc))
 				}
 			}

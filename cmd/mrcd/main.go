@@ -8,13 +8,17 @@
 // Usage:
 //
 //	mrcd -addr :7712
-//	mrcd -addr 127.0.0.1:0 -budget 1048576 -max-queued 65536 -epoch 8000
-//	mrcd -approx-threshold 0.35   # serve analytical estimates, escalate when uncertain
-//	mrcd -sampling-rate 0.1       # SHARDS-sample tenants by default; curves carry confidence bands
+//	mrcd -addr 127.0.0.1:0 -budget 1048576 -max-queued 65536
+//
+// A tenant chooses its tiers when it registers: epoch_entries sets the
+// auto-snapshot cadence, approx_threshold serves analytical estimates
+// and escalates when uncertain, and sampling_rate SHARDS-samples the
+// tenant so its curves carry confidence bands.
 //
 // API (see service.NewHandler for the full contract):
 //
 //	POST   /tenants              {"id":"a","target":160000}
+//	POST   /tenants              {"id":"b","epoch_entries":8000,"approx_threshold":0.35,"sampling_rate":0.1}
 //	POST   /tenants/{id}/feed    {"lines":[...],"instructions":12345}
 //	GET    /tenants/{id}/curve?wait=1&transpose_at=16&measured=2.5
 //	GET    /tenants/{id}/stats
@@ -32,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -40,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"rapidmrc/internal/sample"
 	"rapidmrc/internal/service"
 )
 
@@ -57,30 +59,11 @@ const (
 
 // config carries the daemon's flag values.
 type config struct {
-	addr            string
-	globalBudget    int
-	maxQueued       int
-	poolCap         int
-	epochEntries    int
-	approxThreshold float64
-	samplingRate    float64
-	drainTimeout    time.Duration
-}
-
-// validate rejects flag values the service would otherwise accept
-// silently or choke on at the first registration: sampling rates
-// outside (0, 1] (a *sample.RateError, the same typed error tenant
-// registration returns) and non-finite thresholds.
-func (c config) validate() error {
-	if c.samplingRate != 0 {
-		if err := (sample.Config{Rate: c.samplingRate}).Validate(); err != nil {
-			return fmt.Errorf("mrcd: -sampling-rate: %w", err)
-		}
-	}
-	if math.IsNaN(c.approxThreshold) || math.IsInf(c.approxThreshold, 0) {
-		return fmt.Errorf("mrcd: -approx-threshold must be finite, got %v", c.approxThreshold)
-	}
-	return nil
+	addr         string
+	globalBudget int
+	maxQueued    int
+	poolCap      int
+	drainTimeout time.Duration
 }
 
 // daemon couples the service core with its HTTP front end. It is built
@@ -95,16 +78,10 @@ type daemon struct {
 // newDaemon builds the service and binds the listener (addr may be
 // ":0"-style for an ephemeral port).
 func newDaemon(cfg config) (*daemon, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	svc := service.New(service.Config{
-		GlobalBudget:    cfg.globalBudget,
-		MaxQueued:       cfg.maxQueued,
-		PoolCapacity:    cfg.poolCap,
-		EpochEntries:    cfg.epochEntries,
-		ApproxThreshold: cfg.approxThreshold,
-		SamplingRate:    cfg.samplingRate,
+		GlobalBudget: cfg.globalBudget,
+		MaxQueued:    cfg.maxQueued,
+		PoolCapacity: cfg.poolCap,
 	})
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
@@ -155,12 +132,6 @@ func main() {
 	flag.IntVar(&cfg.maxQueued, "max-queued", 0,
 		"default per-tenant ingest-queue bound in entries (0 = default)")
 	flag.IntVar(&cfg.poolCap, "pool", 0, "idle engine pool capacity (0 = default)")
-	flag.IntVar(&cfg.epochEntries, "epoch", 0,
-		"default auto-snapshot cadence in entries (0 = snapshot on demand only)")
-	flag.Float64Var(&cfg.approxThreshold, "approx-threshold", 0,
-		"default analytical-tier uncertainty threshold for tenants that do not set their own (0 = analytical tier off)")
-	flag.Float64Var(&cfg.samplingRate, "sampling-rate", 0,
-		"default SHARDS sampling rate in (0, 1] for tenants that do not set their own (0 = sampling off; tenants opt out with a negative rate)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second,
 		"how long to wait for in-flight requests on shutdown")
 	flag.Parse()

@@ -3,10 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -22,7 +20,6 @@ import (
 	"time"
 
 	"rapidmrc"
-	"rapidmrc/internal/sample"
 	"rapidmrc/internal/service"
 )
 
@@ -330,45 +327,6 @@ func TestDaemonLoadSheds(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestConfigValidation pins the flag validation: bad sampling rates are
-// rejected with the service's typed error before the daemon binds a
-// port, and non-finite thresholds never reach the service.
-func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []config{
-		{addr: "127.0.0.1:0", samplingRate: 1.5},
-		{addr: "127.0.0.1:0", samplingRate: -0.5},
-		{addr: "127.0.0.1:0", samplingRate: math.NaN()},
-		{addr: "127.0.0.1:0", approxThreshold: math.NaN()},
-		{addr: "127.0.0.1:0", approxThreshold: math.Inf(1)},
-	} {
-		d, err := newDaemon(cfg)
-		if err == nil {
-			d.ln.Close()
-			t.Errorf("config %+v accepted", cfg)
-			continue
-		}
-		if cfg.samplingRate != 0 {
-			var re *sample.RateError
-			if !errors.As(err, &re) {
-				t.Errorf("rate %v: got %v, want *sample.RateError", cfg.samplingRate, err)
-			}
-		}
-	}
-	// Valid sampling config: tenants registered without a rate inherit it.
-	d, err := newDaemon(config{addr: "127.0.0.1:0", samplingRate: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.ln.Close()
-	tn, err := d.svc.Register("t", service.TenantConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tn.Config().Sampling.Rate != 0.5 {
-		t.Errorf("inherited rate %v, want 0.5", tn.Config().Sampling.Rate)
 	}
 }
 

@@ -23,16 +23,3 @@ func Replay(cfg Config, trace []mem.Line, warmup int) Stats {
 	}
 	return c.Stats()
 }
-
-// AssociativitySweep replays trace through variants of base whose
-// associativity is each entry of ways (0 = fully associative) and returns
-// the miss rate for each, in order.
-func AssociativitySweep(base Config, ways []int, trace []mem.Line, warmup int) []float64 {
-	rates := make([]float64, len(ways))
-	for i, w := range ways {
-		cfg := base
-		cfg.Ways = w
-		rates[i] = Replay(cfg, trace, warmup).MissRate()
-	}
-	return rates
-}

@@ -118,9 +118,8 @@ const tlbSize = 1024
 //
 // A Mapper is not safe for concurrent use.
 type Mapper struct {
-	allowed Set
-	table   map[mem.Page]mem.PhysPage
-	alloc   *Allocator
+	table map[mem.Page]mem.PhysPage
+	alloc *Allocator
 	// rr walks the allowed groups round-robin.
 	rrGroups []int
 	rrPos    int
@@ -153,7 +152,6 @@ func NewMapperWith(a *Allocator, allowed Set) *Mapper {
 }
 
 func (m *Mapper) setAllowed(allowed Set) {
-	m.allowed = allowed
 	m.rrGroups = m.rrGroups[:0]
 	for _, c := range allowed.Colors() {
 		for g := 0; g < GroupsPerColor; g++ {
@@ -162,9 +160,6 @@ func (m *Mapper) setAllowed(allowed Set) {
 	}
 	m.rrPos = 0
 }
-
-// Allowed returns the current color constraint.
-func (m *Mapper) Allowed() Set { return m.allowed }
 
 // Mapped returns the number of virtual pages currently mapped.
 func (m *Mapper) Mapped() int { return len(m.table) }

@@ -106,14 +106,3 @@ func PredictShared(apps []App, colors float64) ([]Prediction, error) {
 	}
 	return out, nil
 }
-
-// GlobalMPKI aggregates predictions into the workload's global miss rate
-// (the sum of per-application MPKIs, each normalized to its own
-// instruction stream).
-func GlobalMPKI(preds []Prediction) float64 {
-	total := 0.0
-	for _, p := range preds {
-		total += p.MPKI
-	}
-	return total
-}

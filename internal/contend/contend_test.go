@@ -122,13 +122,6 @@ func TestSingleAppGetsWholeCache(t *testing.T) {
 	}
 }
 
-func TestGlobalMPKI(t *testing.T) {
-	preds := []Prediction{{MPKI: 3}, {MPKI: 4.5}}
-	if got := GlobalMPKI(preds); got != 7.5 {
-		t.Fatalf("global MPKI = %v", got)
-	}
-}
-
 // TestPredictionMonotoneInPressure: adding a polluter can only worsen (or
 // leave unchanged) everyone else's predicted miss rate.
 func TestPredictionMonotoneInPressure(t *testing.T) {

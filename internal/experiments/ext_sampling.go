@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"rapidmrc/internal/core"
@@ -166,25 +167,29 @@ func ExtSampling(w io.Writer, cfg Config) ([]SamplingRow, []SamplingSummary, err
 	fmt.Fprintf(w, "MR-MAE = mean |sampled - full| miss ratio (misses per reference, the SHARDS accuracy\n")
 	fmt.Fprintf(w, "metric and this sweep's <= 0.02 acceptance budget); RelErr = mean |sampled - full| MPKI /\n")
 	fmt.Fprintf(w, "full 1-color MPKI (context only: it explodes on flat near-zero curves); Cover = fraction\n")
-	fmt.Fprintf(w, "of points the confidence band brackets the full curve; Speedup = full feed time / sampled.\n\n")
+	fmt.Fprintf(w, "of points the confidence band brackets the full curve. Speedup = full feed time / sampled\n")
+	fmt.Fprintf(w, "is a wall-clock ratio, so it goes to stderr and this report stays byte-stable.\n\n")
 
 	sc := make([][]string, len(summaries))
+	speed := make([][]string, len(summaries))
 	for i, s := range summaries {
 		sc[i] = []string{
 			fmt.Sprintf("%.2f", s.Rate), fmt.Sprintf("%d", s.Apps),
 			fmt.Sprintf("%.4f", s.MeanMRErr), fmt.Sprintf("%.4f", s.MaxMRErr),
 			fmt.Sprintf("%.4f", s.MeanRelErr), fmt.Sprintf("%.4f", s.MaxRelErr),
-			fmt.Sprintf("%.2f", s.MeanCover), fmt.Sprintf("%.1fx", s.MeanSpeedup),
+			fmt.Sprintf("%.2f", s.MeanCover),
 		}
+		speed[i] = []string{fmt.Sprintf("%.2f", s.Rate), fmt.Sprintf("%.1fx", s.MeanSpeedup)}
 	}
 	fmt.Fprint(w, report.Table(
-		[]string{"Rate", "Apps", "MeanMR-MAE", "MaxMR-MAE", "MeanRelErr", "MaxRelErr", "Cover", "Speedup"}, sc))
+		[]string{"Rate", "Apps", "MeanMR-MAE", "MaxMR-MAE", "MeanRelErr", "MaxRelErr", "Cover"}, sc))
+	fmt.Fprintf(os.Stderr, "ext-sampling mean speedup per rate:\n%s", report.Table([]string{"Rate", "Speedup"}, speed))
 
 	// Per-app detail at the cheapest rate still inside the accuracy
-	// budget (the rate the benchsuite and the daemon default should use).
+	// budget (the rate the benchsuite and sampled mrcd tenants should use).
 	if best := PickSamplingRate(summaries, 0.02); best > 0 {
 		fmt.Fprintf(w, "\nPer-app detail at rate %.2f (cheapest with mean MR-MAE <= 0.02):\n", best)
-		var cells [][]string
+		var cells, appSpeed [][]string
 		for _, r := range rows {
 			if r.Rate != best {
 				continue
@@ -192,11 +197,14 @@ func ExtSampling(w io.Writer, cfg Config) ([]SamplingRow, []SamplingSummary, err
 			cells = append(cells, []string{
 				r.App, report.F(r.TopMPKI), report.F(r.Err), fmt.Sprintf("%.4f", r.MRErr),
 				fmt.Sprintf("%.2f", r.Coverage), report.F(r.Width),
-				fmt.Sprintf("%d", r.Sampled), fmt.Sprintf("%.1fx", r.Speedup),
+				fmt.Sprintf("%d", r.Sampled),
 			})
+			appSpeed = append(appSpeed, []string{r.App, fmt.Sprintf("%.1fx", r.Speedup)})
 		}
 		fmt.Fprint(w, report.Table([]string{
-			"App", "Top", "Err", "MR-MAE", "Cover", "Width", "Sampled", "Speedup"}, cells))
+			"App", "Top", "Err", "MR-MAE", "Cover", "Width", "Sampled"}, cells))
+		fmt.Fprintf(os.Stderr, "ext-sampling per-app speedup at rate %.2f:\n%s", best,
+			report.Table([]string{"App", "Speedup"}, appSpeed))
 	}
 	fmt.Fprintln(w)
 	return rows, summaries, nil

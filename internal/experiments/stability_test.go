@@ -15,16 +15,18 @@ import (
 // across runs, and a refactor that claims to preserve behaviour is held
 // to the outputs of the code it replaced. CI runs it again under
 // GOMAXPROCS=1, so fig7's pooled co-runs are also pinned independent of
-// the worker count.
+// the worker count. ext-sampling and ext-approx pin the sampled and
+// analytical tiers; ext-sampling's wall-clock Speedup columns go to
+// stderr, outside the golden.
 //
 // A change that alters an experiment's output on purpose regenerates the
 // goldens from the repository root with
 //
-//	for id in table1 fig5a fig7 ext-dynamic; do go run ./cmd/experiments -run $id -quick > internal/experiments/testdata/$id.golden; done
+//	for id in table1 fig5a fig7 ext-dynamic ext-sampling ext-approx; do go run ./cmd/experiments -run $id -quick > internal/experiments/testdata/$id.golden; done
 //
 // and explains the diff in CHANGES.md.
 func TestOutputByteStable(t *testing.T) {
-	for _, id := range []string{"table1", "fig5a", "fig7", "ext-dynamic"} {
+	for _, id := range []string{"table1", "fig5a", "fig7", "ext-dynamic", "ext-sampling", "ext-approx"} {
 		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 		if err != nil {
 			t.Fatal(err)

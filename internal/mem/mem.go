@@ -28,9 +28,6 @@ const (
 // Addr is a virtual byte address.
 type Addr uint64
 
-// PhysAddr is a physical byte address, produced by the page mapper.
-type PhysAddr uint64
-
 // Line is a cache-line address: a byte address with the low LineShift bits
 // dropped. Traces and the LRU stack operate on Lines, never on byte
 // addresses, because the L2 tracks whole lines.
@@ -44,9 +41,6 @@ type PhysPage uint64
 
 // LineOf returns the cache line containing a.
 func LineOf(a Addr) Line { return Line(a >> LineShift) }
-
-// PhysLineOf returns the cache line containing the physical address a.
-func PhysLineOf(a PhysAddr) Line { return Line(a >> LineShift) }
 
 // PageOf returns the virtual page containing a.
 func PageOf(a Addr) Page { return Page(a >> PageShift) }

@@ -164,14 +164,6 @@ func Boundaries(timeline []float64, cfg Config) []int {
 	return out
 }
 
-// AveragePhaseLength returns the mean phase length implied by the
-// boundaries over a timeline of n intervals of intervalInstr
-// instructions each (Table 2 column d).
-func AveragePhaseLength(nIntervals int, boundaries []int, intervalInstr uint64) uint64 {
-	phases := len(boundaries) + 1
-	return uint64(nIntervals) * intervalInstr / uint64(phases)
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -208,12 +208,3 @@ func TestReset(t *testing.T) {
 		t.Fatal("fired with an empty history")
 	}
 }
-
-func TestAveragePhaseLength(t *testing.T) {
-	if got := AveragePhaseLength(60, []int{10, 30, 50}, 1_000_000); got != 15_000_000 {
-		t.Fatalf("avg phase = %d, want 15M (60 intervals / 4 phases)", got)
-	}
-	if got := AveragePhaseLength(10, nil, 5); got != 50 {
-		t.Fatalf("single phase avg = %d, want 50", got)
-	}
-}

@@ -137,22 +137,3 @@ func CoRun(apps []workload.Config, partitions []color.Set, warmupInstr, sliceIns
 	}
 	return out
 }
-
-// NormalizedIPC compares a partitioned co-run against uncontrolled
-// sharing: it returns, per application, partitioned IPC divided by the
-// uncontrolled-sharing IPC, ×100 (the y-axis of Figure 7).
-func NormalizedIPC(apps []workload.Config, partitions []color.Set, warmupInstr, sliceInstr uint64, opt CoRunOptions) []float64 {
-	uncontrolled := make([]color.Set, len(apps))
-	for i := range uncontrolled {
-		uncontrolled[i] = color.All
-	}
-	base := CoRun(apps, uncontrolled, warmupInstr, sliceInstr, opt)
-	part := CoRun(apps, partitions, warmupInstr, sliceInstr, opt)
-	out := make([]float64, len(apps))
-	for i := range apps {
-		if b := base[i].IPC(); b > 0 {
-			out[i] = 100 * part[i].IPC() / b
-		}
-	}
-	return out
-}

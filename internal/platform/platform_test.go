@@ -290,14 +290,12 @@ func TestCoRunPartitioningHelpsVictim(t *testing.T) {
 	// with a protected 15-color partition the victim fits and hits.
 	victim := loopApp("victim", workload.Chase, 13500)
 	bully := loopApp("bully", workload.Random, 200000)
-	norm := NormalizedIPC(
-		[]workload.Config{victim, bully},
-		[]color.Set{color.First(15), color.Range(15, 16)},
-		120_000, 120_000,
-		CoRunOptions{Mode: cpu.Complex, Seed: 1},
-	)
-	if norm[0] <= 102 {
-		t.Fatalf("victim normalized IPC %v, want > 102 with a protected partition", norm[0])
+	apps := []workload.Config{victim, bully}
+	opt := CoRunOptions{Mode: cpu.Complex, Seed: 1}
+	base := CoRun(apps, []color.Set{color.All, color.All}, 120_000, 120_000, opt)
+	part := CoRun(apps, []color.Set{color.First(15), color.Range(15, 16)}, 120_000, 120_000, opt)
+	if norm := 100 * part[0].IPC() / base[0].IPC(); norm <= 102 {
+		t.Fatalf("victim normalized IPC %v, want > 102 with a protected partition", norm)
 	}
 }
 

@@ -31,13 +31,6 @@ type RealMRCConfig struct {
 	// n > 1 uses a pool of n. Goroutine count is bounded by the pool
 	// size, never by MaxColors.
 	Workers int
-	// PerMachine forces the legacy strategy of running one full
-	// simulation per partition size, each regenerating the reference
-	// stream. The default (false) is the shared-stream fan-out, which
-	// generates every chunk of the stream once and replays it through all
-	// partition-size machines — bit-identical results (property-tested),
-	// one generator pass instead of MaxColors.
-	PerMachine bool
 }
 
 // DefaultRealMRCConfig returns the settings used throughout the
@@ -55,16 +48,12 @@ func DefaultRealMRCConfig() RealMRCConfig {
 }
 
 // RealMRC measures the real MRC of an application across partition sizes
-// 1..MaxColors and returns MPKI per size (index 0 = one color). By default
-// the sizes share one generated reference stream (see sweep.go); set
-// cfg.PerMachine to run each size as its own full simulation. Both
-// strategies produce bit-identical curves.
+// 1..MaxColors and returns MPKI per size (index 0 = one color). The sizes
+// share one generated reference stream (see sweep.go); the result is
+// bit-identical to RealMRCPerMachine's one full simulation per size.
 func RealMRC(app workload.Config, cfg RealMRCConfig) []float64 {
 	if cfg.MaxColors == 0 {
 		cfg.MaxColors = color.NumColors
-	}
-	if cfg.PerMachine {
-		return RealMRCPerMachine(app, cfg)
 	}
 	return realMRCShared(app, cfg, sweepChunkRefs)
 }
@@ -135,14 +124,11 @@ func IntervalMetrics(app workload.Config, colors int, intervals int, intervalIns
 }
 
 // MissRateTimelines measures timelines for every partition size (Figure 2a
-// plots all 16). Like RealMRC it defaults to the shared-stream fan-out;
-// cfg.PerMachine selects one independent run per size on the bounded pool.
+// plots all 16). Like RealMRC it runs the shared-stream fan-out;
+// MissRateTimelinesPerMachine is its one-run-per-size oracle.
 func MissRateTimelines(app workload.Config, intervals int, intervalInstr uint64, cfg RealMRCConfig) [][]float64 {
 	if cfg.MaxColors == 0 {
 		cfg.MaxColors = color.NumColors
-	}
-	if cfg.PerMachine {
-		return MissRateTimelinesPerMachine(app, intervals, intervalInstr, cfg)
 	}
 	return missRateTimelinesShared(app, intervals, intervalInstr, cfg, sweepChunkRefs)
 }

@@ -40,9 +40,7 @@ func TestRealMRCSharedMatchesPerMachine(t *testing.T) {
 			cfg := sweepTestConfig(seed)
 			app := workload.MustByName(name)
 
-			cfg.PerMachine = true
-			want := RealMRC(app, cfg)
-			cfg.PerMachine = false
+			want := RealMRCPerMachine(app, cfg)
 			got := RealMRC(app, cfg)
 
 			if !reflect.DeepEqual(got, want) {
@@ -62,9 +60,7 @@ func TestRealMRCSharedMatchesPerMachineSimplified(t *testing.T) {
 	cfg.L3Enabled = false
 	app := workload.MustByName("equake")
 
-	cfg.PerMachine = true
-	want := RealMRC(app, cfg)
-	cfg.PerMachine = false
+	want := RealMRCPerMachine(app, cfg)
 	got := RealMRC(app, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("simplified mode: shared sweep diverges:\n got %v\nwant %v", got, want)
@@ -80,9 +76,7 @@ func TestMissRateTimelinesSharedMatchesPerMachine(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := sweepTestConfig(5)
 		cfg.Workers = workers
-		cfg.PerMachine = true
-		want := MissRateTimelines(app, intervals, intervalInstr, cfg)
-		cfg.PerMachine = false
+		want := MissRateTimelinesPerMachine(app, intervals, intervalInstr, cfg)
 		got := MissRateTimelines(app, intervals, intervalInstr, cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers %d: timelines diverge:\n got %v\nwant %v", workers, got, want)

@@ -14,18 +14,13 @@
 // histogram counts carry weight 1/R, so the standard CurveFromHist-style
 // integration applies unchanged.
 //
-// The fixed-size (s_max) variant bounds the sample: when the kept-sample
-// count exceeds a budget the threshold halves, lowering the rate for the
-// remainder of the stream. Samples recorded earlier keep the weight that
-// was in force when they were recorded (per-sample weighting). Because
-// entries cannot be evicted from the stack by hash, references
-// already on the stack at the old rate stay there — a documented
-// second-order bias; distances that scale beyond StackLines are counted
-// as infinite, so the effective modeled capacity self-adjusts.
+// The rate stays fixed for the whole probing period, as the paper's
+// single probing period does (§3); SHARDS' fixed-size (s_max) variant,
+// which halves the rate mid-stream, is not implemented.
 //
-// Every snapshot carries a confidence band derived from the effective
-// sample size (Kish: (Σw)²/Σw²) of the weighted miss proportion at each
-// curve point.
+// Every snapshot carries a confidence band at DefaultLevel, derived from
+// the effective sample size (Kish: (Σw)²/Σw²) of the weighted miss
+// proportion at each curve point.
 //
 // Engine is the repository's only streaming engine: exact profiling is
 // the engine at rate 1.0 (a zero Config), where the filter passes every
@@ -53,9 +48,11 @@ const Buckets = 1 << 24
 
 const bucketMask = Buckets - 1
 
-// DefaultLevel is the confidence level bands are built at when the
-// configuration does not choose one.
+// DefaultLevel is the confidence level every band is built at.
 const DefaultLevel = 0.95
+
+// zScore is the two-sided normal quantile for DefaultLevel.
+const zScore = 1.96
 
 // Config parameterizes the sampler. The zero value is exact profiling:
 // NewEngine reads a zero Rate as 1.0.
@@ -64,14 +61,6 @@ type Config struct {
 	// cache-line address space whose references are kept. 1.0 keeps
 	// everything (bit-identical to core.Compute).
 	Rate float64
-	// SMax, when > 0, enables the fixed-size SHARDS variant: once the
-	// kept-sample count reaches the budget the threshold halves (and
-	// again each time half a budget more accumulates), bounding the work
-	// a pathological trace can cost. 0 keeps the rate fixed.
-	SMax int
-	// Level is the confidence level of the reported bands: one of 0.90,
-	// 0.95, or 0.99. Zero means DefaultLevel.
-	Level float64
 }
 
 // Validate reports configuration errors. Rates outside (0, 1] and
@@ -82,27 +71,15 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.Rate) || c.Rate <= 0 || c.Rate > 1 {
 		return &RateError{Rate: c.Rate}
 	}
-	if c.SMax < 0 {
-		return errors.New("sample: SMax " + strconv.Itoa(c.SMax))
-	}
-	switch c.Level {
-	case 0, 0.90, 0.95, 0.99:
-	default:
-		return errors.New("sample: confidence level " + strconv.FormatFloat(c.Level, 'g', -1, 64) + " (use 0.90, 0.95 or 0.99)")
-	}
 	return nil
 }
 
-// Normalize resolves the defaults NewEngine applies: a zero Rate becomes
-// 1.0 and a zero Level DefaultLevel. Two configurations that normalize
-// alike build engines that behave identically, so a pool keys on the
-// normalized form.
+// Normalize resolves the default NewEngine applies: a zero Rate becomes
+// 1.0. Two configurations that normalize alike build engines that behave
+// identically, so a pool keys on the normalized form.
 func (c Config) Normalize() Config {
 	if c.Rate == 0 {
 		c.Rate = 1
-	}
-	if c.Level == 0 {
-		c.Level = DefaultLevel
 	}
 	return c
 }
@@ -112,18 +89,6 @@ type RateError struct{ Rate float64 }
 
 func (e *RateError) Error() string {
 	return "sample: rate " + strconv.FormatFloat(e.Rate, 'g', -1, 64) + " outside (0, 1]"
-}
-
-// zScore returns the two-sided normal quantile for a supported level.
-func zScore(level float64) float64 {
-	switch level {
-	case 0.90:
-		return 1.645
-	case 0.99:
-		return 2.576
-	default:
-		return 1.96
-	}
 }
 
 // hashLine spreads a cache-line address over the hash space: the
@@ -144,12 +109,12 @@ func hashLine(l mem.Line) uint64 {
 }
 
 // Bands is the confidence band attached to one snapshot's curve: for
-// each MRC point, Low and High bound the MPKI at the configured Level.
-// The band derives from the normal approximation to the weighted miss
-// proportion, with the variance inflated to the Kish effective sample
-// size (Σw)²/Σw² — equal weights give back n, down-adapted mixes give
-// less. At rate 1.0 with no adaptation the band has zero width: the
-// trace was exhaustive, there is no sampling error to bound.
+// each MRC point, Low and High bound the MPKI at DefaultLevel. The band
+// derives from the normal approximation to the weighted miss proportion,
+// with the variance scaled by the Kish effective sample size (Σw)²/Σw²,
+// which is the recorded count under the engine's single fixed weight. At
+// rate 1.0 the band has zero width: the trace was exhaustive, there is
+// no sampling error to bound.
 type Bands struct {
 	// Low and High are the per-point MPKI bounds (Low clamped at 0).
 	Low, High []float64
@@ -157,8 +122,8 @@ type Bands struct {
 	Level float64
 	// EffSamples is the Kish effective sample size behind the bounds.
 	EffSamples float64
-	// Rate is the effective sampling rate when the snapshot was taken
-	// (below the configured rate after s_max adaptation).
+	// Rate is the effective sampling rate: the configured rate quantized
+	// onto the bucket grid.
 	Rate float64
 }
 
@@ -213,8 +178,6 @@ type Engine struct {
 	threshold uint64  // keep iff hash & bucketMask < threshold
 	rate      float64 // threshold / Buckets
 	weight    float64 // 1 / rate
-	adaptAt   int     // sampled count triggering the next halving; 0 = off
-	adapted   int     // halvings so far
 
 	stack core.Stack
 	histW []float64 // weighted histogram over [1, StackLines]
@@ -258,7 +221,8 @@ func NewEngine(cfg core.Config, scfg Config, target int) (*Engine, error) {
 	// back by 1/rate, and a scaled distance beyond StackLines is an
 	// infinite miss regardless — a full-size stack would spend memory
 	// and walk time tracking lines whose distances cannot matter.
-	capacity := int(math.Round(float64(cfg.StackLines) * e.initialRate()))
+	rate := float64(initialThreshold(scfg.Rate)) / Buckets
+	capacity := int(math.Round(float64(cfg.StackLines) * rate))
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -268,11 +232,6 @@ func NewEngine(cfg core.Config, scfg Config, target int) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// initialRate is the exact rate the configured Rate quantizes to.
-func (e *Engine) initialRate() float64 {
-	return float64(initialThreshold(e.scfg.Rate)) / Buckets
 }
 
 // initialThreshold quantizes a configured rate onto the bucket grid.
@@ -289,8 +248,7 @@ func initialThreshold(rate float64) uint64 {
 
 // Reset returns the engine to its initial state with a new
 // probing-period target, retaining the stack and histogram allocations —
-// the pool's reset-and-reuse entry point. The threshold returns to the
-// configured rate (any s_max adaptation is forgotten).
+// the pool's reset-and-reuse entry point.
 func (e *Engine) Reset(target int) error {
 	if target <= 0 {
 		return errors.New("sample: stream target " + strconv.Itoa(target))
@@ -299,11 +257,6 @@ func (e *Engine) Reset(target int) error {
 	e.threshold = initialThreshold(e.scfg.Rate)
 	e.rate = float64(e.threshold) / Buckets
 	e.weight = 1 / e.rate
-	e.adaptAt = 0
-	if e.scfg.SMax > 0 {
-		e.adaptAt = e.scfg.SMax
-	}
-	e.adapted = 0
 	e.stack.Reset()
 	clear(e.histW)
 	e.infW, e.hitsW, e.sumW, e.sumW2 = 0, 0, 0, 0
@@ -314,12 +267,10 @@ func (e *Engine) Reset(target int) error {
 	return nil
 }
 
-// setStaticLimit sizes the warmup budget for the rate currently in
-// force. The budget counts stack references, which arrive at ~rate× the
-// captured stream, so the static fraction scales with the rate (exact at
-// rate 1.0, where this is core.Compute's computation) — and shrinks
-// again whenever s_max adaptation halves the rate mid-warmup, so warmup
-// cannot swallow the whole down-adapted stream.
+// setStaticLimit sizes the warmup budget for the rate. The budget counts
+// stack references, which arrive at ~rate× the captured stream, so the
+// static fraction scales with the rate (exact at rate 1.0, where this is
+// core.Compute's computation).
 func (e *Engine) setStaticLimit() {
 	sampledTarget := int(math.Round(float64(e.target) * e.rate))
 	if sampledTarget < 1 {
@@ -341,12 +292,9 @@ func (e *Engine) Config() core.Config { return e.cfg }
 // second half of the pool's matching key.
 func (e *Engine) SampleConfig() Config { return e.scfg }
 
-// Rate returns the effective sampling rate currently in force (below
-// the configured rate once s_max adaptation has halved the threshold).
+// Rate returns the effective sampling rate: the configured rate
+// quantized onto the bucket grid.
 func (e *Engine) Rate() float64 { return e.rate }
-
-// Adaptations returns how many times the threshold has halved.
-func (e *Engine) Adaptations() int { return e.adapted }
 
 // Consumed returns the number of references fed so far (pre-filter).
 func (e *Engine) Consumed() int { return e.consumed }
@@ -367,7 +315,7 @@ func (e *Engine) Target() int { return e.target }
 // rejected reference costs one hash and one compare. At full rate the
 // filter passes everything, so the hash is skipped. A kept reference
 // follows core.Compute's warmup policy exactly, then records its stack
-// distance scaled by the weight in force.
+// distance scaled by the weight 1/rate.
 //
 //rapidmrc:hotpath
 func (e *Engine) Feed(line mem.Line) {
@@ -379,9 +327,6 @@ func (e *Engine) Feed(line mem.Line) {
 		return
 	}
 	e.sampled++
-	if e.adaptAt > 0 && e.sampled >= e.adaptAt {
-		e.adapt()
-	}
 	if e.warming {
 		if !e.fixed && e.stack.Full() {
 			e.auto = true
@@ -419,9 +364,9 @@ func (e *Engine) Feed(line mem.Line) {
 	}
 	idx := int(float64(d)*w + 0.5)
 	if idx > e.cfg.StackLines {
-		// Scaled beyond the modeled capacity (possible after a halving,
-		// when stale higher-rate residents deepen the stack): a miss at
-		// every size.
+		// Scaled beyond the modeled capacity: the stack holds
+		// round(StackLines×rate) lines, which can round up, so a scaled
+		// distance can still pass StackLines. A miss at every size.
 		e.infW += w
 		return
 	}
@@ -430,33 +375,6 @@ func (e *Engine) Feed(line mem.Line) {
 	}
 	e.hitsW += w
 	e.histW[idx] += w
-}
-
-// adapt halves the threshold — the fixed-size SHARDS rate adaptation.
-// The triggering reference passed the filter at the old threshold and is
-// kept; references recorded from here on carry the new, larger weight.
-// The next halving arms after half a budget more samples (the cadence an
-// evicting implementation would show, where a halving discards half the
-// sample set). It runs inside Feed and inherits its allocation-free pin.
-//
-//rapidmrc:hotpath
-func (e *Engine) adapt() {
-	if e.threshold <= 1 {
-		e.adaptAt = 0
-		return
-	}
-	e.threshold >>= 1
-	e.rate = float64(e.threshold) / Buckets
-	e.weight = 1 / e.rate
-	e.adapted++
-	if e.warming {
-		e.setStaticLimit()
-	}
-	step := e.scfg.SMax / 2
-	if step < 1 {
-		step = 1
-	}
-	e.adaptAt += step
 }
 
 // Snapshot builds the curve from everything consumed so far, with its
@@ -526,10 +444,10 @@ func (e *Engine) deriveBands(mpki, missW []float64, instrEff uint64) Bands {
 	b := Bands{
 		Low:   make([]float64, len(mpki)),
 		High:  make([]float64, len(mpki)),
-		Level: e.scfg.Level,
+		Level: DefaultLevel,
 		Rate:  e.rate,
 	}
-	if e.threshold == Buckets && e.adapted == 0 {
+	if e.threshold == Buckets {
 		// Exhaustive trace: the curve is the measurement.
 		copy(b.Low, mpki)
 		copy(b.High, mpki)
@@ -538,11 +456,10 @@ func (e *Engine) deriveBands(mpki, missW []float64, instrEff uint64) Bands {
 	}
 	ess := e.sumW * e.sumW / e.sumW2
 	b.EffSamples = ess
-	z := zScore(b.Level)
 	for p := range mpki {
 		phat := missW[p] / e.sumW
 		se := math.Sqrt(phat * (1 - phat) / ess)
-		half := z * 1000 * se * e.sumW / float64(instrEff)
+		half := zScore * 1000 * se * e.sumW / float64(instrEff)
 		b.Low[p] = mpki[p] - half
 		if b.Low[p] < 0 {
 			b.Low[p] = 0

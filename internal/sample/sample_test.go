@@ -213,53 +213,11 @@ func TestSampledCurveTracksFull(t *testing.T) {
 	}
 }
 
-// TestRateAdaptation exercises the fixed-size s_max variant: the
-// threshold halves once the sample budget fills, the effective rate
-// drops, and snapshots remain well-formed.
-func TestRateAdaptation(t *testing.T) {
-	cfg := core.DefaultConfig()
-	const n = 60_000
-	r := rand.New(rand.NewSource(9))
-	trace := fuzzTrace(r, n)
-	e, err := sample.NewEngine(cfg, sample.Config{Rate: 0.5, SMax: 2000}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range trace {
-		e.Feed(l)
-	}
-	if e.Adaptations() == 0 {
-		t.Fatalf("no adaptation after %d samples against budget 2000", e.Sampled())
-	}
-	if e.Rate() >= 0.5 {
-		t.Errorf("effective rate %v did not drop below configured 0.5", e.Rate())
-	}
-	res, err := e.Snapshot(10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, v := range res.MRC.MPKI {
-		if math.IsNaN(v) || v < 0 {
-			t.Fatalf("point %d: MPKI %v", p, v)
-		}
-	}
-	b := e.Bands()
-	if b.Rate != e.Rate() || b.Width() <= 0 {
-		t.Errorf("band rate %v width %v after adaptation", b.Rate, b.Width())
-	}
-	// With per-sample weights the effective sample size must fall below
-	// the raw kept count (unequal weights), but stay positive.
-	if b.EffSamples <= 0 || b.EffSamples >= float64(e.Recorded()) {
-		t.Errorf("effective samples %v vs %d recorded", b.EffSamples, e.Recorded())
-	}
-}
-
 // TestResetBitIdentical pins the pool's reset-and-reuse contract: a
-// recycled engine (including one that adapted its rate mid-period)
-// reproduces a fresh engine's output exactly.
+// recycled engine reproduces a fresh engine's output exactly.
 func TestResetBitIdentical(t *testing.T) {
 	cfg := testConfigs()[1]
-	scfg := sample.Config{Rate: 0.25, SMax: 300}
+	scfg := sample.Config{Rate: 0.25}
 	r := rand.New(rand.NewSource(5))
 	dirty := fuzzTrace(r, 8000)
 	trace := fuzzTrace(r, 6000)
@@ -295,24 +253,13 @@ func TestResetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConfigValidate pins the typed rejection of bad rates and levels.
+// TestConfigValidate pins the typed rejection of bad rates.
 func TestConfigValidate(t *testing.T) {
 	for _, rate := range []float64{0, -0.5, 1.0000001, 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		err := sample.Config{Rate: rate}.Validate()
 		var re *sample.RateError
 		if !errors.As(err, &re) {
 			t.Errorf("rate %v: got %v, want *RateError", rate, err)
-		}
-	}
-	if err := (sample.Config{Rate: 0.5, SMax: -1}).Validate(); err == nil {
-		t.Error("negative SMax accepted")
-	}
-	if err := (sample.Config{Rate: 0.5, Level: 0.5}).Validate(); err == nil {
-		t.Error("unsupported confidence level accepted")
-	}
-	for _, lv := range []float64{0, 0.90, 0.95, 0.99} {
-		if err := (sample.Config{Rate: 0.5, Level: lv}).Validate(); err != nil {
-			t.Errorf("level %v rejected: %v", lv, err)
 		}
 	}
 	if _, err := sample.NewEngine(core.DefaultConfig(), sample.Config{Rate: 4}, 100); err == nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -162,33 +163,37 @@ func TestServePhaseChangeCooldown(t *testing.T) {
 }
 
 // TestServeDisabledMatchesSnapshot pins that with the analytical tier
-// off (the default), Serve is bit-identical to the classic Snapshot
-// path — the tier is purely additive.
+// off (the default zero threshold, or a negative one), Serve is
+// bit-identical to the classic Snapshot path — the tier is purely
+// additive.
 func TestServeDisabledMatchesSnapshot(t *testing.T) {
 	svc := New(Config{})
-	tn, err := svc.Register("app", TenantConfig{Target: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := synthTrace(17, 4000)
-	if err := tn.Feed(rawTrace(trace), 100_000); err != nil {
-		t.Fatal(err)
-	}
-	ep, err := tn.Serve(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep.Tier != approx.TierSimulated || ep.TierReason != "disabled" {
-		t.Fatalf("tier %v reason %q", ep.Tier, ep.TierReason)
-	}
-	want, err := tn.Snapshot(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range want.Result.MRC.MPKI {
-		if ep.Result.MRC.MPKI[i] != v {
-			t.Fatalf("disabled Serve diverges from Snapshot at %d: %v vs %v",
-				i, ep.Result.MRC.MPKI[i], v)
+	for _, threshold := range []float64{0, -1} {
+		id := fmt.Sprintf("app%v", threshold)
+		tn, err := svc.Register(id, TenantConfig{Target: 4000, Approx: approx.PolicyConfig{Threshold: threshold}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := synthTrace(17, 4000)
+		if err := tn.Feed(rawTrace(trace), 100_000); err != nil {
+			t.Fatal(err)
+		}
+		ep, err := tn.Serve(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep.Tier != approx.TierSimulated || ep.TierReason != "disabled" {
+			t.Fatalf("threshold %v: tier %v reason %q", threshold, ep.Tier, ep.TierReason)
+		}
+		want, err := tn.Snapshot(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.Result.MRC.MPKI {
+			if ep.Result.MRC.MPKI[i] != v {
+				t.Fatalf("threshold %v: disabled Serve diverges from Snapshot at %d: %v vs %v",
+					threshold, i, ep.Result.MRC.MPKI[i], v)
+			}
 		}
 	}
 }

@@ -43,20 +43,14 @@ type RegisterRequest struct {
 	NoCorrection bool   `json:"no_correction,omitempty"`
 	MaxQueued    int    `json:"max_queued,omitempty"`
 	EpochEntries int    `json:"epoch_entries,omitempty"`
-	// ApproxThreshold enables the analytical serving tier for this tenant
-	// at the given uncertainty threshold; zero inherits the daemon
-	// default, negative forces full simulation on every serve.
+	// ApproxThreshold > 0 enables the analytical serving tier for this
+	// tenant at the given uncertainty threshold; zero or negative keeps
+	// every serve a full simulation.
 	ApproxThreshold float64 `json:"approx_threshold,omitempty"`
 	// SamplingRate profiles this tenant through the SHARDS-sampled
-	// engine at the given rate in (0, 1]; zero inherits the daemon
-	// default, negative forces full-rate profiling. Rates outside (0, 1]
-	// are rejected with a 400. SamplingSMax > 0 enables the fixed-size
-	// variant (the rate halves whenever the kept-sample budget fills);
-	// SamplingLevel picks the confidence level of the reported bands
-	// (0.90, 0.95, or 0.99; zero means 0.95).
-	SamplingRate  float64 `json:"sampling_rate,omitempty"`
-	SamplingSMax  int     `json:"sampling_smax,omitempty"`
-	SamplingLevel float64 `json:"sampling_level,omitempty"`
+	// engine at the given rate in (0, 1], with bands at 95% confidence;
+	// zero profiles at full rate. Any other rate is rejected with a 400.
+	SamplingRate float64 `json:"sampling_rate,omitempty"`
 }
 
 // FeedRequest is the POST /tenants/{id}/feed body: one batch of raw
@@ -165,11 +159,7 @@ func NewHandler(svc *Service) http.Handler {
 			MaxQueued:    req.MaxQueued,
 			EpochEntries: req.EpochEntries,
 			Approx:       approx.PolicyConfig{Threshold: req.ApproxThreshold},
-			Sampling: sample.Config{
-				Rate:  req.SamplingRate,
-				SMax:  req.SamplingSMax,
-				Level: req.SamplingLevel,
-			},
+			Sampling:     sample.Config{Rate: req.SamplingRate},
 		})
 		if err != nil {
 			writeServiceError(w, err)
@@ -241,7 +231,7 @@ func NewHandler(svc *Service) http.Handler {
 			Estimator:     ep.Estimator,
 			Uncertainty:   ep.Uncertainty,
 			Disagreement:  ep.Disagreement,
-			CrossValError: t.Stats().CrossValError,
+			CrossValError: t.crossValError(),
 			SamplingRate:  ep.SamplingRate,
 			BandLow:       append([]float64(nil), ep.BandLow...),
 			BandHigh:      append([]float64(nil), ep.BandHigh...),

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
+	"rapidmrc/internal/sample"
 )
 
 // doJSON issues a request with an optional JSON body and decodes the
@@ -256,8 +258,11 @@ func TestHTTPSampling(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	if code := doJSON(t, c, "POST", ts.URL+"/tenants", RegisterRequest{
-		ID: "s", Target: len(trace), SamplingRate: 0.1, SamplingLevel: 0.90,
+	// Unknown fields such as sampling_smax and sampling_level are
+	// ignored: bands are always built at 0.95.
+	if code := doJSON(t, c, "POST", ts.URL+"/tenants", map[string]any{
+		"id": "s", "target": len(trace), "sampling_rate": 0.1,
+		"sampling_smax": 900, "sampling_level": 0.90,
 	}, nil); code != http.StatusCreated {
 		t.Fatalf("register: %d", code)
 	}
@@ -272,7 +277,7 @@ func TestHTTPSampling(t *testing.T) {
 	if cr.SamplingRate <= 0 || cr.SamplingRate > 0.11 {
 		t.Errorf("sampling_rate %v, want ~0.1", cr.SamplingRate)
 	}
-	if cr.BandLevel != 0.90 || cr.EffSamples <= 0 {
+	if cr.BandLevel != sample.DefaultLevel || cr.EffSamples <= 0 {
 		t.Errorf("band_level %v eff_samples %v", cr.BandLevel, cr.EffSamples)
 	}
 	if len(cr.BandLow) != len(cr.MPKI) || len(cr.BandHigh) != len(cr.MPKI) {
@@ -299,15 +304,20 @@ func TestHTTPSampling(t *testing.T) {
 		}
 	}
 
-	// Bad rates map to 400 at registration time.
+	// Bad rates, negative ones included, map to a typed 400 at
+	// registration time and register nothing.
 	for _, rate := range []float64{2, -0.5} {
-		want := http.StatusBadRequest
-		if rate < 0 {
-			want = http.StatusCreated // negative = explicit full-rate override
-		}
+		id := fmt.Sprintf("r%v", rate)
+		var er errorResponse
 		if code := doJSON(t, c, "POST", ts.URL+"/tenants",
-			RegisterRequest{ID: fmt.Sprintf("r%v", rate), SamplingRate: rate}, nil); code != want {
-			t.Errorf("rate %v: status %d, want %d", rate, code, want)
+			RegisterRequest{ID: id, SamplingRate: rate}, &er); code != http.StatusBadRequest {
+			t.Errorf("rate %v: status %d, want 400", rate, code)
+		}
+		if want := (&sample.RateError{Rate: rate}).Error(); er.Error != want {
+			t.Errorf("rate %v: error %q, want %q", rate, er.Error, want)
+		}
+		if _, err := svc.Lookup(id); !errors.Is(err, ErrUnknownTenant) {
+			t.Errorf("rate %v: rejected tenant registered (%v)", rate, err)
 		}
 	}
 

@@ -77,7 +77,7 @@ func TestSampledTenantBands(t *testing.T) {
 	tn, err := svc.Register("app", TenantConfig{
 		Target:       len(trace),
 		EpochEntries: 20_000,
-		Sampling:     sample.Config{Rate: 0.1, Level: 0.99},
+		Sampling:     sample.Config{Rate: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestSampledTenantBands(t *testing.T) {
 	if math.Abs(ep.SamplingRate-0.1) > 1e-6 {
 		t.Errorf("sampling rate %v, want ~0.1", ep.SamplingRate)
 	}
-	if ep.BandLevel != 0.99 {
-		t.Errorf("band level %v, want 0.99", ep.BandLevel)
+	if ep.BandLevel != sample.DefaultLevel {
+		t.Errorf("band level %v, want %v", ep.BandLevel, sample.DefaultLevel)
 	}
 	if ep.EffSamples <= 0 {
 		t.Errorf("effective samples %v", ep.EffSamples)
@@ -120,49 +120,20 @@ func TestSampledTenantBands(t *testing.T) {
 }
 
 // TestRegisterSamplingValidation pins the typed rejection of bad rates,
-// plus the service-default inheritance and the negative-disables
-// override.
+// negative ones included: a rejected registration adds no tenant.
 func TestRegisterSamplingValidation(t *testing.T) {
 	svc := New(Config{})
-	for i, rate := range []float64{-0.0000001 - 1, 1.5, 2, math.NaN(), math.Inf(1)} {
+	for i, rate := range []float64{-0.0000001 - 1, -0.5, 1.5, 2, math.NaN(), math.Inf(1)} {
 		_, err := svc.Register("bad", TenantConfig{Sampling: sample.Config{Rate: rate}})
 		var re *sample.RateError
-		if rate < 0 {
-			// Negative is the explicit "force full rate" override, not an
-			// error.
-			if err != nil {
-				t.Errorf("case %d: negative rate rejected: %v", i, err)
-			}
-			svc.Evict("bad")
-			continue
-		}
 		if !errors.As(err, &re) {
 			t.Errorf("case %d: rate %v: got %v, want *sample.RateError", i, rate, err)
 		}
+		if n := svc.Stats().Tenants; n != 0 {
+			t.Errorf("case %d: rate %v registered a tenant (%d)", i, rate, n)
+		}
 	}
 
-	// Service-wide default: tenants inherit the daemon rate unless they
-	// override it (negative = full rate).
-	svc = New(Config{SamplingRate: 0.25})
-	inh, err := svc.Register("inherit", TenantConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inh.Config().Sampling.Rate != 0.25 {
-		t.Errorf("inherited rate %v, want 0.25", inh.Config().Sampling.Rate)
-	}
-	full, err := svc.Register("full", TenantConfig{Sampling: sample.Config{Rate: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Config().Sampling != (sample.Config{}) {
-		t.Errorf("negative rate did not disable sampling: %+v", full.Config().Sampling)
-	}
-	// A bad service-wide default surfaces at Register time.
-	svc = New(Config{SamplingRate: 3})
-	if _, err := svc.Register("x", TenantConfig{}); err == nil {
-		t.Error("bad service default rate accepted")
-	}
 }
 
 // TestPoolRecyclesSampledEngines pins the sampled engine's pooled
@@ -172,7 +143,7 @@ func TestRegisterSamplingValidation(t *testing.T) {
 func TestPoolRecyclesSampledEngines(t *testing.T) {
 	trace := synthTrace(3, 4000)
 	raw := rawTrace(trace)
-	scfg := sample.Config{Rate: 0.5, SMax: 900}
+	scfg := sample.Config{Rate: 0.5}
 
 	svc := New(Config{})
 	a, err := svc.Register("a", TenantConfig{Target: len(trace), Sampling: scfg})

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"rapidmrc/internal/core"
-	"rapidmrc/internal/sample"
 )
 
 // Config parameterizes a Service.
@@ -24,19 +23,6 @@ type Config struct {
 	// PoolCapacity bounds the idle-engine pool; zero uses
 	// DefaultPoolCapacity.
 	PoolCapacity int
-	// EpochEntries is the default auto-snapshot cadence for tenants that
-	// leave theirs zero. Zero disables auto-epochs by default.
-	EpochEntries int
-	// ApproxThreshold is the default analytical-tier uncertainty
-	// threshold for tenants whose Approx config leaves it zero (see
-	// TenantConfig.Approx). Zero keeps the analytical tier off by
-	// default, preserving the classic always-simulate behavior.
-	ApproxThreshold float64
-	// SamplingRate is the default SHARDS sampling rate for tenants whose
-	// Sampling config leaves the rate zero (see TenantConfig.Sampling).
-	// Zero keeps sampling off by default; rates outside (0, 1] are
-	// rejected at Register time.
-	SamplingRate float64
 }
 
 // Service defaults.
@@ -87,13 +73,14 @@ func (s *Service) Pool() *EnginePool { return s.pool }
 
 // Register creates a tenant under id and starts its worker. The tenant
 // configuration is defaulted: zero Target becomes DefaultTarget, zero
-// MaxQueued, EpochEntries, Approx.Threshold, and Sampling.Rate inherit
-// the service defaults, and a zero Engine config becomes
-// core.DefaultConfig() with CostPerWalk 0 (see TenantConfig.Engine). The
+// MaxQueued inherits the service's, and a zero Engine config becomes
+// core.DefaultConfig() with CostPerWalk 0 (see TenantConfig.Engine). Its
+// tiers (EpochEntries, Approx, Sampling) are the registration's own. The
 // profiling session is then opened from the service's pool. It fails
 // with ErrTenantExists if id is taken, ErrDraining during shutdown, or
-// Open's error: a *ProfileError for an invalid Sampling field,
-// or the engine constructor's error for an invalid configuration.
+// Open's error: a *ProfileError for an invalid Sampling field (a
+// negative rate included), or the engine constructor's error for an
+// invalid configuration.
 func (s *Service) Register(id string, cfg TenantConfig) (*Tenant, error) {
 	if id == "" {
 		return nil, errors.New("service: empty tenant id")
@@ -104,25 +91,11 @@ func (s *Service) Register(id string, cfg TenantConfig) (*Tenant, error) {
 	if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = s.cfg.MaxQueued
 	}
-	if cfg.EpochEntries == 0 {
-		cfg.EpochEntries = s.cfg.EpochEntries
-	}
-	if cfg.Approx.Threshold == 0 {
-		cfg.Approx.Threshold = s.cfg.ApproxThreshold
-	}
 	if cfg.Engine == (core.Config{}) {
 		// No service surface reads a tenant's modeled cycles, so its
 		// walks go unpriced and the stack skips the walk model.
 		cfg.Engine = core.DefaultConfig()
 		cfg.Engine.CostPerWalk = 0
-	}
-	if cfg.Sampling.Rate < 0 {
-		// Negative forces full-rate profiling even when the service
-		// default samples (mirroring Approx.Threshold's negative-disables
-		// convention).
-		cfg.Sampling = sample.Config{}
-	} else if cfg.Sampling.Rate == 0 {
-		cfg.Sampling.Rate = s.cfg.SamplingRate
 	}
 	sess, err := s.pool.Open(cfg)
 	if err != nil {

@@ -229,18 +229,6 @@ func (s *Session) Serve(instructions uint64, phaseChange bool) (*Epoch, error) {
 	return ep, nil
 }
 
-// crossValidate measures the current Che/Fagin estimate against a fresh
-// simulated epoch — the simulation was already paid for, so the error
-// measurement is free. A no-op with the tier off or still warming.
-func (s *Session) crossValidate(ep *Epoch) {
-	if s.sampler == nil || s.sampler.Warming() {
-		return
-	}
-	if e, err := s.sampler.Estimate(approx.CheFagin{}, ep.Instructions); err == nil {
-		s.crossVal = core.Distance(e.MRC, ep.Result.MRC)
-	}
-}
-
 // Close recycles the engine into the pool; later Snapshot and Serve
 // calls fail with ErrStreamClosed, while the counters stay readable.
 // Closing a closed session is a no-op.

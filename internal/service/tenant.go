@@ -36,16 +36,13 @@ type TenantConfig struct {
 	// full modeled cost.
 	Engine core.Config
 	// Approx configures the analytical serving tier (see internal/approx).
-	// A zero Threshold inherits the service-wide default
-	// (Config.ApproxThreshold); a negative Threshold disables the tier for
-	// this tenant, making every Serve a full simulation.
+	// A Threshold ≤ 0 disables the tier for this tenant, making every
+	// Serve a full simulation.
 	Approx approx.PolicyConfig
 	// Sampling configures SHARDS spatial sampling (see internal/sample):
 	// a Rate in (0, 1] profiles this tenant through the hash-threshold
 	// sampled engine, whose epochs carry confidence bands. A zero Rate
-	// inherits the service-wide default (Config.SamplingRate); a negative
-	// Rate forces full-rate profiling even when the service default
-	// samples.
+	// profiles at full rate; any other Rate fails Validate.
 	Sampling sample.Config
 }
 
@@ -128,10 +125,10 @@ type TenantStats struct {
 	SimServed        int
 	Escalations      int
 	PhaseTransitions int
-	// SamplingRate is the SHARDS sampling rate currently in force (0
-	// when the tenant profiles unsampled; below the configured rate after
-	// s_max adaptation). BandWidthMPKI is the mean confidence-band width
-	// of the latest epoch (0 unsampled or at rate 1.0).
+	// SamplingRate is the effective SHARDS sampling rate (0 when the
+	// tenant profiles unsampled). BandWidthMPKI is the mean
+	// confidence-band width of the latest epoch (0 unsampled or at rate
+	// 1.0).
 	SamplingRate  float64
 	BandWidthMPKI float64
 }
@@ -327,8 +324,7 @@ func (t *Tenant) consume(b batch) {
 // observeEpochLocked runs the analytical tier's bookkeeping against a
 // fresh simulated epoch: the phase detector consumes the epoch's
 // largest-size MPKI as its interval miss rate (a detected transition is
-// latched until the next serving decision), and the session
-// cross-validates its current estimate against the real curve.
+// latched until the next serving decision).
 //
 //rapidmrc:locked mu
 func (t *Tenant) observeEpochLocked(ep *Epoch) {
@@ -338,7 +334,6 @@ func (t *Tenant) observeEpochLocked(ep *Epoch) {
 			t.phasePending = true
 		}
 	}
-	t.sess.crossValidate(ep)
 }
 
 // Snapshot computes a fresh epoch from everything fed so far. With wait
@@ -462,6 +457,14 @@ func (t *Tenant) Stats() TenantStats {
 		st.BandWidthMPKI = sample.Bands{Low: t.last.BandLow, High: t.last.BandHigh}.Width()
 	}
 	return st
+}
+
+// crossValError returns the session's last banked estimate-vs-simulation
+// error (TenantStats.CrossValError) without building the full Stats.
+func (t *Tenant) crossValError() float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sess.crossVal
 }
 
 // close finalizes the tenant: subsequent feeds fail with reason, and the
