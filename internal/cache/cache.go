@@ -129,15 +129,12 @@ type Cache struct {
 	stats Stats
 
 	// Set indexing is divide-free on every geometry: power-of-two set
-	// counts mask with setMask; 3·2^k counts (the POWER5 L2's 1536 and
-	// L3's 24576) split into a masked low part and a constant %3 the
-	// compiler strength-reduces; anything else uses the precomputed
-	// Lemire modulus (setMagic). All three are bit-exact line % nsets.
+	// counts mask with setMask, and every other count (the POWER5 L2's
+	// 1536 sets, the L3's 24576) uses the precomputed Lemire modulus
+	// setMagic. Both are bit-exact line % nsets.
 	nsets    uint64
-	setMask  uint64 // low-bits mask (nsets-1, or 2^k-1 for 3·2^k)
-	setShift uint   // k for the 3·2^k form
+	setMask  uint64 // nsets-1 when setPow2
 	setPow2  bool
-	setThree bool
 	setMagic magic128
 }
 
@@ -272,19 +269,6 @@ func (c *Cache) Probe(line mem.Line) bool {
 		return c.lru.probe(c.setIndex(line), line)
 	}
 	return c.sets[c.setIndex(line)].probe(line)
-}
-
-// Touch looks up line and refreshes its LRU position, but never allocates.
-// It returns true on a hit. Statistics are not updated; the platform uses
-// Touch for prefetch-issued lookups it does not want counted as demand
-// accesses.
-//
-//rapidmrc:hotpath
-func (c *Cache) Touch(line mem.Line) bool {
-	if c.lru != nil {
-		return c.lru.touch(c.setIndex(line), line)
-	}
-	return c.sets[c.setIndex(line)].touch(line)
 }
 
 // Insert places line into the cache without counting an access, evicting

@@ -131,20 +131,19 @@ func TestProbeDoesNotDisturbLRU(t *testing.T) {
 }
 
 func TestTouchRefreshesLRU(t *testing.T) {
+	// Insert of a present line is a touch: it refreshes the line's LRU
+	// position without allocating, evicting or counting an access.
 	c := New(testConfig(2, 0))
 	c.Access(1, false)
 	c.Access(2, false)
-	if !c.Touch(1) {
-		t.Fatal("touch of present line returned false")
-	}
-	if c.Touch(42) {
-		t.Fatal("touch of absent line returned true")
+	if res := c.Insert(1, false); !res.Hit || res.Evicted {
+		t.Fatalf("insert of present line = %+v, want a hit without eviction", res)
 	}
 	res := c.Access(3, false)
 	if res.Victim != 2 {
 		t.Fatalf("touch did not refresh: victim = %d, want 2", res.Victim)
 	}
-	// Touch must not change access stats.
+	// The touch must not change access stats.
 	if got := c.Stats().Accesses; got != 3 {
 		t.Errorf("accesses = %d, want 3 (touch should not count)", got)
 	}
@@ -218,42 +217,47 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestSetImplementationsAgree property-tests that the slice-based and
-// map-based set implementations produce identical results on random access
-// sequences, so a fully associative cache behaves exactly like a very wide
-// slice set.
+// TestSetImplementationsAgree property-tests that a one-set flat LRU and
+// the map-based set produce identical results on random access sequences,
+// so a fully associative cache behaves exactly like a very wide flat set.
 func TestSetImplementationsAgree(t *testing.T) {
 	f := func(seed int64, ways8 uint8, n uint16) bool {
 		ways := int(ways8%16) + 1
 		r := rand.New(rand.NewSource(seed))
-		a := newSliceSet(ways)
+		a := newFlatLRU(1, ways)
 		b := newMapSet(ways)
 		for i := 0; i < int(n%2000)+10; i++ {
 			line := mem.Line(r.Intn(3 * ways))
 			dirty := r.Intn(4) == 0
 			switch r.Intn(10) {
 			case 0:
-				pa, da := a.invalidate(line)
+				pa, da := a.invalidate(0, line)
 				pb, db := b.invalidate(line)
 				if pa != pb || da != db {
 					return false
 				}
 			case 1:
-				if a.probe(line) != b.probe(line) {
+				if a.probe(0, line) != b.probe(line) {
 					return false
 				}
 			case 2:
-				if a.touch(line) != b.touch(line) {
+				// The flat set touches a present line through insert,
+				// which refreshes it keeping its dirty bit.
+				present := a.probe(0, line)
+				if present && !a.insert(0, line, dirty).Hit {
+					return false
+				}
+				if present != b.touch(line) {
 					return false
 				}
 			default:
-				ra := a.access(line, dirty)
+				ra := a.access(0, line, dirty)
 				rb := b.access(line, dirty)
 				if ra != rb {
 					return false
 				}
 			}
-			if a.len() != b.len() {
+			if a.lenTotal() != b.len() {
 				return false
 			}
 		}

@@ -97,7 +97,7 @@ func TestSetIndexMatchesModulo(t *testing.T) {
 
 // TestHotPathOperationsDoNotAllocate verifies the allocation-free contract
 // of the access fast path on both the flat-LRU caches the simulator runs
-// on and a policy (pseudo-LRU fallback) cache: steady-state Access, Touch,
+// on and a policy (pseudo-LRU fallback) cache: steady-state Access,
 // Insert, and Invalidate must not allocate.
 func TestHotPathOperationsDoNotAllocate(t *testing.T) {
 	configs := []Config{
@@ -114,7 +114,6 @@ func TestHotPathOperationsDoNotAllocate(t *testing.T) {
 		var l mem.Line
 		ops := map[string]func(){
 			"Access": func() { c.Access(l, false); l++ },
-			"Touch":  func() { c.Touch(l); l++ },
 			"Insert": func() { c.Insert(l, true); l++ },
 			"Invalidate": func() {
 				c.Invalidate(l)

@@ -47,8 +47,8 @@ func (p Policy) String() string {
 
 // policySet implements FIFO, Random and MRU for ordinary associativities.
 // For FIFO, entries stay in insertion order; for MRU/Random, entries are
-// kept in recency order like sliceSet but the victim choice differs. Like
-// sliceSet, the entry array is allocated once (len == ways) and the first
+// kept in recency order like the flat LRU sets but the victim choice
+// differs. The entry array is allocated once (len == ways) and the first
 // n slots are valid, so no operation allocates.
 type policySet struct {
 	policy Policy

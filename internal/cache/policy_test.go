@@ -103,7 +103,8 @@ func TestPolicySetTouchAndInvalidate(t *testing.T) {
 		c := New(Config{Name: "t", SizeBytes: 128 * 4, LineSize: 128, Ways: 4, Policy: p, Seed: 1})
 		c.Access(1, true)
 		c.Access(2, false)
-		if !c.Touch(1) || c.Touch(99) {
+		// Insert touches a present line through the set's touch.
+		if !c.Insert(1, false).Hit || c.Probe(99) {
 			t.Fatalf("%v: touch misbehaves", p)
 		}
 		present, dirty := c.Invalidate(1)

@@ -129,31 +129,9 @@ func (f *flatLRU) probe(set int, line mem.Line) bool {
 	return false
 }
 
-//rapidmrc:hotpath
-func (f *flatLRU) touch(set int, line mem.Line) bool {
-	w := f.setWords(set)
-	meta := w[0]
-	n := int(meta & metaN)
-	l := uint64(line)
-	if n > 0 && w[1] == l {
-		return true
-	}
-	lines := w[1 : 1+n]
-	for i := 1; i < n; i++ {
-		if lines[i] == l {
-			d := meta&(dirtyBit0<<i) != 0
-			copy(lines[1:i+1], lines[:i])
-			lines[0] = l
-			w[0] = metaInsertFront(meta, i, d)
-			return true
-		}
-	}
-	return false
-}
-
 // insert is Cache.Insert's one-scan fast path: a present line is
-// refreshed keeping its dirty bit (exactly touch), an absent one is
-// allocated (exactly access), without scanning the set twice.
+// refreshed keeping its dirty bit, an absent one is allocated (exactly
+// access), without scanning the set twice.
 //
 //rapidmrc:hotpath
 func (f *flatLRU) insert(set int, line mem.Line, dirty bool) Result {
@@ -222,34 +200,6 @@ func (f *flatLRU) lenTotal() int {
 	}
 	return n
 }
-
-// sliceSet adapts a single flatLRU set to the set interface — the
-// standalone narrow-LRU set used by tests and by callers outside the
-// cache fast path.
-type sliceSet struct {
-	f *flatLRU
-}
-
-// newSliceSet returns a standalone narrow LRU set.
-func newSliceSet(ways int) *sliceSet {
-	return &sliceSet{f: newFlatLRU(1, ways)}
-}
-
-func (s *sliceSet) access(line mem.Line, dirty bool) Result {
-	return s.f.access(0, line, dirty)
-}
-
-func (s *sliceSet) probe(line mem.Line) bool { return s.f.probe(0, line) }
-
-func (s *sliceSet) touch(line mem.Line) bool { return s.f.touch(0, line) }
-
-func (s *sliceSet) invalidate(line mem.Line) (present, dirty bool) {
-	return s.f.invalidate(0, line)
-}
-
-func (s *sliceSet) flush() { s.f.flush() }
-
-func (s *sliceSet) len() int { return s.f.lenTotal() }
 
 // mapSet implements a wide (e.g. fully associative) set as a hash map plus
 // an intrusive doubly-linked LRU list, giving O(1) operations.

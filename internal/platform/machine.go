@@ -50,10 +50,12 @@ type Machine struct {
 	core   *cpu.Core
 	pmu    *pmu.PMU
 	mapper *color.Mapper
-	l1d    *cache.Cache
 	l2     *cache.Cache
 	l3     *cache.Cache
 	pf     *prefetch.Prefetcher
+	// l1d sits behind a pointer: embedded, its 2 KiB slowed the shared
+	// sweep's 16 machines, which never touch it, by about 8%.
+	l1d *l1d
 
 	l3Enabled bool
 
@@ -113,7 +115,7 @@ func NewMachine(gen mem.Generator, opt Options) *Machine {
 		core:      cpu.New(opt.Mode),
 		pmu:       p,
 		mapper:    color.NewMapperWith(alloc, opt.Colors),
-		l1d:       cache.New(spec.L1D),
+		l1d:       newL1D(),
 		l2:        l2,
 		l3:        l3,
 		l3Enabled: opt.L3Enabled && l3 != nil,
@@ -209,7 +211,7 @@ func (m *Machine) StepRef(ref mem.Ref) {
 	vline := mem.LineOf(ref.Addr)
 	switch ref.Kind {
 	case mem.Load:
-		if m.l1d.Access(vline, false).Hit {
+		if m.l1d.load(vline) {
 			return
 		}
 		pline := m.mapper.PhysLine(vline)
@@ -222,7 +224,7 @@ func (m *Machine) StepRef(ref mem.Ref) {
 		// event; store-hit write-throughs are the L2 traffic the trace
 		// never sees (§3.1).
 		pline := m.mapper.PhysLine(vline)
-		if !m.l1d.Touch(vline) {
+		if !m.l1d.store(vline) {
 			m.onL1DMiss(pline)
 		}
 		// Store write-throughs do not train the stream prefetchers —

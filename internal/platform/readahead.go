@@ -26,8 +26,12 @@ const (
 	// paid more often and the two sides stall on each other more.
 	readAheadBatch = 4096
 	// readAheadDepth is the number of buffers in the ring: one being
-	// stepped, the rest filled or being filled ahead of it.
-	readAheadDepth = 4
+	// stepped, the rest filled or being filled ahead of it. The ring
+	// takes 1 MiB per machine. Once the generator and the machine cost
+	// about the same per ref, a deeper ring absorbs their batch-to-batch
+	// jitter: rapidmrc.Online over the zoo ran about 8% faster at 16
+	// than at 4 on a 2-CPU Xeon.
+	readAheadDepth = 16
 	// unbounded is the maxRefs of a run whose length is not known up
 	// front, such as a capture.
 	unbounded = math.MaxUint64

@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"rapidmrc/internal/cache"
 	"rapidmrc/internal/color"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/runner"
@@ -84,7 +83,7 @@ type sharedSweep struct {
 	workers int
 
 	// l1 is the leader L1-D simulation.
-	l1 *cache.Cache
+	l1 *l1d
 
 	// cur is the chunk being stepped: refs[:pos] and evs[:ev] of it are
 	// consumed. next is the other buffer; ready, set by every step, says
@@ -113,7 +112,7 @@ func newSharedSweep(gen mem.Generator, ms []*Machine, workers, chunkRefs int) *s
 		gen:     gen,
 		ms:      ms,
 		workers: workers,
-		l1:      cache.New(Power5().L1D),
+		l1:      newL1D(),
 		cur:     cur,
 		next:    newChunk(),
 		pos:     chunkRefs,
@@ -121,9 +120,8 @@ func newSharedSweep(gen mem.Generator, ms []*Machine, workers, chunkRefs int) *s
 }
 
 // build generates the chunk whose first ref follows instruction start,
-// runs the leader L1 over it and compacts it to its events: Access for
-// loads, Touch for stores (the store-through no-allocate L1 of
-// Machine.StepRef).
+// runs the leader L1 over it and compacts it to its events, looking each
+// ref up as Machine.StepRef does.
 func (s *sharedSweep) build(c *sweepChunk, start uint64) {
 	b := fillBatch(s.gen, c.refs)
 	c.n, c.fault = b.n, b.fault
@@ -134,12 +132,12 @@ func (s *sharedSweep) build(c *sweepChunk, start uint64) {
 		vline := mem.LineOf(r.Addr)
 		switch r.Kind {
 		case mem.Load:
-			if !s.l1.Access(vline, false).Hit {
+			if !s.l1.load(vline) {
 				c.evs = append(c.evs, event{vline: vline, instr: instr, kind: loadMiss})
 			}
 		case mem.Store:
 			kind := storeMiss
-			if s.l1.Touch(vline) {
+			if s.l1.store(vline) {
 				kind = storeHit
 			}
 			c.evs = append(c.evs, event{vline: vline, instr: instr, kind: kind})

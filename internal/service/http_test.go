@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -247,6 +248,41 @@ func TestHTTPAdviceAndMetrics(t *testing.T) {
 	}
 	if len(list) != 2 || list[0].ID != "t0" || list[1].ID != "t1" {
 		t.Errorf("tenant list %+v", list)
+	}
+}
+
+// TestHTTPStatsSamplingRateStableAcrossDrain reads a sampled tenant's
+// /stats while its session is open and again after Drain has finalized
+// it: both report the engine's quantized rate, to the bit. 0.1 is not on
+// the bucket grid, so the configured rate would read differently.
+func TestHTTPStatsSamplingRateStableAcrossDrain(t *testing.T) {
+	const rate = 0.1
+	trace := rawTrace(synthTrace(53, 8000))
+	svc := New(Config{})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	c := ts.Client()
+	if code := doJSON(t, c, "POST", ts.URL+"/tenants",
+		RegisterRequest{ID: "s", Target: len(trace), SamplingRate: rate}, nil); code != http.StatusCreated {
+		t.Fatalf("register: %d", code)
+	}
+	if code := doJSON(t, c, "POST", ts.URL+"/tenants/s/feed",
+		FeedRequest{Lines: trace, Instructions: 1_000_000}, nil); code != http.StatusAccepted {
+		t.Fatal("feed failed")
+	}
+	var open, drained TenantStats
+	if code := doJSON(t, c, "GET", ts.URL+"/tenants/s/stats", nil, &open); code != http.StatusOK || open.Closed {
+		t.Fatalf("stats of the open tenant: %d, closed %v", code, open.Closed)
+	}
+	svc.Drain()
+	if code := doJSON(t, c, "GET", ts.URL+"/tenants/s/stats", nil, &drained); code != http.StatusOK || !drained.Closed {
+		t.Fatalf("stats after drain: %d, closed %v", code, drained.Closed)
+	}
+	if open.SamplingRate == rate {
+		t.Fatalf("open tenant reports the configured rate %v, not the engine's quantized one", rate)
+	}
+	if math.Float64bits(open.SamplingRate) != math.Float64bits(drained.SamplingRate) {
+		t.Fatalf("sampling rate %v while open, %v after drain", open.SamplingRate, drained.SamplingRate)
 	}
 }
 

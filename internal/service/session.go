@@ -36,6 +36,7 @@ type Session struct {
 	pool    *EnginePool
 	eng     *sample.Engine        // nil once closed
 	sampled bool                  // sampling was requested: epochs carry bands
+	rate    float64               // the engine's effective rate when sampled, else 0
 	corr    *core.StreamCorrector // nil when correction is disabled
 	sampler *approx.Sampler       // nil when the analytical tier is off
 	policy  *approx.Policy        // nil when the analytical tier is off
@@ -77,6 +78,11 @@ func (p *EnginePool) Open(cfg TenantConfig) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{pool: p, eng: eng, sampled: cfg.Sampling != (sample.Config{}), crossVal: -1}
+	if s.sampled {
+		// The engine quantizes the configured rate; record what it
+		// applies, so the rate reads the same once the engine is gone.
+		s.rate = eng.Rate()
+	}
 	if !cfg.NoCorrection {
 		s.corr = new(core.StreamCorrector)
 	}

@@ -446,13 +446,7 @@ func (t *Tenant) Stats() TenantStats {
 	if t.det != nil {
 		st.PhaseTransitions = t.det.Transitions()
 	}
-	if sess.sampled {
-		if sess.Closed() {
-			st.SamplingRate = t.cfg.Sampling.Rate // finalized: report the config
-		} else {
-			st.SamplingRate = sess.eng.Rate()
-		}
-	}
+	st.SamplingRate = sess.rate
 	if t.last != nil {
 		st.BandWidthMPKI = sample.Bands{Low: t.last.BandLow, High: t.last.BandHigh}.Width()
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rapidmrc/internal/mem"
@@ -58,6 +59,9 @@ func (c Config) Validate() error {
 	if c.MemFrac <= 0 || c.MemFrac > 1 {
 		return fmt.Errorf("workload %s: MemFrac %v out of (0,1]", c.Name, c.MemFrac)
 	}
+	if 2*(1/c.MemFrac-1)+0.5 >= math.MaxInt32 {
+		return fmt.Errorf("workload %s: MemFrac %v puts the gap bound past 2^31-1 instructions", c.Name, c.MemFrac)
+	}
 	if c.StoreFrac < 0 || c.StoreFrac > 1 {
 		return fmt.Errorf("workload %s: StoreFrac %v out of [0,1]", c.Name, c.StoreFrac)
 	}
@@ -83,6 +87,9 @@ func (c Config) Validate() error {
 			}
 			if comp.Lines < 0 {
 				return fmt.Errorf("workload %s: phase %d component %d has negative lines", c.Name, i, j)
+			}
+			if comp.Lines > math.MaxInt32 {
+				return fmt.Errorf("workload %s: phase %d component %d has %d lines, more than 2^31-1", c.Name, i, j, comp.Lines)
 			}
 			total += comp.Weight
 		}
@@ -111,7 +118,8 @@ type Gen struct {
 
 	instr   uint64 // instructions completed (including pending gap)
 	gapMax  int
-	current int // current phase index
+	gapDraw intn // the gap draw, uniform on [0, gapMax]
+	current int  // current phase index
 
 	// Incremental phase tracking: cyclePos is instr modulo cycle, and
 	// [phaseStart, phaseEnd) is the cyclePos range of the current phase.
@@ -174,6 +182,9 @@ func (g *Gen) Reset(seed int64) {
 	// instructions. Gaps are uniform on [0, 2*mean] so the mean holds.
 	mean := 1/g.cfg.MemFrac - 1
 	g.gapMax = int(2*mean + 0.5)
+	if g.gapMax > 0 {
+		g.gapDraw = newIntn(g.gapMax + 1)
+	}
 
 	g.cyclePos = 0
 	g.phaseStart = 0
@@ -217,7 +228,7 @@ func (g *Gen) phaseFor(n uint64) int {
 func (g *Gen) Next() mem.Ref {
 	gap := uint32(0)
 	if g.gapMax > 0 {
-		gap = uint32(g.rng.Intn(g.gapMax + 1))
+		gap = uint32(g.gapDraw.draw(g.rng))
 	}
 	g.advance(uint64(gap) + 1)
 	ph := &g.phases[g.current]

@@ -115,14 +115,14 @@ func (p *chasePat) footprint() int { return len(p.perm) }
 
 type randPat struct {
 	base mem.Line
-	n    int
+	draw intn // uniform on [0, lines)
 }
 
 func (p *randPat) next(r *rand.Rand) mem.Line {
-	return p.base + mem.Line(r.Intn(p.n))
+	return p.base + mem.Line(p.draw.draw(r))
 }
 
-func (p *randPat) footprint() int { return p.n }
+func (p *randPat) footprint() int { return int(p.draw.n) }
 
 type streamPat struct {
 	base mem.Line
@@ -152,7 +152,7 @@ func build(k Kind, base mem.Line, lines int, r *rand.Rand) pattern {
 	case Chase:
 		return newChasePat(base, lines, r)
 	case Random:
-		return &randPat{base: base, n: lines}
+		return &randPat{base: base, draw: newIntn(lines)}
 	case Stream:
 		n := lines
 		if n < streamRegionLines {

@@ -64,6 +64,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Name: "x", MemFrac: 0.3, Phases: []Phase{{Instructions: 5, Mix: []Component{{Weight: 0.5, Kind: Loop, Lines: 10}}}}},
 		{Name: "x", MemFrac: 0.3, Phases: []Phase{{Instructions: 5, Mix: []Component{{Weight: 1, Kind: Loop, Lines: 0}}}}},
 		{Name: "x", MemFrac: 0.3, Phases: []Phase{{Instructions: 5, Mix: []Component{{Weight: -1, Kind: Loop, Lines: 10}, {Weight: 2, Kind: Loop, Lines: 10}}}}},
+		// Bounds past 2^31-1 that the generator's draws cannot take.
+		{Name: "x", MemFrac: 1e-10, Phases: good.Phases},
+		{Name: "x", MemFrac: 0.3, Phases: []Phase{{Instructions: 5, Mix: []Component{{Weight: 1, Kind: Random, Lines: math.MaxInt32 + 1}}}}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -34,13 +34,16 @@
 package rapidmrc
 
 import (
-	"fmt"
+	"errors"
 
 	"rapidmrc/internal/approx"
 	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/service"
 )
+
+// errEmptyTrace rejects a computation over a trace with no entries.
+var errEmptyTrace = errors.New("rapidmrc: empty trace")
 
 // ErrStreamClosed is returned by Stream.Feed and Stream.Snapshot after
 // Close has finalized the stream (its engine has been recycled into the
@@ -349,7 +352,7 @@ type EstimateStats struct {
 // to Compute's.
 func (e *Engine) Estimate(t *Trace) (*Curve, *EstimateStats, error) {
 	if t == nil || len(t.Lines) == 0 {
-		return nil, nil, fmt.Errorf("rapidmrc: empty trace")
+		return nil, nil, errEmptyTrace
 	}
 	smp, err := approx.NewSampler(e.cfg, len(t.Lines))
 	if err != nil {
@@ -389,7 +392,7 @@ func (e *Engine) Estimate(t *Trace) (*Curve, *EstimateStats, error) {
 // property tests — then recycles the engine.
 func profileTrace(spec service.TenantConfig, t *Trace) (*Curve, *Stats, error) {
 	if t == nil || len(t.Lines) == 0 {
-		return nil, nil, fmt.Errorf("rapidmrc: empty trace")
+		return nil, nil, errEmptyTrace
 	}
 	spec.Target = len(t.Lines)
 	sess, err := enginePool.Open(spec)

@@ -183,18 +183,36 @@ func (s *System) Run(n uint64) { s.m.RunInstructions(n) }
 
 // Capture runs one probing period of the configured length and returns
 // the raw trace.
-func (s *System) Capture() *Trace {
-	cap := s.m.CollectTrace(s.opt.entries)
-	lines := make([]uint64, len(cap.Lines))
-	for i, l := range cap.Lines {
-		lines[i] = uint64(l)
+func (s *System) Capture() *Trace { return s.capture(nil) }
+
+// feedChunk is the number of log entries Online hands its feeder at a
+// time: 32 KiB of trace, about 0.4 ms of engine work.
+const feedChunk = 4096
+
+// capture runs one probing period, logging it straight into the trace's
+// line slice, which is allocated once at full length. A non-nil handoff is
+// given the log in consecutive chunks, each as soon as it is complete: the
+// capture never writes to a chunk after handing it off.
+func (s *System) capture(handoff func([]uint64)) *Trace {
+	lines := make([]uint64, 0, max(s.opt.entries, 0))
+	sent := 0
+	sink := pmu.SinkFunc(func(l mem.Line) {
+		lines = append(lines, uint64(l))
+		if handoff != nil && len(lines)-sent == feedChunk {
+			handoff(lines[sent:len(lines):len(lines)])
+			sent = len(lines)
+		}
+	})
+	stats := s.m.CollectTraceStream(s.opt.entries, sink)
+	if handoff != nil && sent < len(lines) {
+		handoff(lines[sent:len(lines):len(lines)])
 	}
 	return &Trace{
 		Lines:        lines,
-		Instructions: cap.Stats.Instructions,
-		Cycles:       cap.Stats.Cycles,
-		Dropped:      cap.Stats.Dropped,
-		Stale:        cap.Stats.Stale,
+		Instructions: stats.Instructions,
+		Cycles:       stats.Cycles,
+		Dropped:      stats.Dropped,
+		Stale:        stats.Stale,
 	}
 }
 
@@ -309,6 +327,11 @@ func RealCurve(app string, opts ...SystemOption) (*Curve, error) {
 // probing period, compute the curve, and transpose it to the measured
 // miss rate at the reference partition size. The returned Stats include
 // capture artifacts and the modeled costs.
+//
+// The computation overlaps the capture: a feeder goroutine corrects and
+// stack-simulates each chunk of the log as soon as the capture completes
+// it, so only the snapshot is left when the capture ends. The result is
+// bit-identical to Engine.Compute over the captured trace.
 func Online(app string, opts ...SystemOption) (*Curve, *Stats, *Trace, error) {
 	sys, err := NewSystem(app, opts...)
 	if err != nil {
@@ -317,13 +340,94 @@ func Online(app string, opts ...SystemOption) (*Curve, *Stats, *Trace, error) {
 	// Reach steady state before probing (the paper probes at the
 	// 10-G-instruction mark; scaled here).
 	sys.Run(500_000)
-	trace := sys.Capture()
-	curve, stats, err := profileTrace(sys.opt.spec(), trace)
+	trace, curve, stats, err := sys.captureProfiled()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	sys.anchor(curve, stats)
 	return curve, stats, trace, nil
+}
+
+// captureProfiled is Capture followed by profileTrace, with the session
+// fed on a feeder goroutine while the machine captures.
+func (s *System) captureProfiled() (*Trace, *Curve, *Stats, error) {
+	if s.opt.entries <= 0 {
+		return nil, nil, nil, errEmptyTrace
+	}
+	spec := s.opt.spec()
+	spec.Target = s.opt.entries
+	sess, err := enginePool.Open(spec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer sess.Close()
+	f := startFeeder(sess)
+	defer f.stop() // runs before sess.Close, also on a panic
+	trace := s.capture(f.send)
+	f.finish()
+	curve, stats, err := fromEpoch(sess.Snapshot(trace.Instructions))
+	return trace, curve, stats, err
+}
+
+// feedDepth is how many chunks a feeder may have queued; the capture
+// blocks on a full queue until the feeder takes one. The feeder needs
+// well under half the capture's time per chunk, so the queue only
+// absorbs scheduling jitter; 8 chunks (256 KiB of trace) do that, and a
+// stalled capture never waits long for the feeder to catch up.
+const feedDepth = 8
+
+// feeder feeds a session on its own goroutine, chunk by chunk, in the
+// order the chunks are sent. The goroutine exits once stop is called and
+// the queue is drained, or as soon as feeding panics; the panic is kept
+// for finish to re-raise on the caller's goroutine.
+type feeder struct {
+	chunks chan []uint64
+	done   chan struct{}
+	// fault is a panic raised by the session, read only after done closes.
+	fault   any
+	stopped bool
+}
+
+func startFeeder(sess *service.Session) *feeder {
+	f := &feeder{chunks: make(chan []uint64, feedDepth), done: make(chan struct{})}
+	go f.run(sess)
+	return f
+}
+
+func (f *feeder) run(sess *service.Session) {
+	defer close(f.done)
+	defer func() { f.fault = recover() }()
+	for c := range f.chunks {
+		sess.Feed(c)
+	}
+}
+
+// send queues one chunk. After a feeding panic the chunk is dropped:
+// finish re-raises the panic once the capture ends.
+func (f *feeder) send(c []uint64) {
+	select {
+	case f.chunks <- c:
+	case <-f.done:
+	}
+}
+
+// stop closes the queue and waits for the goroutine to exit. Calling it
+// again is a no-op.
+func (f *feeder) stop() {
+	if f.stopped {
+		return
+	}
+	f.stopped = true
+	close(f.chunks)
+	<-f.done
+}
+
+// finish stops the feeder and re-raises a panic it recovered.
+func (f *feeder) finish() {
+	f.stop()
+	if f.fault != nil {
+		panic(f.fault)
+	}
 }
 
 // CoRunResult reports one application's performance in a co-scheduled run.
