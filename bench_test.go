@@ -6,15 +6,13 @@ package rapidmrc
 // `go test -bench=.`). The cmd/experiments binary runs the same drivers
 // at full fidelity and prints the reports.
 //
-// The trailing benchmarks are ablations: the production marker-tree stack
-// against the naive O(n) stack and the paper-era walking range list (the
-// optimization of Kim et al. the paper adopts), and the capture/compute
-// halves of the pipeline in isolation.
+// The trailing benchmarks are ablations: the capture/compute halves of
+// the pipeline in isolation. The stack ablations (the production
+// marker-tree stack against its oracles) are in internal/core.
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"testing"
 
 	"rapidmrc/internal/approx"
@@ -163,64 +161,8 @@ func BenchmarkApproxAssess(b *testing.B) {
 	}
 }
 
-// benchTrace builds a mixed-locality synthetic trace for the stack
-// ablation.
-func benchTrace(n int) []mem.Line {
-	r := rand.New(rand.NewSource(5))
-	trace := make([]mem.Line, n)
-	for i := range trace {
-		switch r.Intn(4) {
-		case 0:
-			trace[i] = mem.Line(r.Intn(1000))
-		case 1, 2:
-			trace[i] = mem.Line(2000 + r.Intn(12000))
-		default:
-			trace[i] = mem.Line(1_000_000 + i)
-		}
-	}
-	return trace
-}
-
-// BenchmarkStackMarker and BenchmarkStackNaive quantify the production
-// stack against the textbook one (DESIGN.md ablation): same trace, same
-// capacity. BenchmarkStackMarker exercises the production marker-tree
-// stack counting walks for the cost model; BenchmarkStackMarkerUnpriced
-// the same stack without the walk model, as mrcd tenants run it.
-func BenchmarkStackMarker(b *testing.B) {
-	trace := benchTrace(100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewStack(15360, core.DefaultGroupSize)
-		for _, l := range trace {
-			s.Reference(l)
-		}
-	}
-}
-
-func BenchmarkStackMarkerUnpriced(b *testing.B) {
-	trace := benchTrace(100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewUnpricedStack(15360)
-		for _, l := range trace {
-			s.Reference(l)
-		}
-	}
-}
-
-func BenchmarkStackNaive(b *testing.B) {
-	trace := benchTrace(10_000) // 10× shorter: O(n·capacity) is slow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewNaiveStack(15360)
-		for _, l := range trace {
-			s.Reference(l)
-		}
-	}
-}
-
 // mcfBenchTraces caches corrected mcf probing periods by length for the
-// ablation and stream-vs-batch benches (each captured once, shared), with
+// stream-vs-batch benches (each captured once, shared), with
 // the capture's instruction count for MPKI normalization.
 var mcfBenchTraces = map[int]struct {
 	lines []mem.Line
@@ -242,46 +184,6 @@ func mcfTraceN(b *testing.B, n int) ([]mem.Line, uint64) {
 		instr uint64
 	}{cap.Lines, cap.Stats.Instructions}
 	return cap.Lines, cap.Stats.Instructions
-}
-
-// mcfTrace returns the paper's showcase input: the 160 k-entry corrected
-// mcf trace at the default geometry.
-func mcfTrace(b *testing.B) []mem.Line {
-	lines, _ := mcfTraceN(b, 160_000)
-	return lines
-}
-
-// BenchmarkStackAblationMcf runs the naive, walking range-list, and
-// production marker-tree stacks over the same 160 k-entry mcf trace at
-// the paper's 15,360-line/64-entry geometry — the three-way ablation of
-// the stack kernel. The marker variant must beat the walking one by ≥ 2×
-// on ns/ref.
-func BenchmarkStackAblationMcf(b *testing.B) {
-	trace := mcfTrace(b)
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := core.NewNaiveStack(15360)
-			for _, l := range trace {
-				s.Reference(l)
-			}
-		}
-	})
-	b.Run("walk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := core.NewWalkRangeStack(15360, core.DefaultGroupSize)
-			for _, l := range trace {
-				s.Reference(l)
-			}
-		}
-	})
-	b.Run("marker", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := core.NewStack(15360, core.DefaultGroupSize)
-			for _, l := range trace {
-				s.Reference(l)
-			}
-		}
-	})
 }
 
 // BenchmarkStreamVsBatch compares the two halves of the equivalence the

@@ -22,6 +22,7 @@ import (
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/prof"
 	"rapidmrc/internal/report"
+	"rapidmrc/internal/sample"
 	"rapidmrc/internal/tracefile"
 )
 
@@ -139,7 +140,7 @@ func main() {
 			width /= float64(n)
 		}
 		fmt.Printf("sampling: rate %.4f, %.0f%% band mean width %.2f MPKI, %.0f effective samples\n",
-			stats.SamplingRate, 100*stats.BandLevel, width, stats.EffSamples)
+			stats.SamplingRate, 100*sample.DefaultLevel, width, stats.EffSamples)
 	}
 
 	x := make([]float64, len(curve.MPKI))

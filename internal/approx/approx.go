@@ -73,25 +73,6 @@ type Profile struct {
 	auto   bool
 }
 
-// Config returns the compute configuration the profile was built under.
-func (p *Profile) Config() core.Config { return p.cfg }
-
-// Recorded returns the number of references contributing to the
-// histogram; Consumed the total fed, warmup included.
-func (p *Profile) Recorded() int { return p.recorded }
-
-// Consumed returns the total references fed, warmup included.
-func (p *Profile) Consumed() int { return p.consumed }
-
-// WarmupEntries returns the number of leading references used for
-// warmup; AutoWarmup whether the working set filled the modeled stack
-// before the static fallback.
-func (p *Profile) WarmupEntries() int { return p.warmup }
-
-// AutoWarmup reports whether warmup ended because the distinct-line
-// count reached the stack capacity (the automatic policy).
-func (p *Profile) AutoWarmup() bool { return p.auto }
-
 // Estimate is one analytical MRC with its trustworthiness score.
 type Estimate struct {
 	// Estimator names the model that produced the curve.
@@ -264,12 +245,6 @@ func (s *Sampler) Reset(target int) error {
 	return nil
 }
 
-// Config returns the sampler's compute configuration.
-func (s *Sampler) Config() core.Config { return s.cfg }
-
-// Consumed returns the number of references fed so far.
-func (s *Sampler) Consumed() int { return s.consumed }
-
 // Warming reports whether the sampler is still inside warmup; estimates
 // from its profile fail until warmup ends.
 func (s *Sampler) Warming() bool { return s.warming }
@@ -321,8 +296,8 @@ func (s *Sampler) AutoWarmup() bool { return s.auto }
 
 // view returns a Profile that shares the sampler's live histogram
 // instead of copying it. It is valid only until the next Feed or Reset,
-// so it never leaves this package: Assess and Estimate read it
-// synchronously and return estimates that hold no reference to it.
+// so it never leaves this package: Assess reads it synchronously and
+// returns estimates that hold no reference to it.
 func (s *Sampler) view() *Profile {
 	return &Profile{
 		cfg:      s.cfg,
@@ -344,13 +319,6 @@ func (s *Sampler) Profile() *Profile {
 	p.fine = append([]uint64(nil), s.fine...)
 	p.coarse = append([]uint64(nil), s.coarse...)
 	return p
-}
-
-// Estimate runs e over the sampler's current histogram without copying
-// it — Profile followed by e.Estimate, minus the copy. e must not
-// retain the profile it is handed; the package's estimators do not.
-func (s *Sampler) Estimate(e Estimator, instructions uint64) (*Estimate, error) {
-	return e.Estimate(s.view(), instructions)
 }
 
 // ProfileTrace builds a profile from a whole corrected trace in one call

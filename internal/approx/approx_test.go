@@ -87,7 +87,7 @@ func TestEstimateProperties(t *testing.T) {
 			if e.Uncertainty < 0 || e.Uncertainty > 1 || math.IsNaN(e.Uncertainty) {
 				t.Fatalf("trial %d: %s: uncertainty %v out of [0,1]", trial, est.Name(), e.Uncertainty)
 			}
-			if e.Recorded != p.Recorded() || e.InstrEff == 0 {
+			if e.Recorded != p.recorded || e.InstrEff == 0 {
 				t.Fatalf("trial %d: %s: normalization basis recorded=%d instrEff=%d",
 					trial, est.Name(), e.Recorded, e.InstrEff)
 			}
@@ -269,9 +269,9 @@ func TestSamplerWarmupPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.AutoWarmup() || p.WarmupEntries() != cfg.StackLines {
+	if !p.auto || p.warmup != cfg.StackLines {
 		t.Fatalf("wide scan: auto=%v warmup=%d, want auto after %d",
-			p.AutoWarmup(), p.WarmupEntries(), cfg.StackLines)
+			p.auto, p.warmup, cfg.StackLines)
 	}
 
 	// Narrow loop: stack never fills, static fraction applies.
@@ -284,9 +284,9 @@ func TestSamplerWarmupPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStatic := int(float64(len(narrow)) * cfg.StaticWarmupFrac)
-	if p.AutoWarmup() || p.WarmupEntries() != wantStatic {
+	if p.auto || p.warmup != wantStatic {
 		t.Fatalf("narrow loop: auto=%v warmup=%d, want static %d",
-			p.AutoWarmup(), p.WarmupEntries(), wantStatic)
+			p.auto, p.warmup, wantStatic)
 	}
 
 	// Fixed override bypasses both.
@@ -296,8 +296,8 @@ func TestSamplerWarmupPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.AutoWarmup() || p.WarmupEntries() != 17 {
-		t.Fatalf("fixed warmup: auto=%v warmup=%d, want 17", p.AutoWarmup(), p.WarmupEntries())
+	if p.auto || p.warmup != 17 {
+		t.Fatalf("fixed warmup: auto=%v warmup=%d, want 17", p.auto, p.warmup)
 	}
 }
 
@@ -674,7 +674,7 @@ func TestEstimatorsMatchWalkOracles(t *testing.T) {
 	}
 
 	cfg := core.DefaultConfig()
-	for _, name := range workload.SortedNames() {
+	for _, name := range workload.Names() {
 		g := workload.New(workload.MustByName(name), 42)
 		trace := make([]mem.Line, 60_000)
 		for i := range trace {

@@ -305,7 +305,7 @@ func TestSamplerScriptCoverage(t *testing.T) {
 		switch {
 		case sc.cfg.FixedWarmupEntries >= 0:
 			policies["fixed"]++
-		case p.AutoWarmup():
+		case p.auto:
 			policies["auto"]++
 		case !s.Warming():
 			policies["static"]++
@@ -428,8 +428,8 @@ func cloneEstimate(e *Estimate) *Estimate {
 }
 
 // TestAssessDoesNotAlias pins that estimating from the live histogram
-// leaves no trace: a sampler assessed (and estimated through
-// Sampler.Estimate) mid-stream ends at the profile of one that was only
+// leaves no trace: a sampler assessed (and estimated over its live
+// view) mid-stream ends at the profile of one that was only
 // fed, every estimate equals the one computed from a deep-copied
 // profile at the same point, and no estimate — nor a Profile taken
 // mid-stream — changes as feeding continues.
@@ -474,12 +474,12 @@ func TestAssessDoesNotAlias(t *testing.T) {
 			if !reflect.DeepEqual(e, want) {
 				t.Fatalf("trial %d ref %d: Assess estimate differs from the copied profile's", trial, i)
 			}
-			fa, err := s.Estimate(FullyAssociative{}, instr)
+			fa, err := (FullyAssociative{}).Estimate(s.view(), instr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want, _ := (FullyAssociative{}).Estimate(s.Profile(), instr); !reflect.DeepEqual(fa, want) {
-				t.Fatalf("trial %d ref %d: Sampler.Estimate differs from the copied profile's", trial, i)
+				t.Fatalf("trial %d ref %d: an estimate over the live view differs from the copied profile's", trial, i)
 			}
 			kept = append(kept, e, fa)
 			frozen = append(frozen, cloneEstimate(e), cloneEstimate(fa))
@@ -515,9 +515,9 @@ func TestSamplerWarmupAccessors(t *testing.T) {
 			if i%7 != 0 {
 				continue
 			}
-			if p := s.Profile(); s.WarmupEntries() != p.WarmupEntries() || s.AutoWarmup() != p.AutoWarmup() {
+			if p := s.Profile(); s.WarmupEntries() != p.warmup || s.AutoWarmup() != p.auto {
 				t.Fatalf("policy %d ref %d: accessors %d/%v, profile %d/%v", policy, i,
-					s.WarmupEntries(), s.AutoWarmup(), p.WarmupEntries(), p.AutoWarmup())
+					s.WarmupEntries(), s.AutoWarmup(), p.warmup, p.auto)
 			}
 		}
 	}

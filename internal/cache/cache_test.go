@@ -178,23 +178,6 @@ func TestInsertAndInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlushAndLen(t *testing.T) {
-	c := New(testConfig(16, 4))
-	for i := 0; i < 10; i++ {
-		c.Access(mem.Line(i), false)
-	}
-	if got := c.Len(); got != 10 {
-		t.Fatalf("len = %d, want 10", got)
-	}
-	c.Flush()
-	if got := c.Len(); got != 0 {
-		t.Fatalf("len after flush = %d, want 0", got)
-	}
-	if got := c.Stats().Accesses; got != 10 {
-		t.Errorf("flush cleared stats: accesses = %d, want 10", got)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	c := New(testConfig(2, 0))
 	c.Access(1, false) // miss
@@ -267,6 +250,17 @@ func TestSetImplementationsAgree(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// lenTotal returns the number of valid lines across all sets.
+func (f *flatLRU) lenTotal() int {
+	n := 0
+	for i := 0; i < len(f.words); i += f.stride {
+		n += int(f.words[i] & metaN)
+	}
+	return n
+}
+
+func (s *mapSet) len() int { return len(s.nodes) }
 
 // TestLRUInclusion property-tests the stack (inclusion) property of LRU: a
 // larger fully associative LRU cache always contains the contents of a

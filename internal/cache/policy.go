@@ -141,7 +141,3 @@ func (s *policySet) invalidate(line mem.Line) (present, dirty bool) {
 	s.n--
 	return true, d
 }
-
-func (s *policySet) flush() { s.n = 0 }
-
-func (s *policySet) len() int { return s.n }

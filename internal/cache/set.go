@@ -184,23 +184,6 @@ func (f *flatLRU) invalidate(set int, line mem.Line) (present, dirty bool) {
 	return false, false
 }
 
-// flush empties every set (line words are left stale; the count bytes
-// make them unreachable).
-func (f *flatLRU) flush() {
-	for i := 0; i < len(f.words); i += f.stride {
-		f.words[i] = 0
-	}
-}
-
-// lenTotal returns the number of valid lines across all sets.
-func (f *flatLRU) lenTotal() int {
-	n := 0
-	for i := 0; i < len(f.words); i += f.stride {
-		n += int(f.words[i] & metaN)
-	}
-	return n
-}
-
 // mapSet implements a wide (e.g. fully associative) set as a hash map plus
 // an intrusive doubly-linked LRU list, giving O(1) operations.
 type mapSet struct {
@@ -291,10 +274,3 @@ func (s *mapSet) invalidate(line mem.Line) (present, dirty bool) {
 	delete(s.nodes, line)
 	return true, n.dirty
 }
-
-func (s *mapSet) flush() {
-	s.nodes = make(map[mem.Line]*lruNode, s.ways)
-	s.head, s.tail = nil, nil
-}
-
-func (s *mapSet) len() int { return len(s.nodes) }

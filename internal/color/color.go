@@ -123,17 +123,10 @@ type Mapper struct {
 	// rr walks the allowed groups round-robin.
 	rrGroups []int
 	rrPos    int
-	migrated uint64
 
 	tlbPage  [tlbSize]mem.Page
 	tlbPhys  [tlbSize]mem.PhysPage
 	tlbValid [tlbSize]bool
-}
-
-// NewMapper returns a Mapper constrained to the given colors, with a
-// private frame allocator.
-func NewMapper(allowed Set) *Mapper {
-	return NewMapperWith(NewAllocator(), allowed)
 }
 
 // NewMapperWith returns a Mapper drawing frames from a shared allocator.
@@ -160,12 +153,6 @@ func (m *Mapper) setAllowed(allowed Set) {
 	}
 	m.rrPos = 0
 }
-
-// Mapped returns the number of virtual pages currently mapped.
-func (m *Mapper) Mapped() int { return len(m.table) }
-
-// MigratedPages returns the cumulative number of pages moved by Repartition.
-func (m *Mapper) MigratedPages() uint64 { return m.migrated }
 
 // allocate picks a fresh physical page in the next round-robin group.
 func (m *Mapper) allocate() mem.PhysPage {
@@ -229,6 +216,5 @@ func (m *Mapper) Repartition(allowed Set) (moved int, cycles uint64) {
 		m.table[vp] = m.allocate()
 	}
 	moved = len(victims)
-	m.migrated += uint64(moved)
 	return moved, uint64(moved) * MigrationCyclesPerPage
 }

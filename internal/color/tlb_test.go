@@ -19,8 +19,8 @@ func slowPhysLine(m *Mapper, l mem.Line) mem.Line {
 // every translation against the uncached Translate path on a mirror
 // Mapper receiving the identical first-touch order.
 func TestPhysLineTLBIsPureMemoization(t *testing.T) {
-	fast := NewMapper(First(4))
-	slow := NewMapper(First(4))
+	fast := newMapper(First(4))
+	slow := newMapper(First(4))
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 200_000; i++ {
 		// Pages 0..3·tlbSize: every TLB index is aliased by three pages.
@@ -30,8 +30,8 @@ func TestPhysLineTLBIsPureMemoization(t *testing.T) {
 			t.Fatalf("ref %d line %#x: PhysLine %#x, want %#x", i, line, got, want)
 		}
 	}
-	if fast.Mapped() != slow.Mapped() {
-		t.Fatalf("mapped pages diverge: %d vs %d", fast.Mapped(), slow.Mapped())
+	if len(fast.table) != len(slow.table) {
+		t.Fatalf("mapped pages diverge: %d vs %d", len(fast.table), len(slow.table))
 	}
 }
 
@@ -39,7 +39,7 @@ func TestPhysLineTLBIsPureMemoization(t *testing.T) {
 // translation cached before a Repartition that migrates its page must not
 // be served stale afterwards.
 func TestRepartitionFlushesTLB(t *testing.T) {
-	m := NewMapper(First(1))
+	m := newMapper(First(1))
 	line := mem.Line(5 * mem.LinesPerPage)
 	before := m.PhysLine(line) // caches the translation
 	moved, _ := m.Repartition(Range(8, 9))

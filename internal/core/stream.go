@@ -59,6 +59,3 @@ func (c *StreamCorrector) Feed(line mem.Line) mem.Line {
 // Converted returns the number of entries rewritten so far (Table 2
 // column e reports this as a percentage of the log).
 func (c *StreamCorrector) Converted() int { return c.converted }
-
-// Reset returns the corrector to its initial state.
-func (c *StreamCorrector) Reset() { *c = StreamCorrector{} }

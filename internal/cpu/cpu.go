@@ -171,11 +171,3 @@ func (c *Core) MissOverlapsPrevious() bool {
 	c.sawMiss = true
 	return overlap
 }
-
-// Reset zeroes the counters but keeps mode and timing.
-func (c *Core) Reset() {
-	c.instructions = 0
-	c.millicycles = 0
-	c.lastMissInstr = 0
-	c.sawMiss = false
-}

@@ -96,24 +96,6 @@ func TestMissOverlapDetection(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(Complex)
-	c.Advance(50)
-	c.Exception()
-	c.MissOverlapsPrevious()
-	c.Reset()
-	if c.Instructions() != 0 || c.Cycles() != 0 {
-		t.Fatal("reset did not clear counters")
-	}
-	c.Advance(1)
-	if c.MissOverlapsPrevious() {
-		t.Fatal("reset did not clear miss history")
-	}
-	if c.Timing.ExceptionCycles == 0 {
-		t.Fatal("reset cleared timing")
-	}
-}
-
 func TestZeroCycleIPC(t *testing.T) {
 	if New(Complex).IPC() != 0 {
 		t.Fatal("IPC of fresh core should be 0, not NaN")

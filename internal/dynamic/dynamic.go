@@ -161,9 +161,6 @@ func (c *Controller) Alloc() []int {
 // Machines exposes the controlled machines (for metrics).
 func (c *Controller) Machines() []*platform.Machine { return c.machines }
 
-// Stats returns the controller's counters so far.
-func (c *Controller) Stats() Stats { return c.stats }
-
 // runInterval advances every machine by one monitoring interval under
 // cycle-synchronized interleaving and returns each one's interval MPKI.
 func (c *Controller) runInterval() []float64 {
@@ -309,18 +306,4 @@ func (c *Controller) Run(n int) Stats {
 		c.stats.Allocations = append(c.stats.Allocations, c.Alloc())
 	}
 	return c.stats
-}
-
-// DebugCurves summarizes the current curves for diagnostics: each curve's
-// 1-, 8- and 16-color points.
-func (c *Controller) DebugCurves() string {
-	out := ""
-	for i, cv := range c.curves {
-		if cv == nil {
-			out += fmt.Sprintf("[%d:nil]", i)
-			continue
-		}
-		out += fmt.Sprintf("[%d: %.1f/%.1f/%.1f]", i, cv.At(1), cv.At(8), cv.At(16))
-	}
-	return out
 }

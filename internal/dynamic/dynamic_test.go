@@ -94,8 +94,10 @@ func TestStationaryAppsSettleWithoutChurn(t *testing.T) {
 	if len(st.Allocations) != 12 {
 		t.Fatalf("%d allocation records", len(st.Allocations))
 	}
-	if c.DebugCurves() == "" {
-		t.Error("DebugCurves returned nothing")
+	for i, cv := range c.curves {
+		if cv == nil {
+			t.Errorf("application %d has no curve", i)
+		}
 	}
 }
 

@@ -38,9 +38,6 @@ type Config struct {
 	Parallel int
 }
 
-// DefaultConfig returns the full-fidelity configuration.
-func DefaultConfig() Config { return Config{Seed: 1} }
-
 // cpuComplex is a shorthand for the default execution mode in drivers.
 var cpuComplex = cpu.Complex
 

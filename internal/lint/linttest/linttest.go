@@ -38,6 +38,8 @@ type expectation struct {
 // Run checks analyzer against the fixture package rooted at dir,
 // type-checked under import path pkgpath (so layering fixtures can
 // impersonate internal packages).
+//
+//lint:allow deadexport test helper: the analyzer fixture tests (TestHotPathAlloc and its siblings) call it
 func Run(t *testing.T, analyzer *lint.Analyzer, dir, pkgpath string) {
 	t.Helper()
 	pkg, err := lint.CheckDir(dir, pkgpath)
@@ -97,29 +99,4 @@ func claim(wants []*expectation, d lint.Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// MustBeClean runs every analyzer over the packages matched by patterns
-// and fails on any finding — the repo-wide smoke check.
-func MustBeClean(t *testing.T, dir string, patterns ...string) {
-	t.Helper()
-	pkgs, err := lint.Load(dir, patterns...)
-	if err != nil {
-		t.Fatalf("loading %v: %v", patterns, err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("no packages matched %v", patterns)
-	}
-	diags, err := lint.RunAnalyzers(pkgs, lint.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
-	}
-	if len(diags) > 0 {
-		t.Errorf("%d finding(s); run `go run ./cmd/rapidlint ./...` for the same output", len(diags))
-	} else {
-		t.Logf("rapidlint clean over %d packages", len(pkgs))
-	}
 }

@@ -42,9 +42,6 @@ type PhysPage uint64
 // LineOf returns the cache line containing a.
 func LineOf(a Addr) Line { return Line(a >> LineShift) }
 
-// PageOf returns the virtual page containing a.
-func PageOf(a Addr) Page { return Page(a >> PageShift) }
-
 // AddrOfLine returns the first byte address of line l.
 func AddrOfLine(l Line) Addr { return Addr(l << LineShift) }
 

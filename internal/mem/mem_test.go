@@ -34,7 +34,7 @@ func TestPageLineGeometry(t *testing.T) {
 	f := func(a uint64) bool {
 		addr := Addr(a)
 		l := LineOf(addr)
-		if PageOf(addr) != PageOfLine(l) {
+		if Page(addr>>PageShift) != PageOfLine(l) {
 			return false
 		}
 		in := LineInPage(l)

@@ -66,15 +66,3 @@ func TestConvergenceCloneInsulatesCaller(t *testing.T) {
 		t.Fatal("stored snapshot was aliased to the caller's curve")
 	}
 }
-
-func TestConvergenceReset(t *testing.T) {
-	c := NewConvergence(0.5, 1)
-	c.Observe(curveAt(40))
-	c.Reset()
-	if c.Observe(curveAt(40)) {
-		t.Fatal("converged immediately after Reset")
-	}
-	if !c.Observe(curveAt(40)) {
-		t.Fatal("not converged after post-Reset stable epoch")
-	}
-}

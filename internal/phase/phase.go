@@ -208,9 +208,3 @@ func (c *Convergence) Observe(curve *core.MRC) bool {
 	c.prev = curve.Clone()
 	return c.streak >= c.need
 }
-
-// Reset forgets all observed snapshots.
-func (c *Convergence) Reset() {
-	c.streak = 0
-	c.prev = nil
-}

@@ -35,7 +35,7 @@ func TestRepartitionMidRun(t *testing.T) {
 	app := loopApp("c2000", workload.Chase, 2_000)
 	m := NewMachine(workload.New(app, 1), Options{Mode: cpu.Simplified, Colors: color.First(4), Seed: 1})
 	m.RunRefs(20_000)
-	moved, cycles := m.Mapper().Repartition(color.Range(8, 12))
+	moved, cycles := m.mapper.Repartition(color.Range(8, 12))
 	if moved == 0 || cycles == 0 {
 		t.Fatalf("repartition moved %d pages, %d cycles", moved, cycles)
 	}

@@ -136,15 +136,6 @@ func (m *Machine) Core() *cpu.Core { return m.core }
 // PMU exposes the performance monitoring unit.
 func (m *Machine) PMU() *pmu.PMU { return m.pmu }
 
-// Mapper exposes the page-coloring mapper, e.g. for repartitioning.
-func (m *Machine) Mapper() *color.Mapper { return m.mapper }
-
-// L2 returns the (possibly shared) L2 cache.
-func (m *Machine) L2() *cache.Cache { return m.l2 }
-
-// Prefetcher returns the machine's stream prefetcher.
-func (m *Machine) Prefetcher() *prefetch.Prefetcher { return m.pf }
-
 // nextRef returns the next reference of the machine's own workload,
 // taking the next batch when the current one runs dry.
 func (m *Machine) nextRef() mem.Ref {

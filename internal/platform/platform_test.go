@@ -13,7 +13,7 @@ import (
 
 func TestPower5SpecGeometry(t *testing.T) {
 	s := Power5()
-	if got := s.L2Lines(); got != 15360 {
+	if got := s.L2.Lines(); got != 15360 {
 		t.Fatalf("L2 lines = %d, want 15360", got)
 	}
 	if s.L2.Sets() != 1536 {
@@ -268,7 +268,7 @@ func TestMissRateTimelineDetectsPhases(t *testing.T) {
 		},
 	}
 	cfg := RealMRCConfig{Mode: cpu.Simplified, Seed: 1}
-	tl := MissRateTimeline(app, 2, 20, 10_000, cfg)
+	tl := missRateTimeline(app, 2, 20, 10_000, cfg)
 	lo, hi := tl[0], tl[0]
 	for _, v := range tl {
 		if v < lo {

@@ -99,14 +99,12 @@ type outcome struct {
 	Lines        []mem.Line
 	Stats        pmu.TraceStats
 	Moved        int
-	Migrated     uint64
 }
 
 func observe(m *Machine, out outcome) outcome {
 	out.Metrics = m.Metrics()
 	out.Instructions = m.core.Instructions()
 	out.Cycles = m.core.Cycles()
-	out.Migrated = m.mapper.MigratedPages()
 	return out
 }
 
@@ -239,8 +237,8 @@ func TestReadAheadMatchesOracle(t *testing.T) {
 
 // summary prints an outcome without its captured lines.
 func summary(o outcome) string {
-	return fmt.Sprintf("metrics %+v instr %d cycles %d lines %d stats %+v moved %d migrated %d",
-		o.Metrics, o.Instructions, o.Cycles, len(o.Lines), o.Stats, o.Moved, o.Migrated)
+	return fmt.Sprintf("metrics %+v instr %d cycles %d lines %d stats %+v moved %d",
+		o.Metrics, o.Instructions, o.Cycles, len(o.Lines), o.Stats, o.Moved)
 }
 
 // TestReadAheadStopsWhenSinkPanics drives a streamed capture whose sink

@@ -85,28 +85,10 @@ func RealMRCPerMachine(app workload.Config, cfg RealMRCConfig) []float64 {
 	return mpki
 }
 
-// MissRateTimeline runs the application at a fixed partition size and
-// returns the L2 MPKI of consecutive intervals — the raw material of
-// Figure 2a and of online phase detection.
-func MissRateTimeline(app workload.Config, colors int, intervals int, intervalInstr uint64, cfg RealMRCConfig) []float64 {
-	m := NewMachine(workload.New(app, cfg.Seed), Options{
-		Mode:      cfg.Mode,
-		Colors:    color.First(colors),
-		L3Enabled: cfg.L3Enabled,
-		Seed:      cfg.Seed,
-	})
-	out := make([]float64, intervals)
-	for i := range out {
-		m.ResetMetrics()
-		m.RunInstructions(intervalInstr)
-		out[i] = m.Metrics().MPKI()
-	}
-	return out
-}
-
-// IntervalMetrics is MissRateTimeline returning the full interval metrics
-// (instructions, cycles, misses) instead of MPKI only — Table 2's phase
-// length column needs the cycle counts.
+// IntervalMetrics runs the application at a fixed partition size and
+// returns the metrics (instructions, cycles, misses) of consecutive
+// intervals: Table 2's phase length column needs the cycle counts, and
+// their MPKI is one size's miss-rate timeline.
 func IntervalMetrics(app workload.Config, colors int, intervals int, intervalInstr uint64, cfg RealMRCConfig) []Metrics {
 	m := NewMachine(workload.New(app, cfg.Seed), Options{
 		Mode:      cfg.Mode,
@@ -124,25 +106,11 @@ func IntervalMetrics(app workload.Config, colors int, intervals int, intervalIns
 }
 
 // MissRateTimelines measures timelines for every partition size (Figure 2a
-// plots all 16). Like RealMRC it runs the shared-stream fan-out;
-// MissRateTimelinesPerMachine is its one-run-per-size oracle.
+// plots all 16). Like RealMRC it runs the shared-stream fan-out; its
+// one-run-per-size oracle is in the tests.
 func MissRateTimelines(app workload.Config, intervals int, intervalInstr uint64, cfg RealMRCConfig) [][]float64 {
 	if cfg.MaxColors == 0 {
 		cfg.MaxColors = color.NumColors
 	}
 	return missRateTimelinesShared(app, intervals, intervalInstr, cfg, sweepChunkRefs)
-}
-
-// MissRateTimelinesPerMachine runs one independent timeline measurement
-// per partition size on the bounded pool — the reference implementation
-// for the shared-stream equivalence property test.
-func MissRateTimelinesPerMachine(app workload.Config, intervals int, intervalInstr uint64, cfg RealMRCConfig) [][]float64 {
-	if cfg.MaxColors == 0 {
-		cfg.MaxColors = color.NumColors
-	}
-	out := make([][]float64, cfg.MaxColors)
-	runner.All(cfg.Workers, cfg.MaxColors, func(i int) {
-		out[i] = MissRateTimeline(app, i+1, intervals, intervalInstr, cfg)
-	})
-	return out
 }

@@ -42,10 +42,6 @@ func Power5() Spec {
 	}
 }
 
-// L2Lines returns the number of L2 lines — the LRU stack capacity
-// RapidMRC uses (15,360 on this geometry).
-func (s Spec) L2Lines() int { return s.L2.Lines() }
-
 // Table renders the spec as the rows of Table 1.
 func (s Spec) Table() string {
 	var b strings.Builder

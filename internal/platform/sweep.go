@@ -256,7 +256,7 @@ func realMRCShared(app workload.Config, cfg RealMRCConfig, chunkRefs int) []floa
 
 // missRateTimelinesShared measures per-size miss-rate timelines with the
 // shared-stream fan-out: the interval boundaries land on the same refs as
-// MissRateTimeline's per-machine RunInstructions calls.
+// IntervalMetrics' per-machine RunInstructions calls.
 func missRateTimelinesShared(app workload.Config, intervals int, intervalInstr uint64, cfg RealMRCConfig, chunkRefs int) [][]float64 {
 	gen := workload.New(app, cfg.Seed)
 	ms := newSweepMachines(gen, cfg.MaxColors, cfg)

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rapidmrc/internal/color"
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
+	"rapidmrc/internal/runner"
 	"rapidmrc/internal/workload"
 )
 
@@ -449,3 +451,28 @@ type perRefOnly struct{ g mem.Generator }
 func (p perRefOnly) Next() mem.Ref    { return p.g.Next() }
 func (p perRefOnly) Name() string     { return p.g.Name() }
 func (p perRefOnly) Reset(seed int64) { p.g.Reset(seed) }
+
+// missRateTimeline is the L2 MPKI of consecutive intervals at a fixed
+// partition size, measured on a machine of its own.
+func missRateTimeline(app workload.Config, colors int, intervals int, intervalInstr uint64, cfg RealMRCConfig) []float64 {
+	ms := IntervalMetrics(app, colors, intervals, intervalInstr, cfg)
+	out := make([]float64, len(ms))
+	for i, m := range ms {
+		out[i] = m.MPKI()
+	}
+	return out
+}
+
+// MissRateTimelinesPerMachine runs one independent timeline measurement
+// per partition size on the bounded pool: the oracle for the
+// shared-stream timelines.
+func MissRateTimelinesPerMachine(app workload.Config, intervals int, intervalInstr uint64, cfg RealMRCConfig) [][]float64 {
+	if cfg.MaxColors == 0 {
+		cfg.MaxColors = color.NumColors
+	}
+	out := make([][]float64, cfg.MaxColors)
+	runner.All(cfg.Workers, cfg.MaxColors, func(i int) {
+		out[i] = missRateTimeline(app, i+1, intervals, intervalInstr, cfg)
+	})
+	return out
+}

@@ -9,8 +9,8 @@ import (
 func TestBufferedCaptureIsLossless(t *testing.T) {
 	p := New(1)
 	p.SetTraceBuffer(64)
-	if p.TraceBuffer() != 64 {
-		t.Fatalf("buffer depth = %d", p.TraceBuffer())
+	if p.bufferSize != 64 {
+		t.Fatalf("buffer depth = %d", p.bufferSize)
 	}
 	p.StartTrace(1000, 0, 0)
 	for i := 0; i < 1000; i++ {
@@ -80,8 +80,8 @@ func TestBufferedCountsOutsideTrace(t *testing.T) {
 func TestSetTraceBufferClampsToOne(t *testing.T) {
 	p := New(1)
 	p.SetTraceBuffer(-5)
-	if p.TraceBuffer() != 1 {
-		t.Fatalf("depth = %d, want clamp to 1", p.TraceBuffer())
+	if p.bufferSize != 1 {
+		t.Fatalf("depth = %d, want clamp to 1", p.bufferSize)
 	}
 }
 

@@ -111,14 +111,8 @@ func (p *PMU) SetTraceBuffer(depth int) {
 	p.bufferSize = depth
 }
 
-// TraceBuffer returns the configured buffer depth.
-func (p *PMU) TraceBuffer() int { return p.bufferSize }
-
 // Counters returns a copy of the counter block.
 func (p *PMU) Counters() Counters { return p.counters }
-
-// ResetCounters zeroes the counters; trace state is unaffected.
-func (p *PMU) ResetCounters() { p.counters = Counters{} }
 
 // OnL2Access records one demand L2 access and whether it missed.
 //
@@ -182,9 +176,6 @@ func (p *PMU) record(line mem.Line) {
 	//lint:allow hotpathalloc StartTrace preallocates trace to the full target capacity, so this append never grows
 	p.trace = append(p.trace, line)
 }
-
-// Tracing reports whether a probing period is active.
-func (p *PMU) Tracing() bool { return p.tracing }
 
 // TraceFull reports whether the log has reached its target length.
 func (p *PMU) TraceFull() bool { return p.tracing && p.captured >= p.target }

@@ -17,16 +17,12 @@ func TestCounters(t *testing.T) {
 	if c.L2Accesses != 3 || c.L2Misses != 2 || c.PrefetchFills != 3 || c.L1DMisses != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
-	p.ResetCounters()
-	if p.Counters() != (Counters{}) {
-		t.Fatal("ResetCounters left residue")
-	}
 }
 
 func TestCleanTraceCapturesExactAddresses(t *testing.T) {
 	p := New(1)
 	p.StartTrace(5, 100, 1000)
-	if !p.Tracing() {
+	if !p.tracing {
 		t.Fatal("not tracing after StartTrace")
 	}
 	for i := 0; i < 5; i++ {
@@ -38,7 +34,7 @@ func TestCleanTraceCapturesExactAddresses(t *testing.T) {
 		t.Fatal("trace not full after target events")
 	}
 	trace, st := p.FinishTrace(600, 51000)
-	if p.Tracing() {
+	if p.tracing {
 		t.Fatal("still tracing after FinishTrace")
 	}
 	for i, l := range trace {

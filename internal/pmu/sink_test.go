@@ -92,7 +92,7 @@ func TestSinkEarlyAbort(t *testing.T) {
 	if st.Captured != n || n == 0 {
 		t.Fatalf("Captured = %d, sink saw %d", st.Captured, n)
 	}
-	if p.Tracing() {
+	if p.tracing {
 		t.Fatal("still tracing after FinishTrace")
 	}
 }

@@ -25,16 +25,6 @@ const (
 	candidates = 16
 )
 
-// Stats counts prefetcher activity.
-type Stats struct {
-	// StreamsAllocated counts promotions of a candidate to a stream.
-	StreamsAllocated uint64
-	// Issued counts prefetch requests handed to the cache.
-	Issued uint64
-	// Advances counts demand accesses that matched an existing stream.
-	Advances uint64
-}
-
 type stream struct {
 	next      mem.Line // next demand line expected on this stream
 	nextIssue mem.Line // first line not yet prefetched
@@ -59,7 +49,6 @@ type Prefetcher struct {
 	recent  [candidates]mem.Line
 	rpos    int
 	clock   uint64
-	stats   Stats
 	buf     []mem.Line
 }
 
@@ -72,12 +61,6 @@ func New(enabled bool) *Prefetcher {
 	}
 	return p
 }
-
-// Enabled reports whether the prefetcher issues requests.
-func (p *Prefetcher) Enabled() bool { return p.enabled }
-
-// Stats returns a copy of the accumulated statistics.
-func (p *Prefetcher) Stats() Stats { return p.stats }
 
 // pageEnd returns the last line of the physical page containing l;
 // hardware streams cannot run past it (real addresses are only known
@@ -110,7 +93,6 @@ func (p *Prefetcher) Observe(line mem.Line) []mem.Line {
 		}
 		s.next = line + 1
 		p.nexts[i] = line + 1
-		p.stats.Advances++
 		if line == pageEnd(line) {
 			// The stream has consumed its page; the physically next page
 			// is unrelated, so the stream dies here.
@@ -128,7 +110,6 @@ func (p *Prefetcher) Observe(line mem.Line) []mem.Line {
 			if p.recent[i] == line-1 {
 				p.recent[i] = 0
 				s := p.allocStream(line)
-				p.stats.StreamsAllocated++
 				return p.issue(s, line)
 			}
 		}
@@ -159,7 +140,6 @@ func (p *Prefetcher) issue(s *stream, line mem.Line) []mem.Line {
 		p.buf = append(p.buf, l)
 	}
 	s.nextIssue = end + 1
-	p.stats.Issued += uint64(len(p.buf))
 	return p.buf
 }
 
@@ -185,16 +165,4 @@ func (p *Prefetcher) allocStream(line mem.Line) *stream {
 	}
 	p.nexts[victim] = line + 1
 	return &p.streams[victim]
-}
-
-// Reset clears all stream state but keeps statistics.
-func (p *Prefetcher) Reset() {
-	for i := range p.streams {
-		p.streams[i] = stream{}
-		p.nexts[i] = noStream
-	}
-	for i := range p.recent {
-		p.recent[i] = 0
-	}
-	p.rpos = 0
 }

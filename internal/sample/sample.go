@@ -118,8 +118,6 @@ func hashLine(l mem.Line) uint64 {
 type Bands struct {
 	// Low and High are the per-point MPKI bounds (Low clamped at 0).
 	Low, High []float64
-	// Level is the confidence level the bounds hold at.
-	Level float64
 	// EffSamples is the Kish effective sample size behind the bounds.
 	EffSamples float64
 	// Rate is the effective sampling rate: the configured rate quantized
@@ -171,7 +169,6 @@ type Engine struct {
 	cfg  core.Config
 	scfg Config
 
-	target      int
 	staticLimit int
 	fixed       bool
 
@@ -179,7 +176,7 @@ type Engine struct {
 	rate      float64 // threshold / Buckets
 	weight    float64 // 1 / rate
 
-	stack core.Stack
+	stack *core.MarkerStack
 	histW []float64 // weighted histogram over [1, StackLines]
 	infW  float64
 	hitsW float64
@@ -253,7 +250,6 @@ func (e *Engine) Reset(target int) error {
 	if target <= 0 {
 		return errors.New("sample: stream target " + strconv.Itoa(target))
 	}
-	e.target = target
 	e.threshold = initialThreshold(e.scfg.Rate)
 	e.rate = float64(e.threshold) / Buckets
 	e.weight = 1 / e.rate
@@ -263,16 +259,17 @@ func (e *Engine) Reset(target int) error {
 	e.consumed, e.post, e.sampled, e.warm, e.recorded = 0, 0, 0, 0, 0
 	e.warming = true
 	e.auto = false
-	e.setStaticLimit()
+	e.setStaticLimit(target)
 	return nil
 }
 
-// setStaticLimit sizes the warmup budget for the rate. The budget counts
+// setStaticLimit sizes the warmup budget of a probing period of target
+// captured entries for the rate. The budget counts
 // stack references, which arrive at ~rate× the captured stream, so the
 // static fraction scales with the rate (exact at rate 1.0, where this is
 // core.Compute's computation).
-func (e *Engine) setStaticLimit() {
-	sampledTarget := int(math.Round(float64(e.target) * e.rate))
+func (e *Engine) setStaticLimit(target int) {
+	sampledTarget := int(math.Round(float64(target) * e.rate))
 	if sampledTarget < 1 {
 		sampledTarget = 1
 	}
@@ -302,14 +299,8 @@ func (e *Engine) Consumed() int { return e.consumed }
 // Sampled returns the number of references kept by the filter so far.
 func (e *Engine) Sampled() int { return e.sampled }
 
-// Recorded returns the number of sampled post-warmup references.
-func (e *Engine) Recorded() int { return e.recorded }
-
 // Warming reports whether the engine is still inside warmup.
 func (e *Engine) Warming() bool { return e.warming }
-
-// Target returns the expected probing-period length (pre-filter).
-func (e *Engine) Target() int { return e.target }
 
 // Feed consumes one captured reference. The hash filter runs first; a
 // rejected reference costs one hash and one compare. At full rate the
@@ -442,10 +433,9 @@ func curveFromWeightedHist(hist []float64, inf float64, instrEff uint64, cfg cor
 // deriveBands builds the confidence band for one snapshot.
 func (e *Engine) deriveBands(mpki, missW []float64, instrEff uint64) Bands {
 	b := Bands{
-		Low:   make([]float64, len(mpki)),
-		High:  make([]float64, len(mpki)),
-		Level: DefaultLevel,
-		Rate:  e.rate,
+		Low:  make([]float64, len(mpki)),
+		High: make([]float64, len(mpki)),
+		Rate: e.rate,
 	}
 	if e.threshold == Buckets {
 		// Exhaustive trace: the curve is the measurement.

@@ -112,7 +112,7 @@ func TestRateOneBitIdentical(t *testing.T) {
 // the curve (an exhaustive trace has no sampling error to bound).
 func TestRateOneWorkloadZoo(t *testing.T) {
 	const refs = 30_000
-	for _, name := range workload.SortedNames() {
+	for _, name := range workload.Names() {
 		g := workload.New(workload.MustByName(name), 42)
 		trace := make([]mem.Line, refs)
 		for i := range trace {

@@ -95,13 +95,12 @@ type CurveResponse struct {
 	CrossValError float64 `json:"crossval_error"`
 	// SamplingRate is the effective SHARDS rate behind this curve (absent
 	// when the tenant profiles unsampled); BandLow/BandHigh the per-point
-	// confidence band at BandLevel (transposed together with the curve
-	// when transpose_at applies), and EffSamples the effective sample
-	// size behind it.
+	// confidence band at sample.DefaultLevel (transposed together with
+	// the curve when transpose_at applies), and EffSamples the effective
+	// sample size behind it.
 	SamplingRate float64   `json:"sampling_rate,omitempty"`
 	BandLow      []float64 `json:"band_low,omitempty"`
 	BandHigh     []float64 `json:"band_high,omitempty"`
-	BandLevel    float64   `json:"band_level,omitempty"`
 	EffSamples   float64   `json:"eff_samples,omitempty"`
 }
 
@@ -235,7 +234,6 @@ func NewHandler(svc *Service) http.Handler {
 			SamplingRate:  ep.SamplingRate,
 			BandLow:       append([]float64(nil), ep.BandLow...),
 			BandHigh:      append([]float64(nil), ep.BandHigh...),
-			BandLevel:     ep.BandLevel,
 			EffSamples:    ep.EffSamples,
 		}
 		if at := q.Get("transpose_at"); at != "" {

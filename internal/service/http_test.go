@@ -313,8 +313,17 @@ func TestHTTPSampling(t *testing.T) {
 	if cr.SamplingRate <= 0 || cr.SamplingRate > 0.11 {
 		t.Errorf("sampling_rate %v, want ~0.1", cr.SamplingRate)
 	}
-	if cr.BandLevel != sample.DefaultLevel || cr.EffSamples <= 0 {
-		t.Errorf("band_level %v eff_samples %v", cr.BandLevel, cr.EffSamples)
+	if cr.EffSamples <= 0 {
+		t.Errorf("eff_samples %v", cr.EffSamples)
+	}
+	// The band is always at sample.DefaultLevel, so the curve does not
+	// carry a level.
+	var fields map[string]json.RawMessage
+	if code := doJSON(t, c, "GET", ts.URL+"/tenants/s/curve", nil, &fields); code != http.StatusOK {
+		t.Fatalf("raw curve: %d", code)
+	}
+	if v, ok := fields["band_level"]; ok {
+		t.Errorf("sampled curve carries band_level: %s", v)
 	}
 	if len(cr.BandLow) != len(cr.MPKI) || len(cr.BandHigh) != len(cr.MPKI) {
 		t.Fatalf("band lengths %d/%d vs %d points", len(cr.BandLow), len(cr.BandHigh), len(cr.MPKI))

@@ -94,9 +94,6 @@ func TestSampledTenantBands(t *testing.T) {
 	if math.Abs(ep.SamplingRate-0.1) > 1e-6 {
 		t.Errorf("sampling rate %v, want ~0.1", ep.SamplingRate)
 	}
-	if ep.BandLevel != sample.DefaultLevel {
-		t.Errorf("band level %v, want %v", ep.BandLevel, sample.DefaultLevel)
-	}
 	if ep.EffSamples <= 0 {
 		t.Errorf("effective samples %v", ep.EffSamples)
 	}
@@ -174,7 +171,7 @@ func TestPoolRecyclesSampledEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh, err := sample.NewEngine(b.Config().Engine, scfg, len(trace))
+	fresh, err := sample.NewEngine(b.cfg.Engine, scfg, len(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +194,8 @@ func TestPoolRecyclesSampledEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().Sampling != other {
-		t.Fatalf("config not preserved: %+v", c.Config().Sampling)
+	if c.cfg.Sampling != other {
+		t.Fatalf("config not preserved: %+v", c.cfg.Sampling)
 	}
 	if st := svc.Pool().Stats(); st.Idle != 1 {
 		t.Fatalf("mismatched engine was consumed: %+v", st)

@@ -32,8 +32,8 @@ func TestRegisterLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Config().Target != DefaultTarget || a.Config().MaxQueued != DefaultMaxQueued {
-		t.Errorf("defaults not applied: %+v", a.Config())
+	if a.cfg.Target != DefaultTarget || a.cfg.MaxQueued != DefaultMaxQueued {
+		t.Errorf("defaults not applied: %+v", a.cfg)
 	}
 	if _, err := svc.Register("a", TenantConfig{}); !errors.Is(err, ErrTenantExists) {
 		t.Errorf("duplicate register: %v", err)
@@ -107,7 +107,7 @@ func TestTenantMatchesDirectEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if got := tn.Config().Engine; got != tc.want {
+		if got := tn.cfg.Engine; got != tc.want {
 			t.Fatalf("%s: engine config %+v, want %+v", tc.name, got, tc.want)
 		}
 		want, err := core.Compute(corrected, instr, tc.want)

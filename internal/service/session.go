@@ -175,7 +175,6 @@ func (s *Session) Snapshot(instructions uint64) (*Epoch, error) {
 		ep.SamplingRate = b.Rate
 		ep.BandLow = b.Low
 		ep.BandHigh = b.High
-		ep.BandLevel = b.Level
 		ep.EffSamples = b.EffSamples
 	}
 	return ep, nil

@@ -73,13 +73,12 @@ type Epoch struct {
 	Disagreement float64
 	// SamplingRate is the effective SHARDS sampling rate behind this
 	// epoch (0 when the tenant profiles unsampled); BandLow/BandHigh the
-	// per-point confidence band at BandLevel, and EffSamples the Kish
-	// effective sample size behind it. Bands collapse onto the curve at
-	// rate 1.0.
+	// per-point confidence band at sample.DefaultLevel, and EffSamples
+	// the Kish effective sample size behind it. Bands collapse onto the
+	// curve at rate 1.0.
 	SamplingRate float64
 	BandLow      []float64
 	BandHigh     []float64
-	BandLevel    float64
 	EffSamples   float64
 }
 
@@ -204,9 +203,6 @@ func newTenant(id string, svc *Service, cfg TenantConfig, sess *Session) *Tenant
 
 // ID returns the tenant's registry key.
 func (t *Tenant) ID() string { return t.id }
-
-// Config returns the tenant's configuration (after defaulting).
-func (t *Tenant) Config() TenantConfig { return t.cfg }
 
 // Feed offers one batch of raw logged cache-line addresses, with the
 // application's instruction progress over the batch. It never blocks:

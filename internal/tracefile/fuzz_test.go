@@ -121,47 +121,64 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzWriterRoundTrip drives the incremental Writer with arbitrary line
-// deltas and checks the batch reader recovers exactly what was appended,
-// for both the seekable (backpatched header) and staged paths.
-func FuzzWriterRoundTrip(f *testing.F) {
+// FuzzWriteReadRoundTrip writes arbitrary lines, instructions and cycles
+// with Write and checks that Read, and NewReader with Next, recover
+// exactly what was written. data is cut into 8-byte little-endian lines,
+// so any 64-bit delta, wrap-around included, reaches the encoder.
+func FuzzWriteReadRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 255}, uint64(10), uint64(20))
 	f.Add([]byte{}, uint64(0), uint64(0))
-	f.Add([]byte{128, 7, 7, 7, 200}, uint64(1)<<60, uint64(3))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<63), 1),
+		uint64(1)<<60, uint64(3))
 
-	f.Fuzz(func(t *testing.T, deltas []byte, instr, cycles uint64) {
-		lines := make([]mem.Line, len(deltas))
-		var cur mem.Line
-		for i, d := range deltas {
-			// Mix big jumps and small steps; overflow wraps, which the
-			// delta encoding must survive.
-			cur += mem.Line(d) * 0x10001
-			lines[i] = cur
+	f.Fuzz(func(t *testing.T, data []byte, instr, cycles uint64) {
+		var lines []mem.Line
+		for len(data) > 0 {
+			var word [8]byte
+			n := copy(word[:], data)
+			data = data[n:]
+			lines = append(lines, mem.Line(binary.LittleEndian.Uint64(word[:])))
 		}
 
 		var b bytes.Buffer
-		w := NewWriter(&b)
-		for _, l := range lines {
-			if err := w.Append(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Finish(instr, cycles); err != nil {
+		if err := Write(&b, &Trace{Lines: lines, Instructions: instr, Cycles: cycles}); err != nil {
 			t.Fatal(err)
 		}
+		encoded := b.Bytes()
 
-		tr, err := Read(&b)
+		tr, err := Read(bytes.NewReader(encoded))
 		if err != nil {
-			t.Fatalf("reading Writer output: %v", err)
+			t.Fatalf("reading Write output: %v", err)
 		}
 		if tr.Instructions != instr || tr.Cycles != cycles || len(tr.Lines) != len(lines) {
-			t.Fatalf("got (%d,%d,%d entries), want (%d,%d,%d)",
+			t.Fatalf("Read got (%d,%d,%d entries), want (%d,%d,%d)",
 				tr.Instructions, tr.Cycles, len(tr.Lines), instr, cycles, len(lines))
 		}
 		for i := range lines {
 			if tr.Lines[i] != lines[i] {
-				t.Fatalf("entry %d: got %d want %d", i, tr.Lines[i], lines[i])
+				t.Fatalf("Read entry %d: got %d want %d", i, tr.Lines[i], lines[i])
 			}
+		}
+
+		r, err := NewReader(bytes.NewReader(encoded))
+		if err != nil {
+			t.Fatalf("NewReader on Write output: %v", err)
+		}
+		if r.Instructions() != instr || r.Cycles() != cycles || r.Len() != len(lines) {
+			t.Fatalf("Reader header (%d,%d,%d), want (%d,%d,%d)",
+				r.Instructions(), r.Cycles(), r.Len(), instr, cycles, len(lines))
+		}
+		for i, want := range lines {
+			got, err := r.Next()
+			if err != nil {
+				t.Fatalf("Next at entry %d: %v", i, err)
+			}
+			if got != want {
+				t.Fatalf("Next entry %d: got %d want %d", i, got, want)
+			}
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("after the last entry: %v, want io.EOF", err)
 		}
 	})
 }

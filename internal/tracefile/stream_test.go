@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
-	"os"
 	"testing"
-	"testing/quick"
 
 	"rapidmrc/internal/mem"
 )
@@ -27,86 +25,14 @@ func randLines(r *rand.Rand, n int) []mem.Line {
 	return lines
 }
 
-// TestWriterMatchesWrite pins the compatibility contract: the incremental
-// Writer emits the exact bytes of the whole-trace Write, on both the
-// staging (non-seekable) and backpatching (seekable) paths.
-func TestWriterMatchesWrite(t *testing.T) {
-	f := func(seed int64, n16 uint16, instr, cycles uint64) bool {
-		r := rand.New(rand.NewSource(seed))
-		in := &Trace{
-			Lines:        randLines(r, int(n16%4096)),
-			Instructions: instr,
-			Cycles:       cycles,
-		}
-		var want bytes.Buffer
-		if err := Write(&want, in); err != nil {
-			t.Fatal(err)
-		}
-
-		// Non-seekable: a plain bytes.Buffer forces the staging path.
-		var staged bytes.Buffer
-		w := NewWriter(&staged)
-		for _, l := range in.Lines {
-			if err := w.Append(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if w.Count() != len(in.Lines) {
-			t.Fatalf("Count = %d, want %d", w.Count(), len(in.Lines))
-		}
-		if err := w.Finish(in.Instructions, in.Cycles); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), staged.Bytes()) {
-			t.Log("staged writer bytes differ from Write")
-			return false
-		}
-
-		// Seekable: a temp file exercises the header backpatch.
-		file, err := os.CreateTemp(t.TempDir(), "trace")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer file.Close()
-		w = NewWriter(file)
-		for _, l := range in.Lines {
-			if err := w.Append(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Finish(in.Instructions, in.Cycles); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(file.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got) {
-			t.Log("seekable writer bytes differ from Write")
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamRoundTrip streams a trace out through Writer and back in
-// through Reader, never holding the whole log on either side, and checks
-// it against the batch round trip.
+// TestStreamRoundTrip writes a trace with Write and reads it back one
+// entry at a time through Reader, checking the header and every entry.
 func TestStreamRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	in := randLines(r, 10_000)
 
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, l := range in {
-		if err := w.Append(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(42, 77); err != nil {
+	if err := Write(&buf, &Trace{Lines: in, Instructions: 42, Cycles: 77}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,22 +78,5 @@ func TestReaderTruncated(t *testing.T) {
 	}
 	if last == nil || !bytes.Contains([]byte(last.Error()), []byte("unexpected EOF")) {
 		t.Fatalf("truncated stream: %v, want wrapped ErrUnexpectedEOF", last)
-	}
-}
-
-func TestWriterMisuse(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Append(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(2); err == nil {
-		t.Fatal("Append after Finish succeeded")
-	}
-	if err := w.Finish(0, 0); err == nil {
-		t.Fatal("second Finish succeeded")
 	}
 }

@@ -19,15 +19,13 @@
 // stale samples), so zig-zag deltas + uvarint typically compress the log
 // by 4–6× over raw 8-byte entries.
 //
-// Write and Read handle whole traces; Writer and Reader are the
-// incremental forms of the same format, so a streaming capture can be
-// archived as it happens and an archived trace can feed the streaming
-// engine without either end materializing the full log.
+// Write and Read handle whole traces; Reader is the incremental form of
+// Read, so an archived trace can feed the streaming engine without the
+// whole log ever being in memory.
 package tracefile
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -88,121 +86,6 @@ func Write(w io.Writer, t *Trace) error {
 		prev = uint64(l)
 	}
 	return bw.Flush()
-}
-
-// Writer encodes a trace incrementally, for captures that stream samples
-// as they arrive: entries are appended one at a time and the header —
-// whose entry count and progress metadata are only known once the probing
-// period ends — is fixed up by Finish.
-//
-// When w is an io.Seeker (an *os.File), entries are written through
-// directly and Finish seeks back to patch the header: memory stays O(1)
-// however long the trace. Otherwise the encoded entries (typically 4–6×
-// smaller than the raw log) are staged in memory and flushed by Finish.
-type Writer struct {
-	w      io.Writer
-	seek   io.Seeker // nil when w cannot seek
-	bw     *bufio.Writer
-	staged *bytes.Buffer // staging area for non-seekable sinks
-	prev   uint64
-	count  uint64
-	err    error
-	done   bool
-}
-
-// NewWriter returns a writer appending entries to w. Nothing reaches a
-// non-seekable w before Finish.
-func NewWriter(w io.Writer) *Writer {
-	wr := &Writer{w: w}
-	if s, ok := w.(io.Seeker); ok {
-		wr.seek = s
-		wr.bw = bufio.NewWriter(w)
-		// Placeholder header, patched by Finish.
-		var head [headerLen]byte
-		if _, err := wr.bw.Write(magic[:]); err != nil {
-			wr.err = err
-		} else if _, err := wr.bw.Write(head[:]); err != nil {
-			wr.err = err
-		}
-	} else {
-		wr.staged = new(bytes.Buffer)
-		wr.bw = bufio.NewWriter(wr.staged)
-	}
-	return wr
-}
-
-// Append encodes one entry.
-func (w *Writer) Append(l mem.Line) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.done {
-		w.err = errors.New("tracefile: Append after Finish")
-		return w.err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	delta := int64(uint64(l) - w.prev)
-	n := binary.PutUvarint(buf[:], zigzag(delta))
-	if _, err := w.bw.Write(buf[:n]); err != nil {
-		w.err = err
-		return err
-	}
-	w.prev = uint64(l)
-	w.count++
-	return nil
-}
-
-// Count returns the number of entries appended so far.
-func (w *Writer) Count() int { return int(w.count) }
-
-// Finish completes the file with the capture's progress metadata: it
-// flushes pending entries and writes (or backpatches) the header. The
-// Writer is unusable afterwards.
-func (w *Writer) Finish(instructions, cycles uint64) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.done {
-		w.err = errors.New("tracefile: Finish called twice")
-		return w.err
-	}
-	w.done = true
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	var head [headerLen]byte
-	putHeader(&head, instructions, cycles, w.count)
-	if w.seek != nil {
-		// Patch the placeholder in place, then return to the end so the
-		// underlying file position stays sane for the caller.
-		if _, err := w.seek.Seek(int64(len(magic)), io.SeekStart); err != nil {
-			w.err = err
-			return err
-		}
-		if _, err := w.w.Write(head[:]); err != nil {
-			w.err = err
-			return err
-		}
-		if _, err := w.seek.Seek(0, io.SeekEnd); err != nil {
-			w.err = err
-			return err
-		}
-		return nil
-	}
-	if _, err := w.w.Write(magic[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.w.Write(head[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.w.Write(w.staged.Bytes()); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
 }
 
 // Read deserializes a whole trace from r.

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 )
 
 // ColorLines is the number of L2 lines in one cache color on the POWER5
@@ -257,13 +256,6 @@ func Names() []string {
 	for i, c := range registry {
 		out[i] = c.Name
 	}
-	return out
-}
-
-// SortedNames returns the application names alphabetically.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }
 

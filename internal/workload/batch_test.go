@@ -13,7 +13,7 @@ import (
 func TestNextBatchMatchesNext(t *testing.T) {
 	const total = 20_000
 	sizes := []int{1, 7, 256, 4096}
-	for _, name := range SortedNames() {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && name != "mcf" && name != "swim" {

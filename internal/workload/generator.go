@@ -56,13 +56,15 @@ func (c Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("workload: empty name")
 	}
-	if c.MemFrac <= 0 || c.MemFrac > 1 {
+	// Each range check is written so that NaN, which fails every
+	// comparison, fails it too.
+	if !(0 < c.MemFrac && c.MemFrac <= 1) {
 		return fmt.Errorf("workload %s: MemFrac %v out of (0,1]", c.Name, c.MemFrac)
 	}
 	if 2*(1/c.MemFrac-1)+0.5 >= math.MaxInt32 {
 		return fmt.Errorf("workload %s: MemFrac %v puts the gap bound past 2^31-1 instructions", c.Name, c.MemFrac)
 	}
-	if c.StoreFrac < 0 || c.StoreFrac > 1 {
+	if !(0 <= c.StoreFrac && c.StoreFrac <= 1) {
 		return fmt.Errorf("workload %s: StoreFrac %v out of [0,1]", c.Name, c.StoreFrac)
 	}
 	if len(c.Phases) == 0 {
@@ -77,7 +79,7 @@ func (c Config) Validate() error {
 		}
 		total := 0.0
 		for j, comp := range ph.Mix {
-			if comp.Weight <= 0 {
+			if !(comp.Weight > 0) {
 				return fmt.Errorf("workload %s: phase %d component %d has weight %v", c.Name, i, j, comp.Weight)
 			}
 			// Stream components may leave Lines zero, meaning the
@@ -93,7 +95,7 @@ func (c Config) Validate() error {
 			}
 			total += comp.Weight
 		}
-		if total < 0.999 || total > 1.001 {
+		if !(0.999 <= total && total <= 1.001) {
 			return fmt.Errorf("workload %s: phase %d weights sum to %v, want 1", c.Name, i, total)
 		}
 	}
@@ -145,9 +147,6 @@ func New(cfg Config, seed int64) *Gen {
 
 // Name implements mem.Generator.
 func (g *Gen) Name() string { return g.cfg.Name }
-
-// Config returns the generator's configuration.
-func (g *Gen) Config() Config { return g.cfg }
 
 // Reset implements mem.Generator: it rebuilds all pattern state from seed.
 func (g *Gen) Reset(seed int64) {
@@ -256,21 +255,6 @@ func (g *Gen) NextBatch(buf []mem.Ref) int {
 		buf[i] = g.Next()
 	}
 	return len(buf)
-}
-
-// CurrentPhase returns the index of the phase the generator is in.
-func (g *Gen) CurrentPhase() int { return g.current }
-
-// Footprint returns the total number of distinct lines the workload can
-// touch across all phases.
-func (g *Gen) Footprint() int {
-	n := 0
-	for _, ph := range g.phases {
-		for _, p := range ph.patterns {
-			n += p.footprint()
-		}
-	}
-	return n
 }
 
 var _ mem.BatchGenerator = (*Gen)(nil)

@@ -66,8 +66,6 @@ const streamRegionLines = 1 << 21 // 256 MB of lines
 // addresses within their private region.
 type pattern interface {
 	next(r *rand.Rand) mem.Line
-	// footprint is the number of distinct lines the pattern touches.
-	footprint() int
 }
 
 type loopPat struct {
@@ -84,8 +82,6 @@ func (p *loopPat) next(*rand.Rand) mem.Line {
 	}
 	return l
 }
-
-func (p *loopPat) footprint() int { return p.n }
 
 type chasePat struct {
 	base mem.Line
@@ -111,8 +107,6 @@ func (p *chasePat) next(*rand.Rand) mem.Line {
 	return l
 }
 
-func (p *chasePat) footprint() int { return len(p.perm) }
-
 type randPat struct {
 	base mem.Line
 	draw intn // uniform on [0, lines)
@@ -121,8 +115,6 @@ type randPat struct {
 func (p *randPat) next(r *rand.Rand) mem.Line {
 	return p.base + mem.Line(p.draw.draw(r))
 }
-
-func (p *randPat) footprint() int { return int(p.draw.n) }
 
 type streamPat struct {
 	base mem.Line
@@ -138,8 +130,6 @@ func (p *streamPat) next(*rand.Rand) mem.Line {
 	}
 	return l
 }
-
-func (p *streamPat) footprint() int { return p.n }
 
 // build instantiates a pattern primitive at base.
 func build(k Kind, base mem.Line, lines int, r *rand.Rand) pattern {

@@ -33,15 +33,17 @@ func TestByNameUnknown(t *testing.T) {
 	MustByName("nonesuch")
 }
 
-func TestSortedNamesSortedAndComplete(t *testing.T) {
-	s := SortedNames()
+func TestNamesComplete(t *testing.T) {
+	s := Names()
 	if len(s) != 30 {
 		t.Fatalf("%d names", len(s))
 	}
-	for i := 1; i < len(s); i++ {
-		if s[i-1] >= s[i] {
-			t.Fatalf("not sorted at %d: %s >= %s", i, s[i-1], s[i])
+	seen := make(map[string]bool)
+	for _, name := range s {
+		if seen[name] {
+			t.Fatalf("%s registered twice", name)
 		}
+		seen[name] = true
 	}
 }
 
@@ -67,6 +69,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		// Bounds past 2^31-1 that the generator's draws cannot take.
 		{Name: "x", MemFrac: 1e-10, Phases: good.Phases},
 		{Name: "x", MemFrac: 0.3, Phases: []Phase{{Instructions: 5, Mix: []Component{{Weight: 1, Kind: Random, Lines: math.MaxInt32 + 1}}}}},
+		// NaN fails every comparison, so it must fail every range check.
+		{Name: "x", MemFrac: math.NaN(), Phases: good.Phases},
+		{Name: "x", MemFrac: 0.3, StoreFrac: math.NaN(), Phases: good.Phases},
+		{Name: "x", MemFrac: 0.3, Phases: []Phase{{Instructions: 5, Mix: []Component{{Weight: math.NaN(), Kind: Loop, Lines: 10}}}}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -148,7 +154,7 @@ func TestComponentRegionsDisjoint(t *testing.T) {
 	g := New(MustByName("art"), 3)
 	seen := make(map[mem.Page]bool)
 	for i := 0; i < 300000; i++ {
-		seen[mem.PageOf(g.Next().Addr)] = true
+		seen[mem.PageOfLine(mem.LineOf(g.Next().Addr))] = true
 	}
 	if len(seen) < 100 {
 		t.Fatalf("only %d pages touched", len(seen))
@@ -167,7 +173,7 @@ func TestPhaseScheduleCycles(t *testing.T) {
 	counts := map[int]int{}
 	for i := 0; i < 20000; i++ {
 		g.Next()
-		counts[g.CurrentPhase()]++
+		counts[g.current]++
 	}
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("phase schedule did not cycle: %v", counts)
@@ -241,6 +247,8 @@ func TestStreamNeverRepeatsWithinWindow(t *testing.T) {
 	}
 }
 
+// TestFootprint checks that a loop and a chase touch exactly their own
+// lines: every one of them, and nothing else.
 func TestFootprint(t *testing.T) {
 	cfg := Config{
 		Name: "f", MemFrac: 0.5, StoreFrac: 0,
@@ -250,7 +258,11 @@ func TestFootprint(t *testing.T) {
 		}}},
 	}
 	g := New(cfg, 1)
-	if got := g.Footprint(); got != 300 {
+	seen := make(map[mem.Line]bool)
+	for i := 0; i < 20_000; i++ {
+		seen[mem.LineOf(g.Next().Addr)] = true
+	}
+	if got := len(seen); got != 300 {
 		t.Fatalf("footprint = %d, want 300", got)
 	}
 }

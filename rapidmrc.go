@@ -159,15 +159,14 @@ type Stats struct {
 	Dropped       int
 	Stale         int
 	CaptureCycles uint64
-	// SamplingRate, BandLow/BandHigh, BandLevel, and EffSamples describe
-	// the spatial-sampling tier when the curve came from a sampled engine
+	// SamplingRate, BandLow/BandHigh, and EffSamples describe the
+	// spatial-sampling tier when the curve came from a sampled engine
 	// (WithSamplingRate): the effective sampling rate, the per-point
-	// confidence band around the curve at BandLevel, and the effective
+	// confidence band around the curve at 95%, and the effective
 	// (Kish) sample count behind it. Zero/nil for unsampled computations.
 	// Workflows that transpose shift the band together with the curve.
 	SamplingRate      float64
 	BandLow, BandHigh []float64
-	BandLevel         float64
 	EffSamples        float64
 }
 
@@ -188,7 +187,6 @@ func fromEpoch(ep *service.Epoch, err error) (*Curve, *Stats, error) {
 		SamplingRate:  ep.SamplingRate,
 		BandLow:       ep.BandLow,
 		BandHigh:      ep.BandHigh,
-		BandLevel:     ep.BandLevel,
 		EffSamples:    ep.EffSamples,
 	}, nil
 }

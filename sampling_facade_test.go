@@ -65,8 +65,8 @@ func TestStreamSamplingBands(t *testing.T) {
 	if stats.SamplingRate <= 0 || stats.SamplingRate > 0.11 {
 		t.Errorf("SamplingRate = %v, want ~0.1", stats.SamplingRate)
 	}
-	if stats.BandLevel != sample.DefaultLevel || stats.EffSamples <= 0 {
-		t.Errorf("band metadata: level %v, eff %v", stats.BandLevel, stats.EffSamples)
+	if stats.EffSamples <= 0 {
+		t.Errorf("band metadata: eff %v", stats.EffSamples)
 	}
 	if len(stats.BandLow) != len(curve.MPKI) || len(stats.BandHigh) != len(curve.MPKI) {
 		t.Fatalf("band lengths %d/%d for %d points",
