@@ -67,10 +67,6 @@ type Profile struct {
 	// recorded and consumed mirror core.Result: histogram coverage vs
 	// total references fed (warmup included).
 	recorded, consumed int
-	// warmup and auto describe the warmup policy outcome, exactly as in
-	// core.Result.
-	warmup int
-	auto   bool
 }
 
 // Estimate is one analytical MRC with its trustworthiness score.
@@ -287,11 +283,10 @@ func (s *Sampler) Feed(line mem.Line) {
 }
 
 // WarmupEntries returns the number of leading references used for
-// warmup so far — the value a Profile taken now would report.
+// warmup so far.
 func (s *Sampler) WarmupEntries() int { return s.warm }
 
-// AutoWarmup reports whether warmup ended through the automatic policy
-// — the value a Profile taken now would report.
+// AutoWarmup reports whether warmup ended through the automatic policy.
 func (s *Sampler) AutoWarmup() bool { return s.auto }
 
 // view returns a Profile that shares the sampler's live histogram
@@ -307,8 +302,6 @@ func (s *Sampler) view() *Profile {
 		cold:     s.cold,
 		recorded: s.recorded,
 		consumed: s.consumed,
-		warmup:   s.warm,
-		auto:     s.auto,
 	}
 }
 

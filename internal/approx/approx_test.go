@@ -193,10 +193,13 @@ func TestSamplerMatchesProfileTrace(t *testing.T) {
 		}
 	}
 	got := s.Profile()
+	// The batch helper's warmup outcome is its own sampler's: rebuild it
+	// without the mid-stream snapshot.
+	batch := fedSampler(t, trace, cfg)
 
 	if got.recorded != want.recorded || got.consumed != want.consumed ||
 		got.over != want.over || got.cold != want.cold ||
-		got.warmup != want.warmup || got.auto != want.auto {
+		s.WarmupEntries() != batch.WarmupEntries() || s.AutoWarmup() != batch.AutoWarmup() {
 		t.Fatalf("profile mismatch: got %+v counters, want %+v",
 			[]uint64{uint64(got.recorded), uint64(got.consumed), got.over, got.cold},
 			[]uint64{uint64(want.recorded), uint64(want.consumed), want.over, want.cold})
@@ -265,13 +268,10 @@ func TestSamplerWarmupPolicy(t *testing.T) {
 	for i := range wide {
 		wide[i] = mem.Line(i)
 	}
-	p, err := ProfileTrace(wide, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.auto || p.warmup != cfg.StackLines {
+	s := fedSampler(t, wide, cfg)
+	if !s.AutoWarmup() || s.WarmupEntries() != cfg.StackLines {
 		t.Fatalf("wide scan: auto=%v warmup=%d, want auto after %d",
-			p.auto, p.warmup, cfg.StackLines)
+			s.AutoWarmup(), s.WarmupEntries(), cfg.StackLines)
 	}
 
 	// Narrow loop: stack never fills, static fraction applies.
@@ -279,26 +279,34 @@ func TestSamplerWarmupPolicy(t *testing.T) {
 	for i := range narrow {
 		narrow[i] = mem.Line(i % 8)
 	}
-	p, err = ProfileTrace(narrow, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s = fedSampler(t, narrow, cfg)
 	wantStatic := int(float64(len(narrow)) * cfg.StaticWarmupFrac)
-	if p.auto || p.warmup != wantStatic {
+	if s.AutoWarmup() || s.WarmupEntries() != wantStatic {
 		t.Fatalf("narrow loop: auto=%v warmup=%d, want static %d",
-			p.auto, p.warmup, wantStatic)
+			s.AutoWarmup(), s.WarmupEntries(), wantStatic)
 	}
 
 	// Fixed override bypasses both.
 	fixed := cfg
 	fixed.FixedWarmupEntries = 17
-	p, err = ProfileTrace(narrow, fixed)
+	s = fedSampler(t, narrow, fixed)
+	if s.AutoWarmup() || s.WarmupEntries() != 17 {
+		t.Fatalf("fixed warmup: auto=%v warmup=%d, want 17", s.AutoWarmup(), s.WarmupEntries())
+	}
+}
+
+// fedSampler returns a sampler that has consumed the whole trace as its
+// probing period, as ProfileTrace feeds one.
+func fedSampler(t *testing.T, trace []mem.Line, cfg core.Config) *Sampler {
+	t.Helper()
+	s, err := NewSampler(cfg, len(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.auto || p.warmup != 17 {
-		t.Fatalf("fixed warmup: auto=%v warmup=%d, want 17", p.auto, p.warmup)
+	for _, l := range trace {
+		s.Feed(l)
 	}
+	return s
 }
 
 // TestEstimateWhileWarming pins ErrNoSamples from a profile whose warmup
@@ -621,8 +629,9 @@ func checkAgainstWalkOracles(t *testing.T, name string, p *Profile, instructions
 	}
 }
 
-// edgeProfile builds a profile directly: fill sets counts, and recorded
-// is their total, so the profile is one a sampler could have produced.
+// edgeProfile builds a profile directly: fill sets counts and consumed to
+// the warmup references, recorded is the counts' total and is added to
+// consumed, so the profile is one a sampler could have produced.
 func edgeProfile(cfg core.Config, fill func(p *Profile)) *Profile {
 	p := &Profile{
 		cfg:    cfg,
@@ -638,7 +647,7 @@ func edgeProfile(cfg core.Config, fill func(p *Profile)) *Profile {
 		total += c
 	}
 	p.recorded = int(total)
-	p.consumed = p.recorded + p.warmup
+	p.consumed += p.recorded
 	return p
 }
 
@@ -651,7 +660,7 @@ func edgeProfile(cfg core.Config, fill func(p *Profile)) *Profile {
 func TestEstimatorsMatchWalkOracles(t *testing.T) {
 	small := testConfig()
 	edges := map[string]*Profile{
-		"no samples": edgeProfile(small, func(p *Profile) { p.warmup = 40 }),
+		"no samples": edgeProfile(small, func(p *Profile) { p.consumed = 40 }),
 		"all cold":   edgeProfile(small, func(p *Profile) { p.cold = 1000 }),
 		"overflow-heavy": edgeProfile(small, func(p *Profile) {
 			p.over, p.fine[3], p.coarse[7] = 900, 60, 40
@@ -718,7 +727,7 @@ func TestEstimatorsMatchWalkOraclesRandomHistograms(t *testing.T) {
 			}
 			p.over = uint64(rng.Intn(3)) * uint64(rng.Intn(2000))
 			p.cold = uint64(rng.Intn(3)) * uint64(rng.Intn(2000))
-			p.warmup = rng.Intn(5000)
+			p.consumed = rng.Intn(5000) // warmup
 		})
 		checkAgainstWalkOracles(t, "random "+strconv.Itoa(trial), p, uint64(1+rng.Intn(1<<30)))
 	}

@@ -105,8 +105,6 @@ func (s *mapSampler) profile() *Profile {
 		cold:     s.cold,
 		recorded: s.recorded,
 		consumed: s.consumed,
-		warmup:   s.warm,
-		auto:     s.auto,
 	}
 }
 
@@ -218,17 +216,25 @@ func decodeScript(data []byte) samplerScript {
 	return sc
 }
 
+// period is one script period's outcome: its profile and warmup, taken
+// just before the Reset that ends it.
+type period struct {
+	p      *Profile
+	warmup int
+	auto   bool
+}
+
 // runScript runs sc on the table-backed Sampler and returns every
-// period's profile, each taken just before the Reset that ends it.
-func runScript(sc samplerScript) []*Profile {
+// period's outcome.
+func runScript(sc samplerScript) []period {
 	s, err := NewSampler(sc.cfg, sc.target)
 	if err != nil {
 		panic(err)
 	}
-	var out []*Profile
+	var out []period
 	for _, op := range sc.ops {
 		if op.reset {
-			out = append(out, s.Profile())
+			out = append(out, period{s.Profile(), s.WarmupEntries(), s.AutoWarmup()})
 			if err := s.Reset(op.target); err != nil {
 				panic(err)
 			}
@@ -236,29 +242,29 @@ func runScript(sc samplerScript) []*Profile {
 		}
 		s.Feed(op.line)
 	}
-	return append(out, s.Profile())
+	return append(out, period{s.Profile(), s.WarmupEntries(), s.AutoWarmup()})
 }
 
 // runScriptOracle is runScript on the map oracle.
-func runScriptOracle(sc samplerScript) []*Profile {
+func runScriptOracle(sc samplerScript) []period {
 	s := newMapSampler(sc.cfg, sc.target)
-	var out []*Profile
+	var out []period
 	for _, op := range sc.ops {
 		if op.reset {
-			out = append(out, s.profile())
+			out = append(out, period{s.profile(), s.warm, s.auto})
 			s.reset(op.target)
 			continue
 		}
 		s.feed(op.line)
 	}
-	return append(out, s.profile())
+	return append(out, period{s.profile(), s.warm, s.auto})
 }
 
 // TestSamplerMatchesMapOracle pins the open-addressed table against the
 // map it replaced: every profile field — fine, coarse, over, cold,
-// recorded, consumed, warmup and auto — over random scripts mixing the
-// extreme keys 0 and ^0, a forced probe run, several doublings, resets
-// with reuse, and all three warmup policies.
+// recorded and consumed — and the warmup outcome, over random scripts
+// mixing the extreme keys 0 and ^0, a forced probe run, several
+// doublings, resets with reuse, and all three warmup policies.
 func TestSamplerMatchesMapOracle(t *testing.T) {
 	if err := quick.CheckEqual(runScript, runScriptOracle, &quick.Config{
 		MaxCount: 300, Rand: rand.New(rand.NewSource(1)),
@@ -301,11 +307,10 @@ func TestSamplerScriptCoverage(t *testing.T) {
 			}
 		}
 		probeRun = max(probeRun, run)
-		p := s.Profile()
 		switch {
 		case sc.cfg.FixedWarmupEntries >= 0:
 			policies["fixed"]++
-		case p.auto:
+		case s.AutoWarmup():
 			policies["auto"]++
 		case !s.Warming():
 			policies["static"]++
@@ -382,9 +387,10 @@ func TestSamplerMatchesMapOracleMrcdTraces(t *testing.T) {
 			s.Feed(l)
 			o.feed(l)
 		}
-		if got, want := s.Profile(), o.profile(); !reflect.DeepEqual(got, want) {
+		if got, want := s.Profile(), o.profile(); !reflect.DeepEqual(got, want) ||
+			s.WarmupEntries() != o.warm || s.AutoWarmup() != o.auto {
 			t.Errorf("%s: profile diverges from the map oracle (recorded %d/%d, cold %d/%d, auto %v/%v)",
-				app, got.recorded, want.recorded, got.cold, want.cold, got.auto, want.auto)
+				app, got.recorded, want.recorded, got.cold, want.cold, s.AutoWarmup(), o.auto)
 		}
 	}
 }
@@ -502,7 +508,9 @@ func TestAssessDoesNotAlias(t *testing.T) {
 }
 
 // TestSamplerWarmupAccessors pins WarmupEntries and AutoWarmup to the
-// values a Profile taken at the same point reports.
+// map oracle's warmup outcome at the same point, and WarmupEntries to
+// the references a Profile taken there counts as consumed but not
+// recorded.
 func TestSamplerWarmupAccessors(t *testing.T) {
 	for policy := 0; policy < 3; policy++ {
 		cfg := scriptConfig(policy, 100)
@@ -510,14 +518,18 @@ func TestSamplerWarmupAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		o := newMapSampler(cfg, 2000)
 		for i := 0; i < 2000; i++ {
 			s.Feed(mem.Line(i % 500))
+			o.feed(mem.Line(i % 500))
 			if i%7 != 0 {
 				continue
 			}
-			if p := s.Profile(); s.WarmupEntries() != p.warmup || s.AutoWarmup() != p.auto {
-				t.Fatalf("policy %d ref %d: accessors %d/%v, profile %d/%v", policy, i,
-					s.WarmupEntries(), s.AutoWarmup(), p.warmup, p.auto)
+			p := s.Profile()
+			if s.WarmupEntries() != o.warm || s.AutoWarmup() != o.auto ||
+				s.WarmupEntries() != p.consumed-p.recorded {
+				t.Fatalf("policy %d ref %d: accessors %d/%v, oracle %d/%v, profile warmup %d", policy, i,
+					s.WarmupEntries(), s.AutoWarmup(), o.warm, o.auto, p.consumed-p.recorded)
 			}
 		}
 	}

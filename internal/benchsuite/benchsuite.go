@@ -1,17 +1,18 @@
-// Package benchsuite runs the simulator's headline performance
-// measurements and reports them as machine-readable results — the data
-// behind BENCH_simulator.json, regenerated by `go run ./cmd/benchjson`.
+// Package benchsuite defines the simulator's microbenchmark rows, the
+// data behind BENCH_simulator.json. Each row is one func(*testing.B)
+// over a fixed input; one op is one pass over that input, and the row
+// reports its cost through b.ReportMetric in ns/ref or ms/op.
 //
-// The suite deliberately re-measures a small, fixed set of numbers rather
-// than wrapping `go test -bench`: each result is one deterministic
-// workload driven through one production code path, so a CI smoke run
-// stays a few seconds and the JSON schema stays stable.
+// `go run ./cmd/benchjson` runs every row through testing.Benchmark and
+// writes each entry's median and quartiles over its runs;
+// `go test -bench BenchmarkSuite ./internal/benchsuite/` runs the same
+// functions under go test.
 package benchsuite
 
 import (
 	"math/rand"
-	"runtime"
-	"strconv"
+	"sync"
+	"testing"
 	"time"
 
 	"rapidmrc/internal/approx"
@@ -23,146 +24,143 @@ import (
 	"rapidmrc/internal/workload"
 )
 
-// Result is one measured benchmark.
-type Result struct {
-	// Name identifies the measurement (stable across runs).
-	Name string `json:"name"`
-	// Metric is the unit of Value ("ns/ref" or "ms/op").
-	Metric string `json:"metric"`
-	// Value is the best (minimum) of the repetitions.
-	Value float64 `json:"value"`
-	// Refs is the number of references driven per repetition, when the
-	// metric is per-reference.
-	Refs int `json:"refs,omitempty"`
+// Row is one benchmark of the suite.
+type Row struct {
+	// Name identifies the row: its JSON entry and its go test
+	// sub-benchmark.
+	Name string
+	// Unit is what the row's entries measure: "ns/ref" or "ms/op".
+	Unit string
+	// Halves, when set, names the entries of a split row in place of
+	// Name: one loop times the two halves of a path apart.
+	Halves []string
+	// Bench runs the row.
+	Bench func(*testing.B)
 }
 
-// Suite is the full report, the schema of BENCH_simulator.json.
-type Suite struct {
-	// RegeneratedBy documents how to refresh the file.
-	RegeneratedBy string `json:"regenerated_by"`
-	// GOOS/GOARCH/CPUs identify the host class; absolute numbers are only
-	// comparable within one host.
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPUs   int    `json:"cpus"`
-	// GoMaxProcs is the scheduler parallelism the suite ran under.
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Results    []Result `json:"results"`
+// Entry is one metric a row reports.
+type Entry struct {
+	// Name and Unit identify the JSON entry.
+	Name, Unit string
+	// Key is the unit b.ReportMetric carries the value under.
+	Key string
 }
 
-// Config sizes the suite.
-type Config struct {
-	// Reps is the number of repetitions per measurement; the minimum is
-	// reported. Zero means 3.
-	Reps int
-	// Quick shrinks every workload ~8× for CI smoke runs.
-	Quick bool
-}
-
-func (c Config) reps() int {
-	if c.Reps <= 0 {
-		return 3
+// Entries returns the metrics r reports, in order: its own under the
+// bare unit, or each half's under "half-unit".
+func (r Row) Entries() []Entry {
+	if len(r.Halves) == 0 {
+		return []Entry{{r.Name, r.Unit, r.Unit}}
 	}
-	return c.Reps
+	out := make([]Entry, len(r.Halves))
+	for i, h := range r.Halves {
+		out[i] = Entry{h, r.Unit, h + "-" + r.Unit}
+	}
+	return out
 }
 
-func (c Config) scale(n int) int {
-	if c.Quick {
-		return n / 8
-	}
-	return n
+// perRef makes a row reporting ns/ref: f runs b.N ops and returns the
+// refs one op drives.
+func perRef(name string, f func(*testing.B) int) Row {
+	return Row{Name: name, Unit: "ns/ref", Bench: func(b *testing.B) {
+		refs := f(b)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(refs), "ns/ref")
+	}}
 }
 
-// minDuration runs f reps times and returns the fastest wall-clock run.
-func minDuration(reps int, f func()) time.Duration {
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); i == 0 || d < best {
-			best = d
-		}
-	}
-	return best
+// perOp makes a row reporting ms/op: f runs b.N ops.
+func perOp(name string, f func(*testing.B)) Row {
+	return Row{Name: name, Unit: "ms/op", Bench: func(b *testing.B) {
+		f(b)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+	}}
 }
 
-// nsPerRef converts a duration over n references to ns/ref.
-func nsPerRef(d time.Duration, n int) float64 {
-	return float64(d.Nanoseconds()) / float64(n)
+// split makes a row that times a path's two halves apart, in ns/ref: f
+// runs b.N ops and returns each half's total time and the refs driven.
+func split(name, first, second string, f func(*testing.B) (time.Duration, time.Duration, int)) Row {
+	r := Row{Name: name, Unit: "ns/ref", Halves: []string{first, second}}
+	r.Bench = func(b *testing.B) {
+		d1, d2, refs := f(b)
+		e := r.Entries()
+		b.ReportMetric(float64(d1.Nanoseconds())/float64(refs), e[0].Key)
+		b.ReportMetric(float64(d2.Nanoseconds())/float64(refs), e[1].Key)
+	}
+	return r
 }
 
-// splitStep times the two halves of stepping a machine on its own
-// workload apart: a generator fills one chunk at a time, then a second
-// machine steps the chunk with StepRefs, for n refs after the same
-// 200,000-ref warm-up machine_step uses. It returns the fastest
-// repetition of each half.
-func splitStep(reps int, app workload.Config, opts platform.Options, n int) (gen, step time.Duration) {
-	g := workload.New(app, opts.Seed)
-	m := platform.NewMachine(workload.New(app, opts.Seed), opts)
-	chunk := make([]mem.Ref, 4096)
-	for left := 200_000; left > 0; left -= len(chunk) {
-		k := mem.ReadBatch(g, chunk[:min(left, len(chunk))])
-		m.StepRefs(chunk[:k])
-	}
-	for i := 0; i < reps; i++ {
-		var gd, sd time.Duration
-		for left := n; left > 0; left -= len(chunk) {
-			c := chunk[:min(left, len(chunk))]
-			t0 := time.Now()
-			mem.ReadBatch(g, c)
-			t1 := time.Now()
-			m.StepRefs(c)
-			gd += t1.Sub(t0)
-			sd += time.Since(t1)
-		}
-		if i == 0 || gd < gen {
-			gen = gd
-		}
-		if i == 0 || sd < step {
-			step = sd
-		}
-	}
-	return gen, step
+// Rows is the suite, in report order.
+var Rows = []Row{
+	// Stack simulation: the production marker-tree stack at the paper's
+	// 15,360-line geometry over the mixed-locality trace, with the walk
+	// model, then without it, as mrcd tenants run it.
+	perRef("stack_marker", stackRow(func() *core.MarkerStack {
+		return core.NewStack(15360, core.DefaultGroupSize)
+	})),
+	perRef("stack_marker_unpriced", stackRow(func() *core.MarkerStack {
+		return core.NewUnpricedStack(15360)
+	})),
+
+	// The same trace through the batch core.Compute and through the
+	// streaming engine at full rate (exact profiling), snapshot included:
+	// the two sides of the stream ≡ batch equivalence. The sampled rows
+	// put it through the SHARDS filter at the rates ext-sampling
+	// validates; the ratio to stream_engine is the per-reference cost the
+	// sampling tier saves.
+	perRef("compute_batch", computeBatch),
+	perRef("stream_engine", engineRow(0)),
+	perRef("sampled_engine_r0.1", engineRow(0.1)),
+	perRef("sampled_engine_r0.01", engineRow(0.01)),
+
+	// Analytical tier: the reuse-time sampler over the same trace (the
+	// O(1)-per-reference profiling cost), each estimator's per-curve cost
+	// from the finished profile, and the tier decision Session.Serve
+	// makes before it answers analytically or simulates. A simulated
+	// curve costs stream_engine's ns/ref × refs; an estimator reads only
+	// the bucketed histogram.
+	perRef("approx_profile", approxProfile),
+	perOp("approx_che", estimateRow(approx.CheFagin{})),
+	perOp("approx_fullassoc", estimateRow(approx.FullyAssociative{})),
+	perOp("approx_assess", approxAssess),
+
+	// The PMU capture layer: one 160k-entry mcf probing period, the
+	// paper's log time.
+	perOp("capture_trace", captureTrace),
+
+	// Machine stepping: the full POWER5 model (complex core, prefetcher,
+	// L2+L3, PMU) on the mcf reference stream, warm caches. machine_step
+	// runs the machine on its own generator, which a producer goroutine
+	// reads ahead while the machine steps; step_halves times the two
+	// halves apart, serially, on the same stream. On two or more CPUs
+	// machine_step is about the larger of the two, on one CPU about their
+	// sum.
+	perRef("machine_step", machineStep),
+	split("step_halves", "workload_gen", "machine_step_refs", stepHalves),
+
+	// The shared sweep's halves on the same stream: sweep_leader
+	// generates each chunk, runs the leader L1 over it and compacts it to
+	// L2-bound events; sweep_machine_events is one machine stepping those
+	// events. A serial 16-partition sweep costs about one leader plus 16
+	// machines per ref; pooled, the leader builds the next chunk beside
+	// the machines.
+	split("sweep_halves", "sweep_leader", "sweep_machine_events", sweepHalves),
+
+	// The 16-partition real-MRC sweep, both strategies, serial workers.
+	perOp("realmrc_sweep_permachine", sweepRow(platform.RealMRCPerMachine)),
+	perOp("realmrc_sweep_shared", sweepRow(platform.RealMRC)),
 }
 
-// splitSweep times the shared sweep's two halves apart on one stream:
-// the leader building each chunk, then one machine stepping its events,
-// for at least n refs after a 200,000-ref warm-up. It returns the fastest
-// repetition of each half and the refs one repetition drove.
-func splitSweep(reps int, app workload.Config, opts platform.Options, n int) (lead, step time.Duration, refs int) {
-	h := platform.NewSweepHalves(workload.New(app, opts.Seed))
-	m := platform.NewMachine(workload.New(app, opts.Seed), opts)
-	for done := 0; done < 200_000; {
-		done += h.Lead()
-		h.Step(m)
-	}
-	for i := 0; i < reps; i++ {
-		var ld, sd time.Duration
-		refs = 0
-		for refs < n {
-			t0 := time.Now()
-			refs += h.Lead()
-			t1 := time.Now()
-			h.Step(m)
-			ld += t1.Sub(t0)
-			sd += time.Since(t1)
-		}
-		if i == 0 || ld < lead {
-			lead = ld
-		}
-		if i == 0 || sd < step {
-			step = sd
-		}
-	}
-	return lead, step, refs
-}
+// stepRefs is the mcf stream one machine-stepping op drives.
+const stepRefs = 2_000_000
 
-// mixedTrace builds the mixed-locality synthetic trace the stack and
-// stream measurements replay (the same shape as bench_test.go's ablation
-// input: hot set, warm set, cold streaming tail).
-func mixedTrace(n int) []mem.Line {
+// mcfOpts is the machine every mcf row runs.
+var mcfOpts = platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: 1}
+
+// mixed is the mixed-locality trace the stack, engine and analytical
+// rows replay: a hot set, a warm set and a cold streaming tail.
+var mixed = sync.OnceValue(func() []mem.Line {
 	r := rand.New(rand.NewSource(5))
-	trace := make([]mem.Line, n)
+	trace := make([]mem.Line, mixedRefs)
 	for i := range trace {
 		switch r.Intn(4) {
 		case 0:
@@ -174,245 +172,188 @@ func mixedTrace(n int) []mem.Line {
 		}
 	}
 	return trace
+})
+
+// mixedRefs is the mixed trace's length, and mixedInstr the instruction
+// count it is normalized by.
+const (
+	mixedRefs  = 400_000
+	mixedInstr = 3 * mixedRefs
+)
+
+func stackRow(newStack func() *core.MarkerStack) func(*testing.B) int {
+	return func(b *testing.B) int {
+		trace := mixed()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st := newStack()
+			for _, l := range trace {
+				st.Reference(l)
+			}
+		}
+		return len(trace)
+	}
 }
 
-// Run executes the suite and returns the report.
-func Run(cfg Config) (Suite, error) {
-	s := Suite{
-		RegeneratedBy: "go run ./cmd/benchjson -o BENCH_simulator.json",
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		CPUs:          runtime.NumCPU(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
+func computeBatch(b *testing.B) int {
+	trace := mixed()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Compute(trace, mixedInstr, core.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
-	reps := cfg.reps()
+	return len(trace)
+}
 
-	// Stack simulation: the production marker-tree stack at the paper's
-	// 15,360-line geometry over the mixed-locality trace.
-	stackTrace := mixedTrace(cfg.scale(400_000))
-	d := minDuration(reps, func() {
-		st := core.NewStack(15360, core.DefaultGroupSize)
-		for _, l := range stackTrace {
-			st.Reference(l)
-		}
-	})
-	s.Results = append(s.Results, Result{
-		Name: "stack_marker", Metric: "ns/ref",
-		Value: nsPerRef(d, len(stackTrace)), Refs: len(stackTrace),
-	})
-
-	// The same stack without the walk model, as mrcd tenants run it:
-	// their walks are unpriced, so the stack skips counting them.
-	d = minDuration(reps, func() {
-		st := core.NewUnpricedStack(15360)
-		for _, l := range stackTrace {
-			st.Reference(l)
-		}
-	})
-	s.Results = append(s.Results, Result{
-		Name: "stack_marker_unpriced", Metric: "ns/ref",
-		Value: nsPerRef(d, len(stackTrace)), Refs: len(stackTrace),
-	})
-
-	// Streaming engine: the same trace through the incremental
-	// capture→compute path at full rate (exact profiling), snapshot
-	// included.
-	instr := uint64(3 * len(stackTrace))
-	var streamErr error
-	d = minDuration(reps, func() {
-		e, err := sample.NewEngine(core.DefaultConfig(), sample.Config{}, len(stackTrace))
-		if err != nil {
-			streamErr = err
-			return
-		}
-		for _, l := range stackTrace {
-			e.Feed(l)
-		}
-		if _, err := e.Snapshot(instr); err != nil {
-			streamErr = err
-		}
-	})
-	if streamErr != nil {
-		return Suite{}, streamErr
-	}
-	s.Results = append(s.Results, Result{
-		Name: "stream_engine", Metric: "ns/ref",
-		Value: nsPerRef(d, len(stackTrace)), Refs: len(stackTrace),
-	})
-
-	// Spatially sampled engine: the same trace and snapshot through the
-	// SHARDS filter at the rates ext-sampling validates (both inside its
-	// 0.02 miss-ratio-MAE budget over the workload zoo). Read these rows
-	// against stream_engine: the ratio is the per-reference cost the
-	// sampling tier saves.
-	for _, rate := range []float64{0.1, 0.01} {
-		r := rate
-		var smpEngErr error
-		d = minDuration(reps, func() {
-			e, err := sample.NewEngine(core.DefaultConfig(), sample.Config{Rate: r}, len(stackTrace))
+func engineRow(rate float64) func(*testing.B) int {
+	return func(b *testing.B) int {
+		trace := mixed()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e, err := sample.NewEngine(core.DefaultConfig(), sample.Config{Rate: rate}, len(trace))
 			if err != nil {
-				smpEngErr = err
-				return
+				b.Fatal(err)
 			}
-			for _, l := range stackTrace {
+			for _, l := range trace {
 				e.Feed(l)
 			}
-			if _, err := e.Snapshot(instr); err != nil {
-				smpEngErr = err
+			if _, err := e.Snapshot(mixedInstr); err != nil {
+				b.Fatal(err)
 			}
-		})
-		if smpEngErr != nil {
-			return Suite{}, smpEngErr
 		}
-		s.Results = append(s.Results, Result{
-			Name: "sampled_engine_r" + strconv.FormatFloat(r, 'g', -1, 64), Metric: "ns/ref",
-			Value: nsPerRef(d, len(stackTrace)), Refs: len(stackTrace),
-		})
+		return len(trace)
 	}
+}
 
-	// Analytical tier: the reuse-time sampler over the same trace (the
-	// O(1)-per-reference profiling cost), then each estimator's per-curve
-	// cost from the finished profile. Contrast with stream_engine: a
-	// simulated curve costs its ns/ref × refs, while an estimator reads
-	// only the bucketed histogram — the ≥100× per-curve gap the tiered
-	// serving policy trades on.
-	var smpErr error
-	d = minDuration(reps, func() {
-		smp, err := approx.NewSampler(core.DefaultConfig(), len(stackTrace))
+func approxProfile(b *testing.B) int {
+	trace := mixed()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := approx.NewSampler(core.DefaultConfig(), len(trace))
 		if err != nil {
-			smpErr = err
-			return
+			b.Fatal(err)
 		}
-		for _, l := range stackTrace {
-			smp.Feed(l)
+		for _, l := range trace {
+			s.Feed(l)
 		}
-	})
-	if smpErr != nil {
-		return Suite{}, smpErr
 	}
-	s.Results = append(s.Results, Result{
-		Name: "approx_profile", Metric: "ns/ref",
-		Value: nsPerRef(d, len(stackTrace)), Refs: len(stackTrace),
-	})
+	return len(trace)
+}
 
-	prof, err := approx.ProfileTrace(stackTrace, core.DefaultConfig())
-	if err != nil {
-		return Suite{}, err
-	}
-	for _, est := range []approx.Estimator{approx.CheFagin{}, approx.FullyAssociative{}} {
-		e := est
-		const curves = 64 // batch per repetition: one curve is microseconds
-		var estErr error
-		d = minDuration(reps, func() {
-			for i := 0; i < curves; i++ {
-				if _, err := e.Estimate(prof, instr); err != nil {
-					estErr = err
-					return
-				}
+func estimateRow(est approx.Estimator) func(*testing.B) {
+	return func(b *testing.B) {
+		prof, err := approx.ProfileTrace(mixed(), core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := est.Estimate(prof, mixedInstr); err != nil {
+				b.Fatal(err)
 			}
-		})
-		if estErr != nil {
-			return Suite{}, estErr
 		}
-		s.Results = append(s.Results, Result{
-			Name: "approx_" + e.Name(), Metric: "ms/op",
-			Value: float64(d.Nanoseconds()) / 1e6 / curves,
-		})
 	}
+}
 
-	// The tier decision a tiered serve makes: both estimators over a
-	// live sampler's histogram, then the policy — what Session.Serve
-	// pays before it either answers analytically or simulates.
-	smp, err := approx.NewSampler(core.DefaultConfig(), len(stackTrace))
+func approxAssess(b *testing.B) {
+	trace := mixed()
+	s, err := approx.NewSampler(core.DefaultConfig(), len(trace))
 	if err != nil {
-		return Suite{}, err
+		b.Fatal(err)
 	}
-	for _, l := range stackTrace {
-		smp.Feed(l)
+	for _, l := range trace {
+		s.Feed(l)
 	}
 	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: approx.DefaultThreshold})
-	const decisions = 64
-	var assessErr error
-	d = minDuration(reps, func() {
-		for i := 0; i < decisions; i++ {
-			if e, _ := approx.Assess(pol, smp, instr, false); e == nil {
-				assessErr = approx.ErrNoSamples
-				return
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e, _ := approx.Assess(pol, s, mixedInstr, false); e == nil {
+			b.Fatal(approx.ErrNoSamples)
+		}
+	}
+}
+
+func captureTrace(b *testing.B) {
+	m := platform.NewMachine(workload.New(workload.MustByName("mcf"), 1), mcfOpts)
+	m.RunInstructions(500_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.CollectTrace(160_000)
+	}
+}
+
+func machineStep(b *testing.B) int {
+	m := platform.NewMachine(workload.New(workload.MustByName("mcf"), 1), mcfOpts)
+	m.RunRefs(200_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RunRefs(stepRefs)
+	}
+	return stepRefs
+}
+
+// stepHalves drives the generator and the machine machine_step runs
+// apart: a generator fills one chunk at a time, then a second machine
+// steps the chunk with StepRefs, after the same 200,000-ref warm-up.
+func stepHalves(b *testing.B) (gen, step time.Duration, refs int) {
+	mcf := workload.MustByName("mcf")
+	g := workload.New(mcf, 1)
+	m := platform.NewMachine(workload.New(mcf, 1), mcfOpts)
+	chunk := make([]mem.Ref, 4096)
+	for left := 200_000; left > 0; left -= len(chunk) {
+		k := mem.ReadBatch(g, chunk[:min(left, len(chunk))])
+		m.StepRefs(chunk[:k])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for left := stepRefs; left > 0; left -= len(chunk) {
+			c := chunk[:min(left, len(chunk))]
+			t0 := time.Now()
+			mem.ReadBatch(g, c)
+			t1 := time.Now()
+			m.StepRefs(c)
+			gen += t1.Sub(t0)
+			step += time.Since(t1)
+		}
+	}
+	return gen, step, b.N * stepRefs
+}
+
+// sweepHalves drives the shared sweep's leader and one machine apart on
+// one stream, whole 64 Ki-ref chunks of at least stepRefs per op, after a
+// 200,000-ref warm-up.
+func sweepHalves(b *testing.B) (lead, step time.Duration, refs int) {
+	mcf := workload.MustByName("mcf")
+	h := platform.NewSweepHalves(workload.New(mcf, 1))
+	m := platform.NewMachine(workload.New(mcf, 1), mcfOpts)
+	for done := 0; done < 200_000; {
+		done += h.Lead()
+		h.Step(m)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for end := refs + stepRefs; refs < end; {
+			t0 := time.Now()
+			refs += h.Lead()
+			t1 := time.Now()
+			h.Step(m)
+			lead += t1.Sub(t0)
+			step += time.Since(t1)
+		}
+	}
+	return lead, step, refs
+}
+
+func sweepRow(sweep func(workload.Config, platform.RealMRCConfig) []float64) func(*testing.B) {
+	return func(b *testing.B) {
+		app := workload.MustByName("mcf")
+		cfg := platform.DefaultRealMRCConfig()
+		cfg.Workers = 1
+		for i := 0; i < b.N; i++ {
+			if mrc := sweep(app, cfg); len(mrc) != 16 {
+				b.Fatalf("got %d-point curve", len(mrc))
 			}
 		}
-	})
-	if assessErr != nil {
-		return Suite{}, assessErr
 	}
-	s.Results = append(s.Results, Result{
-		Name: "approx_assess", Metric: "ms/op",
-		Value: float64(d.Nanoseconds()) / 1e6 / decisions,
-	})
-
-	// Machine stepping: the full POWER5 model (complex core, prefetcher,
-	// L2+L3, PMU) on the mcf reference stream, warm caches. machine_step
-	// runs the machine on its own generator, which a producer goroutine
-	// reads ahead while the machine steps; workload_gen and
-	// machine_step_refs time the two halves apart, serially, on the same
-	// stream. On two or more CPUs machine_step is about the larger of the
-	// two, on one CPU about their sum.
-	stepRefs := cfg.scale(2_000_000)
-	mcf := workload.MustByName("mcf")
-	opts := platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: 1}
-	m := platform.NewMachine(workload.New(mcf, 1), opts)
-	m.RunRefs(200_000)
-	d = minDuration(reps, func() { m.RunRefs(stepRefs) })
-	s.Results = append(s.Results, Result{
-		Name: "machine_step", Metric: "ns/ref",
-		Value: nsPerRef(d, stepRefs), Refs: stepRefs,
-	})
-	genD, stepD := splitStep(reps, mcf, opts, stepRefs)
-	s.Results = append(s.Results, Result{
-		Name: "workload_gen", Metric: "ns/ref",
-		Value: nsPerRef(genD, stepRefs), Refs: stepRefs,
-	}, Result{
-		Name: "machine_step_refs", Metric: "ns/ref",
-		Value: nsPerRef(stepD, stepRefs), Refs: stepRefs,
-	})
-
-	// The shared sweep's halves on the same stream: sweep_leader
-	// generates each chunk, runs the leader L1 over it and compacts it to
-	// L2-bound events; sweep_machine_events is one machine stepping those
-	// events. A serial 16-partition sweep costs about one leader plus 16
-	// machines per ref; pooled, the leader builds the next chunk beside
-	// the machines.
-	leadD, evD, sweepRefs := splitSweep(reps, mcf, opts, stepRefs)
-	s.Results = append(s.Results, Result{
-		Name: "sweep_leader", Metric: "ns/ref",
-		Value: nsPerRef(leadD, sweepRefs), Refs: sweepRefs,
-	}, Result{
-		Name: "sweep_machine_events", Metric: "ns/ref",
-		Value: nsPerRef(evD, sweepRefs), Refs: sweepRefs,
-	})
-
-	// The 16-partition real-MRC sweep, both strategies, serial workers —
-	// the tentpole before/after pair.
-	sweepCfg := platform.DefaultRealMRCConfig()
-	sweepCfg.Workers = 1
-	if cfg.Quick {
-		sweepCfg.SkipInstructions /= 8
-		sweepCfg.SliceInstructions /= 8
-	}
-	app := workload.MustByName("mcf")
-	sweepReps := reps
-	if sweepReps > 2 && !cfg.Quick {
-		sweepReps = 2 // full sweeps run for seconds; two repetitions suffice
-	}
-	d = minDuration(sweepReps, func() { platform.RealMRCPerMachine(app, sweepCfg) })
-	s.Results = append(s.Results, Result{
-		Name: "realmrc_sweep_permachine", Metric: "ms/op",
-		Value: float64(d.Microseconds()) / 1000,
-	})
-	d = minDuration(sweepReps, func() { platform.RealMRC(app, sweepCfg) })
-	s.Results = append(s.Results, Result{
-		Name: "realmrc_sweep_shared", Metric: "ms/op",
-		Value: float64(d.Microseconds()) / 1000,
-	})
-
-	return s, nil
 }

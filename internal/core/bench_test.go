@@ -33,35 +33,11 @@ func benchTrace(n int) []mem.Line {
 	return trace
 }
 
-// BenchmarkStackMarker and BenchmarkStackNaive quantify the production
-// stack against the textbook one (DESIGN.md ablation): same trace, same
-// capacity. BenchmarkStackMarker exercises the production marker-tree
-// stack counting walks for the cost model; BenchmarkStackMarkerUnpriced
-// the same stack without the walk model, as mrcd tenants run it.
-func BenchmarkStackMarker(b *testing.B) {
-	trace := benchTrace(100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewStack(15360, DefaultGroupSize)
-		for _, l := range trace {
-			s.Reference(l)
-		}
-	}
-}
-
-func BenchmarkStackMarkerUnpriced(b *testing.B) {
-	trace := benchTrace(100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewUnpricedStack(15360)
-		for _, l := range trace {
-			s.Reference(l)
-		}
-	}
-}
-
+// BenchmarkStackNaive times the textbook stack on the first 10,000 refs
+// of the mixed-locality trace internal/benchsuite's stack_marker row
+// replays, at the same capacity.
 func BenchmarkStackNaive(b *testing.B) {
-	trace := benchTrace(10_000) // 10× shorter: O(n·capacity) is slow
+	trace := benchTrace(10_000) // a short prefix: O(n·capacity) is slow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewNaiveStack(15360)
