@@ -3,7 +3,8 @@
 // produces on every run as a performance smoke artifact.
 //
 // Every row of internal/benchsuite runs through testing.Benchmark -count
-// times; each entry reports the median and quartiles of its runs.
+// times, in -count passes over all rows; each entry reports the median
+// and quartiles of its runs.
 //
 // Usage:
 //
@@ -99,8 +100,11 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// run benchmarks every row count times and summarizes each entry. A row
-// that fails (testing.Benchmark returns N == 0) fails the suite.
+// run benchmarks every row count times and summarizes each entry. Pass i
+// runs every row once before pass i+1 starts, so host drift over a run
+// spreads across all rows' quartiles instead of landing on the rows that
+// happened to run during it. A row that fails (testing.Benchmark returns
+// N == 0) fails the suite.
 func run(rows []benchsuite.Row, count int) (Suite, error) {
 	s := Suite{
 		RegeneratedBy: "go run ./cmd/benchjson -o BENCH_simulator.json",
@@ -110,25 +114,32 @@ func run(rows []benchsuite.Row, count int) (Suite, error) {
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		Count:         count,
 	}
-	for _, row := range rows {
-		entries := row.Entries()
-		vals := make([][]float64, len(entries))
-		for i := 0; i < count; i++ {
+	entries := make([][]benchsuite.Entry, len(rows))
+	vals := make([][][]float64, len(rows))
+	for j, row := range rows {
+		entries[j] = row.Entries()
+		vals[j] = make([][]float64, len(entries[j]))
+	}
+	for i := 0; i < count; i++ {
+		for j, row := range rows {
 			r := testing.Benchmark(row.Bench)
 			if r.N == 0 {
 				return Suite{}, fmt.Errorf("row %s failed", row.Name)
 			}
-			for k, e := range entries {
+			for k, e := range entries[j] {
 				v, ok := r.Extra[e.Key]
 				if !ok {
 					return Suite{}, fmt.Errorf("row %s reported no %s", row.Name, e.Key)
 				}
-				vals[k] = append(vals[k], v)
+				vals[j][k] = append(vals[j][k], v)
 			}
 		}
-		for k, e := range entries {
+	}
+	for j := range rows {
+		for k, e := range entries[j] {
+			v := vals[j][k]
 			res := Result{Name: e.Name, Metric: e.Unit,
-				Median: quantile(vals[k], 0.5), Q1: quantile(vals[k], 0.25), Q3: quantile(vals[k], 0.75)}
+				Median: quantile(v, 0.5), Q1: quantile(v, 0.25), Q3: quantile(v, 0.75)}
 			fmt.Fprintf(os.Stderr, "%-28s %12.3f %s  [%.3f, %.3f]\n", res.Name, res.Median, res.Metric, res.Q1, res.Q3)
 			s.Results = append(s.Results, res)
 		}

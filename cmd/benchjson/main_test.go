@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"rapidmrc/internal/benchsuite"
@@ -73,5 +74,25 @@ func TestRunFailsOnMissingMetric(t *testing.T) {
 	rows := []benchsuite.Row{{Name: "silent", Unit: "ns/ref", Bench: func(*testing.B) {}}}
 	if _, err := run(rows, 1); err == nil || err.Error() != "row silent reported no ns/ref" {
 		t.Fatalf("run: err = %v, want the silent row named", err)
+	}
+}
+
+// TestRunInterleavesCounts pins the run order: pass i calls every row
+// once before pass i+1 starts, so drift on the host during a run reaches
+// every row's quartiles rather than only the rows running at the time.
+func TestRunInterleavesCounts(t *testing.T) {
+	oneOp(t)
+	var order []string
+	row := func(name string) benchsuite.Row {
+		return benchsuite.Row{Name: name, Unit: "ms/op", Bench: func(b *testing.B) {
+			order = append(order, name)
+			b.ReportMetric(1, "ms/op")
+		}}
+	}
+	if _, err := run([]benchsuite.Row{row("a"), row("b")}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "a b a b a b" {
+		t.Fatalf("rows called in order %q, want \"a b a b a b\"", got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/platform"
+	"rapidmrc/internal/pmu"
 	"rapidmrc/internal/workload"
 )
 
@@ -362,7 +363,8 @@ var mrcdTraces = sync.OnceValues(func() (map[string][]mem.Line, error) {
 			Mode: cpu.Complex, Colors: color.All, L3Enabled: true, Seed: 1,
 		})
 		m.RunInstructions(500_000)
-		lines := m.CollectTrace(160_000).Lines
+		lines := make([]mem.Line, 0, 160_000)
+		m.CollectTrace(160_000, pmu.SinkFunc(func(l mem.Line) { lines = append(lines, l) }))
 		core.CorrectPrefetchRepetitions(lines)
 		out[app] = lines
 	}

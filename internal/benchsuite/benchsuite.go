@@ -20,6 +20,7 @@ import (
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/platform"
+	"rapidmrc/internal/pmu"
 	"rapidmrc/internal/sample"
 	"rapidmrc/internal/workload"
 )
@@ -123,8 +124,8 @@ var Rows = []Row{
 	perOp("approx_fullassoc", estimateRow(approx.FullyAssociative{})),
 	perOp("approx_assess", approxAssess),
 
-	// The PMU capture layer: one 160k-entry mcf probing period, the
-	// paper's log time.
+	// The PMU capture layer: one 160k-entry mcf probing period appended
+	// to a fresh log, the paper's log time.
 	perOp("capture_trace", captureTrace),
 
 	// Machine stepping: the full POWER5 model (complex core, prefetcher,
@@ -279,7 +280,8 @@ func captureTrace(b *testing.B) {
 	m.RunInstructions(500_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CollectTrace(160_000)
+		lines := make([]mem.Line, 0, 160_000)
+		m.CollectTrace(160_000, pmu.SinkFunc(func(l mem.Line) { lines = append(lines, l) }))
 	}
 }
 

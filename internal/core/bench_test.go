@@ -12,6 +12,7 @@ import (
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/platform"
+	"rapidmrc/internal/pmu"
 	"rapidmrc/internal/workload"
 )
 
@@ -53,7 +54,8 @@ func mcfTrace() []mem.Line {
 	m := platform.NewMachine(workload.New(workload.MustByName("mcf"), 1),
 		platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: 1})
 	m.RunInstructions(500_000)
-	lines := m.CollectTrace(160_000).Lines
+	lines := make([]mem.Line, 0, 160_000)
+	m.CollectTrace(160_000, pmu.SinkFunc(func(l mem.Line) { lines = append(lines, l) }))
 	CorrectPrefetchRepetitions(lines)
 	return lines
 }

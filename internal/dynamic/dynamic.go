@@ -216,7 +216,7 @@ func (c *Controller) probe(i int) *core.MRC {
 	p := m.PMU()
 	m.ResetMetrics()
 	start := m.Core().Instructions()
-	p.StartTraceTo(pmu.SinkFunc(func(l mem.Line) { sess.Feed([]uint64{uint64(l)}) }),
+	p.StartTrace(pmu.SinkFunc(func(l mem.Line) { sess.Feed([]uint64{uint64(l)}) }),
 		c.cfg.TraceEntries, start, m.Core().Cycles())
 	for !p.TraceFull() {
 		platform.NextByCycles(c.machines).Step()
@@ -229,7 +229,7 @@ func (c *Controller) probe(i int) *core.MRC {
 			break
 		}
 	}
-	_, st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
+	st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
 	c.stats.ProbedEntries += st.Captured
 
 	ep, err := sess.Snapshot(st.Instructions)

@@ -18,6 +18,7 @@ import (
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/platform"
+	"rapidmrc/internal/pmu"
 	"rapidmrc/internal/runner"
 	"rapidmrc/internal/workload"
 )
@@ -60,6 +61,16 @@ func (c Config) realCfg(mode cpu.Mode) platform.RealMRCConfig {
 		rc.SliceInstructions = 300_000
 	}
 	return rc
+}
+
+// warmSkip returns the instructions a fresh machine runs before its
+// probing period, so that the capture sees the application past its
+// start-up.
+func (c Config) warmSkip() uint64 {
+	if c.Quick {
+		return 600_000
+	}
+	return 2_000_000
 }
 
 // entries returns the trace log length.
@@ -112,14 +123,33 @@ type AppEval struct {
 	Dropped int
 }
 
-// computeCurve captures a trace of n entries on m and turns it into a raw
-// curve plus bookkeeping. It is the capture+compute half of EvalApp,
-// shared by the mode-sensitivity figures.
-func computeCurve(m *platform.Machine, n int) (*core.Result, platform.Capture, int, error) {
-	cap := m.CollectTrace(n)
-	converted := core.CorrectPrefetchRepetitions(cap.Lines)
-	res, err := core.Compute(cap.Lines, cap.Stats.Instructions, core.DefaultConfig())
-	return res, cap, converted, err
+// probe is one probing period captured on a fresh machine: its log,
+// corrected for prefetch repetitions, and the capture's statistics.
+type probe struct {
+	lines []mem.Line
+	stats pmu.TraceStats
+	// converted counts the log entries the correction rewrote.
+	converted int
+}
+
+// captureWarm boots app on a fresh machine with opt's Mode and
+// TraceBuffer, the L3 attached and c.Seed seeding both the workload and
+// the machine, runs c.warmSkip() instructions, captures an n-entry
+// probing period through an appending sink, and corrects the log.
+func (c Config) captureWarm(app workload.Config, opt platform.Options, n int) probe {
+	opt.L3Enabled, opt.Seed = true, c.Seed
+	m := platform.NewMachine(workload.New(app, c.Seed), opt)
+	m.RunInstructions(c.warmSkip())
+	p := probe{lines: make([]mem.Line, 0, n)}
+	p.stats = m.CollectTrace(n, pmu.SinkFunc(func(l mem.Line) { p.lines = append(p.lines, l) }))
+	p.converted = core.CorrectPrefetchRepetitions(p.lines)
+	return p
+}
+
+// curve computes the probing period's raw curve with the default engine
+// configuration.
+func (p probe) curve() (*core.Result, error) {
+	return core.Compute(p.lines, p.stats.Instructions, core.DefaultConfig())
 }
 
 // EvalApp measures one application end to end.
@@ -130,20 +160,15 @@ func EvalApp(name string, cfg Config) (*AppEval, error) {
 	}
 
 	var (
-		wg       sync.WaitGroup
-		real     []float64
-		res      *core.Result
-		resLong  *core.Result
-		cap      platform.Capture
-		conv     int
-		calcErr  error
-		longErr  error
-		warmSkip = uint64(2_000_000)
+		wg      sync.WaitGroup
+		real    []float64
+		p       probe
+		res     *core.Result
+		resLong *core.Result
+		calcErr error
+		longErr error
 	)
-	if cfg.Quick {
-		warmSkip = 600_000
-	}
-
+	opt := platform.Options{Mode: cpu.Complex}
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -151,21 +176,14 @@ func EvalApp(name string, cfg Config) (*AppEval, error) {
 	}()
 	go func() {
 		defer wg.Done()
-		m := platform.NewMachine(workload.New(app, cfg.Seed), platform.Options{
-			Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed,
-		})
-		m.RunInstructions(warmSkip)
-		res, cap, conv, calcErr = computeCurve(m, cfg.entries())
+		p = cfg.captureWarm(app, opt, cfg.entries())
+		res, calcErr = p.curve()
 	}()
 	if !cfg.Quick {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := platform.NewMachine(workload.New(app, cfg.Seed), platform.Options{
-				Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed,
-			})
-			m.RunInstructions(warmSkip)
-			resLong, _, _, longErr = computeCurve(m, cfg.longEntries())
+			resLong, longErr = cfg.captureWarm(app, opt, cfg.longEntries()).curve()
 		}()
 	}
 	wg.Wait()
@@ -184,14 +202,14 @@ func EvalApp(name string, cfg Config) (*AppEval, error) {
 		CalcShifted:   shifted.MPKI,
 		Shift:         shift,
 		Distance:      core.Distance(shifted, realMRC),
-		LogCycles:     cap.Stats.Cycles,
+		LogCycles:     p.stats.Cycles,
 		CalcCycles:    res.ModelCycles,
-		CaptureInstr:  cap.Stats.Instructions,
-		ConvertedFrac: float64(conv) / float64(len(cap.Lines)),
-		WarmupFrac:    float64(res.WarmupEntries) / float64(len(cap.Lines)),
+		CaptureInstr:  p.stats.Instructions,
+		ConvertedFrac: float64(p.converted) / float64(len(p.lines)),
+		WarmupFrac:    float64(res.WarmupEntries) / float64(len(p.lines)),
 		AutoWarmup:    res.AutoWarmup,
 		StackHitRate:  res.StackHitRate,
-		Dropped:       cap.Stats.Dropped,
+		Dropped:       p.stats.Dropped,
 	}
 	if resLong != nil && longErr == nil {
 		sl := resLong.MRC.Clone()
@@ -232,22 +250,4 @@ func sortedCopy(v []float64) []float64 {
 	copy(out, v)
 	sort.Float64s(out)
 	return out
-}
-
-// captureTrace is a convenience for figure drivers needing a raw trace
-// from a fresh machine.
-func captureTrace(app workload.Config, mode cpu.Mode, seed int64, warm uint64, entries int) platform.Capture {
-	m := platform.NewMachine(workload.New(app, seed), platform.Options{
-		Mode: mode, L3Enabled: true, Seed: seed,
-	})
-	m.RunInstructions(warm)
-	return m.CollectTrace(entries)
-}
-
-// tracedLines converts a capture to a corrected []mem.Line copy.
-func correctedLines(cap platform.Capture) []mem.Line {
-	lines := make([]mem.Line, len(cap.Lines))
-	copy(lines, cap.Lines)
-	core.CorrectPrefetchRepetitions(lines)
-	return lines
 }

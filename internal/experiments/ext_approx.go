@@ -53,34 +53,24 @@ type ApproxSummary struct {
 // escalation policy correctly refuses to serve it.
 func ExtApprox(w io.Writer, cfg Config) ([]ApproxRow, []ApproxSummary, error) {
 	names := cfg.apps()
-	warmSkip := uint64(2_000_000)
-	if cfg.Quick {
-		warmSkip = 600_000
-	}
 
 	rows := make([]ApproxRow, len(names))
 	err := runner.ForEach(context.Background(), cfg.Parallel, len(names), func(i int) error {
-		app := workload.MustByName(names[i])
-		m := platform.NewMachine(workload.New(app, cfg.Seed), platform.Options{
-			Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed,
-		})
-		m.RunInstructions(warmSkip)
-		cap := m.CollectTrace(cfg.entries())
-		core.CorrectPrefetchRepetitions(cap.Lines)
+		p := cfg.captureWarm(workload.MustByName(names[i]), platform.Options{Mode: cpu.Complex}, cfg.entries())
 
-		sim, err := core.Compute(cap.Lines, cap.Stats.Instructions, core.DefaultConfig())
+		sim, err := p.curve()
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
 		}
-		prof, err := approx.ProfileTrace(cap.Lines, core.DefaultConfig())
+		prof, err := approx.ProfileTrace(p.lines, core.DefaultConfig())
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
 		}
-		che, err := approx.CheFagin{}.Estimate(prof, cap.Stats.Instructions)
+		che, err := approx.CheFagin{}.Estimate(prof, p.stats.Instructions)
 		if err != nil {
 			return fmt.Errorf("%s: che: %w", names[i], err)
 		}
-		fa, err := approx.FullyAssociative{}.Estimate(prof, cap.Stats.Instructions)
+		fa, err := approx.FullyAssociative{}.Estimate(prof, p.stats.Instructions)
 		if err != nil {
 			return fmt.Errorf("%s: fullassoc: %w", names[i], err)
 		}

@@ -34,10 +34,7 @@ type BufferPoint struct {
 func ExtPMUBuffer(w io.Writer, cfg Config) ([]BufferPoint, error) {
 	const app = "mcf"
 	depths := []int{1, 16, 64, 256, 1024}
-	warm := uint64(2_000_000)
-	if cfg.Quick {
-		warm = 600_000
-	}
+	warm := cfg.warmSkip()
 
 	appCfg := workload.MustByName(app)
 	real := core.NewMRC(platform.RealMRC(appCfg, cfg.realCfg(cpu.Complex)))
@@ -54,24 +51,21 @@ func ExtPMUBuffer(w io.Writer, cfg Config) ([]BufferPoint, error) {
 	out := make([]BufferPoint, 0, len(depths))
 	rows := make([][]string, 0, len(depths))
 	for _, d := range depths {
-		m := platform.NewMachine(workload.New(appCfg, cfg.Seed), platform.Options{
-			Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed, TraceBuffer: d,
-		})
-		m.RunInstructions(warm)
-		res, cap, _, err := computeCurve(m, cfg.entries())
+		p := cfg.captureWarm(appCfg, platform.Options{Mode: cpu.Complex, TraceBuffer: d}, cfg.entries())
+		res, err := p.curve()
 		if err != nil {
 			return nil, err
 		}
 		shifted := res.MRC.Clone()
 		shifted.Transpose(7, real.At(8))
 
-		ipcDuring := float64(cap.Stats.Instructions) / float64(cap.Stats.Cycles)
+		ipcDuring := float64(p.stats.Instructions) / float64(p.stats.Cycles)
 		pt := BufferPoint{
 			Depth:         d,
-			CaptureCycles: cap.Stats.Cycles,
+			CaptureCycles: p.stats.Cycles,
 			SlowdownPct:   100 * ipcDuring / baseIPC,
-			Dropped:       cap.Stats.Dropped,
-			Stale:         cap.Stats.Stale,
+			Dropped:       p.stats.Dropped,
+			Stale:         p.stats.Stale,
 			Distance:      core.Distance(shifted, real),
 		}
 		out = append(out, pt)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rapidmrc/internal/cache"
-	"rapidmrc/internal/core"
 	"rapidmrc/internal/report"
 )
 
@@ -29,11 +28,11 @@ type ReplacementResult struct {
 // closely (Figure 5d already showed associativity barely matters); the
 // other policies should diverge — most dramatically MRU.
 func ExtReplacement(w io.Writer, cfg Config) ([]ReplacementResult, error) {
-	cap, instr := mcfTrace(cfg, cfg.entries())
-	lines := correctedLines(cap)
+	pr := mcfTrace(cfg, cfg.entries())
+	lines := pr.lines
 
 	// Stack-model prediction: misses at each size / recorded references.
-	res, err := core.Compute(lines, instr, core.DefaultConfig())
+	res, err := pr.curve()
 	if err != nil {
 		return nil, err
 	}

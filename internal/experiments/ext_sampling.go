@@ -79,32 +79,22 @@ type SamplingSummary struct {
 // 1.0 doubles as a live bit-identity check.
 func ExtSampling(w io.Writer, cfg Config) ([]SamplingRow, []SamplingSummary, error) {
 	names := cfg.apps()
-	warmSkip := uint64(2_000_000)
-	if cfg.Quick {
-		warmSkip = 600_000
-	}
 
 	rows := make([]SamplingRow, len(names)*len(SamplingRates))
 	err := runner.ForEach(context.Background(), cfg.Parallel, len(names), func(i int) error {
-		app := workload.MustByName(names[i])
-		m := platform.NewMachine(workload.New(app, cfg.Seed), platform.Options{
-			Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed,
-		})
-		m.RunInstructions(warmSkip)
-		cap := m.CollectTrace(cfg.entries())
-		core.CorrectPrefetchRepetitions(cap.Lines)
+		pr := cfg.captureWarm(workload.MustByName(names[i]), platform.Options{Mode: cpu.Complex}, cfg.entries())
 
 		// Ground truth and timing baseline: the same engine at full rate
 		// (exact profiling) over the same corrected trace.
-		full, err := sample.NewEngine(core.DefaultConfig(), sample.Config{}, len(cap.Lines))
+		full, err := sample.NewEngine(core.DefaultConfig(), sample.Config{}, len(pr.lines))
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
 		}
 		t0 := time.Now()
-		for _, l := range cap.Lines {
+		for _, l := range pr.lines {
 			full.Feed(l)
 		}
-		sim, err := full.Snapshot(cap.Stats.Instructions)
+		sim, err := full.Snapshot(pr.stats.Instructions)
 		fullNs := float64(time.Since(t0).Nanoseconds())
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
@@ -112,18 +102,18 @@ func ExtSampling(w io.Writer, cfg Config) ([]SamplingRow, []SamplingSummary, err
 		top := sim.MRC.MPKI[0]
 		// MPKI → miss-ratio conversion for this trace: misses/reference =
 		// MPKI × instructions / (1000 × references).
-		mrScale := float64(cap.Stats.Instructions) / (1000 * float64(len(cap.Lines)))
+		mrScale := float64(pr.stats.Instructions) / (1000 * float64(len(pr.lines)))
 
 		for j, rate := range SamplingRates {
-			eng, err := sample.NewEngine(core.DefaultConfig(), sample.Config{Rate: rate}, len(cap.Lines))
+			eng, err := sample.NewEngine(core.DefaultConfig(), sample.Config{Rate: rate}, len(pr.lines))
 			if err != nil {
 				return fmt.Errorf("%s: rate %v: %w", names[i], rate, err)
 			}
 			t0 := time.Now()
-			for _, l := range cap.Lines {
+			for _, l := range pr.lines {
 				eng.Feed(l)
 			}
-			res, err := eng.Snapshot(cap.Stats.Instructions)
+			res, err := eng.Snapshot(pr.stats.Instructions)
 			ns := float64(time.Since(t0).Nanoseconds())
 			if err != nil {
 				return fmt.Errorf("%s: rate %v: %w", names[i], rate, err)
@@ -143,7 +133,7 @@ func ExtSampling(w io.Writer, cfg Config) ([]SamplingRow, []SamplingSummary, err
 				Coverage:  float64(covered) / float64(len(sim.MRC.MPKI)),
 				Width:     b.Width(),
 				Sampled:   eng.Sampled(),
-				NsPerRef:  ns / float64(len(cap.Lines)),
+				NsPerRef:  ns / float64(len(pr.lines)),
 				Speedup:   fullNs / ns,
 				Identical: core.Distance(res.MRC, sim.MRC) == 0 && res.ModelCycles == sim.ModelCycles,
 			}

@@ -23,30 +23,23 @@ type fig4Result struct {
 // Figure4 reproduces the "improved RapidMRC" studies: swim with a 10×
 // trace log and art captured in the simplified processor mode.
 func Figure4(w io.Writer, cfg Config) ([]fig4Result, error) {
-	warm := uint64(2_000_000)
-	if cfg.Quick {
-		warm = 600_000
-	}
 	shiftTo := func(res *core.Result, real []float64) []float64 {
 		c := res.MRC.Clone()
 		c.Transpose(7, real[7])
 		return c.MPKI
 	}
+	cx := platform.Options{Mode: cpu.Complex}
 
 	var out []fig4Result
 
 	// swim: longer log.
 	swim := workload.MustByName("swim")
 	realSwim := platform.RealMRC(swim, cfg.realCfg(cpu.Complex))
-	m := platform.NewMachine(workload.New(swim, cfg.Seed), platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed})
-	m.RunInstructions(warm)
-	resShort, _, _, err := computeCurve(m, cfg.entries())
+	resShort, err := cfg.captureWarm(swim, cx, cfg.entries()).curve()
 	if err != nil {
 		return nil, err
 	}
-	m = platform.NewMachine(workload.New(swim, cfg.Seed), platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed})
-	m.RunInstructions(warm)
-	resLong, _, _, err := computeCurve(m, cfg.longEntries())
+	resLong, err := cfg.captureWarm(swim, cx, cfg.longEntries()).curve()
 	if err != nil {
 		return nil, err
 	}
@@ -60,15 +53,11 @@ func Figure4(w io.Writer, cfg Config) ([]fig4Result, error) {
 	// art: simplified capture mode (no prefetch, single issue, in order).
 	art := workload.MustByName("art")
 	realArt := platform.RealMRC(art, cfg.realCfg(cpu.Complex))
-	m = platform.NewMachine(workload.New(art, cfg.Seed), platform.Options{Mode: cpu.Complex, L3Enabled: true, Seed: cfg.Seed})
-	m.RunInstructions(warm)
-	resCx, _, _, err := computeCurve(m, cfg.entries())
+	resCx, err := cfg.captureWarm(art, cx, cfg.entries()).curve()
 	if err != nil {
 		return nil, err
 	}
-	m = platform.NewMachine(workload.New(art, cfg.Seed), platform.Options{Mode: cpu.Simplified, L3Enabled: true, Seed: cfg.Seed})
-	m.RunInstructions(warm)
-	resSimp, _, _, err := computeCurve(m, cfg.entries())
+	resSimp, err := cfg.captureWarm(art, platform.Options{Mode: cpu.Simplified}, cfg.entries()).curve()
 	if err != nil {
 		return nil, err
 	}
@@ -95,13 +84,8 @@ func Figure4(w io.Writer, cfg Config) ([]fig4Result, error) {
 }
 
 // mcfTrace captures one mcf probing period for the sensitivity studies.
-func mcfTrace(cfg Config, entries int) (platform.Capture, uint64) {
-	warm := uint64(2_000_000)
-	if cfg.Quick {
-		warm = 600_000
-	}
-	cap := captureTrace(workload.MustByName("mcf"), cpu.Complex, cfg.Seed, warm, entries)
-	return cap, cap.Stats.Instructions
+func mcfTrace(cfg Config, entries int) probe {
+	return cfg.captureWarm(workload.MustByName("mcf"), platform.Options{Mode: cpu.Complex}, entries)
 }
 
 // Figure5a computes mcf's calculated MRC for increasing trace log sizes
@@ -111,16 +95,15 @@ func Figure5a(w io.Writer, cfg Config) (map[int][]float64, error) {
 	if cfg.Quick {
 		sizes = []int{12_000, 24_000, 48_000, 96_000}
 	}
-	big, _ := mcfTrace(cfg, sizes[len(sizes)-1])
-	core.CorrectPrefetchRepetitions(big.Lines)
+	big := mcfTrace(cfg, sizes[len(sizes)-1])
 
 	out := make(map[int][]float64, len(sizes))
 	names := make([]string, 0, len(sizes))
 	series := make([][]float64, 0, len(sizes))
 	ecfg := core.DefaultConfig()
 	for _, n := range sizes {
-		sub := big.Lines[:n]
-		instr := uint64(float64(big.Stats.Instructions) * float64(n) / float64(len(big.Lines)))
+		sub := big.lines[:n]
+		instr := uint64(float64(big.stats.Instructions) * float64(n) / float64(len(big.lines)))
 		c := ecfg
 		c.FixedWarmupEntries = n / 2
 		res, err := core.Compute(sub, instr, c)
@@ -143,8 +126,7 @@ func Figure5b(w io.Writer, cfg Config) (map[int][]float64, error) {
 	if cfg.Quick {
 		warmups = []int{20_480, 10_240, 5_120, 1_280, 0}
 	}
-	cap, instr := mcfTrace(cfg, cfg.entries())
-	core.CorrectPrefetchRepetitions(cap.Lines)
+	p := mcfTrace(cfg, cfg.entries())
 
 	out := make(map[int][]float64, len(warmups))
 	names := make([]string, 0, len(warmups))
@@ -152,7 +134,7 @@ func Figure5b(w io.Writer, cfg Config) (map[int][]float64, error) {
 	for _, wu := range warmups {
 		c := core.DefaultConfig()
 		c.FixedWarmupEntries = wu
-		res, err := core.Compute(cap.Lines, instr, c)
+		res, err := core.Compute(p.lines, p.stats.Instructions, c)
 		if err != nil {
 			return nil, err
 		}
@@ -170,15 +152,14 @@ func Figure5b(w io.Writer, cfg Config) (map[int][]float64, error) {
 // ("keep every Nth entry") and recomputing the MRC.
 func Figure5c(w io.Writer, cfg Config) (map[int][]float64, error) {
 	keeps := []int{1, 2, 4, 6, 8, 10}
-	cap, instr := mcfTrace(cfg, cfg.longEntries()) // the paper uses the 1600k log here
-	core.CorrectPrefetchRepetitions(cap.Lines)
+	p := mcfTrace(cfg, cfg.longEntries()) // the paper uses the 1600k log here
 
 	out := make(map[int][]float64, len(keeps))
 	names := make([]string, 0, len(keeps))
 	series := make([][]float64, 0, len(keeps))
 	for _, k := range keeps {
-		sub := core.Decimate(cap.Lines, k)
-		res, err := core.Compute(sub, instr, core.DefaultConfig())
+		sub := core.Decimate(p.lines, k)
+		res, err := core.Compute(sub, p.stats.Instructions, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -201,8 +182,7 @@ func Figure5c(w io.Writer, cfg Config) (map[int][]float64, error) {
 // varying associativity and size (the Dinero experiment), showing that
 // ≥10-way behaves like fully associative.
 func Figure5d(w io.Writer, cfg Config) (map[int][]float64, error) {
-	cap, _ := mcfTrace(cfg, cfg.entries())
-	lines := correctedLines(cap)
+	lines := mcfTrace(cfg, cfg.entries()).lines
 
 	ways := []int{10, 32, 64, 0}
 	sizesKB := make([]float64, 16)
@@ -265,10 +245,6 @@ func Figure5e(w io.Writer, cfg Config) (map[string][]float64, error) {
 // Figure6 captures traces in the three machine modes and compares the
 // resulting calculated MRCs for mcf and equake.
 func Figure6(w io.Writer, cfg Config) (map[string]map[string][]float64, error) {
-	warm := uint64(2_000_000)
-	if cfg.Quick {
-		warm = 600_000
-	}
 	modes := []struct {
 		name string
 		mode cpu.Mode
@@ -285,11 +261,7 @@ func Figure6(w io.Writer, cfg Config) (map[string]map[string][]float64, error) {
 		names := make([]string, len(modes))
 		series := make([][]float64, len(modes))
 		for i, md := range modes {
-			m := platform.NewMachine(workload.New(app, cfg.Seed), platform.Options{
-				Mode: md.mode, L3Enabled: true, Seed: cfg.Seed,
-			})
-			m.RunInstructions(warm)
-			res, _, _, err := computeCurve(m, cfg.entries())
+			res, err := cfg.captureWarm(app, platform.Options{Mode: md.mode}, cfg.entries()).curve()
 			if err != nil {
 				return nil, err
 			}

@@ -373,16 +373,6 @@ func (m *Machine) ResetMetrics() {
 	m.baseCounters = m.pmu.Counters()
 }
 
-// Capture is one probing period's output: the raw SDAR trace plus
-// progress and artifact statistics.
-type Capture struct {
-	// Lines is the captured trace, physical L2 line addresses in access
-	// order, including stale repetitions.
-	Lines []mem.Line
-	// Stats describes capture losses and application progress.
-	Stats pmu.TraceStats
-}
-
 // Repartition confines the machine's workload to a new color set: pages
 // outside it migrate to allowed colors and the migration cost (7.3 µs per
 // page) is charged to this context's core. It returns the number of pages
@@ -394,39 +384,22 @@ func (m *Machine) Repartition(allowed color.Set) int {
 }
 
 // CollectTrace runs a probing period: it arms the PMU for entries log
-// entries, runs the workload until the log fills, and returns the trace.
-// The application keeps making (slowed) progress during capture, exactly
-// as on the real machine.
-func (m *Machine) CollectTrace(entries int) Capture {
+// entries and runs the workload until they are captured, delivering every
+// sample to sink as the exception handler records it. The application
+// keeps making (slowed) progress during capture, exactly as on the real
+// machine, and pays the same exception costs and log-pollution stores
+// whatever the sink keeps: a capture→compute pipeline runs in O(sink
+// state) memory, a sink that appends holds the whole log. The sink is
+// called synchronously between machine steps, so it may read the
+// machine's progress counters (for mid-capture snapshots) but must not
+// step it.
+func (m *Machine) CollectTrace(entries int, sink pmu.Sink) pmu.TraceStats {
 	if m.startReadAhead(unbounded) {
 		defer m.stopReadAhead()
 	}
-	m.pmu.StartTrace(entries, m.core.Instructions(), m.core.Cycles())
+	m.pmu.StartTrace(sink, entries, m.core.Instructions(), m.core.Cycles())
 	for !m.pmu.TraceFull() {
 		m.Step()
 	}
-	lines, stats := m.pmu.FinishTrace(m.core.Instructions(), m.core.Cycles())
-	return Capture{Lines: lines, Stats: stats}
-}
-
-// CollectTraceStream runs a probing period in streaming mode: every
-// captured sample is delivered to sink as the exception handler records
-// it, and no trace log is materialized — the capture→compute pipeline
-// runs in O(sink state) memory instead of O(entries). The sink is called
-// synchronously between machine steps, so it may read the machine's
-// progress counters (for mid-capture snapshots) but must not step it.
-//
-// The sample stream is identical, entry for entry, to the log CollectTrace
-// would return from the same machine state: same artifacts, same exception
-// costs, same log-pollution stores.
-func (m *Machine) CollectTraceStream(entries int, sink pmu.Sink) pmu.TraceStats {
-	if m.startReadAhead(unbounded) {
-		defer m.stopReadAhead()
-	}
-	m.pmu.StartTraceTo(sink, entries, m.core.Instructions(), m.core.Cycles())
-	for !m.pmu.TraceFull() {
-		m.Step()
-	}
-	_, stats := m.pmu.FinishTrace(m.core.Instructions(), m.core.Cycles())
-	return stats
+	return m.pmu.FinishTrace(m.core.Instructions(), m.core.Cycles())
 }

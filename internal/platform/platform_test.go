@@ -142,23 +142,23 @@ func TestPrefetcherCoversStreams(t *testing.T) {
 func TestCollectTraceBasics(t *testing.T) {
 	m := NewMachine(workload.New(workload.MustByName("mcf"), 1), Options{Mode: cpu.Complex, L3Enabled: true, Seed: 1})
 	m.RunInstructions(50_000)
-	cap := m.CollectTrace(5000)
-	if len(cap.Lines) != 5000 {
-		t.Fatalf("captured %d entries, want 5000", len(cap.Lines))
+	lines, st := collect(m, 5000)
+	if len(lines) != 5000 {
+		t.Fatalf("captured %d entries, want 5000", len(lines))
 	}
-	if cap.Stats.Instructions == 0 || cap.Stats.Cycles == 0 {
+	if st.Instructions == 0 || st.Cycles == 0 {
 		t.Fatal("capture recorded no progress")
 	}
 	// Complex mode on a miss-heavy app must exhibit both artifacts.
-	if cap.Stats.Dropped == 0 {
+	if st.Dropped == 0 {
 		t.Error("no overlap drops on mcf in complex mode")
 	}
-	if cap.Stats.Stale == 0 {
+	if st.Stale == 0 {
 		t.Error("no stale (prefetch) entries on mcf in complex mode")
 	}
 	// Tracing slows the app far below its untraced IPC: the exception
 	// cost dominates.
-	cyclesPerEntry := float64(cap.Stats.Cycles) / 5000
+	cyclesPerEntry := float64(st.Cycles) / 5000
 	if cyclesPerEntry < 1000 {
 		t.Errorf("capture cost %v cycles/entry, want ≥ exception cost", cyclesPerEntry)
 	}
@@ -167,12 +167,12 @@ func TestCollectTraceBasics(t *testing.T) {
 func TestSimplifiedModeCapturesClean(t *testing.T) {
 	m := NewMachine(workload.New(workload.MustByName("mcf"), 1), Options{Mode: cpu.Simplified, Seed: 1})
 	m.RunInstructions(20_000)
-	cap := m.CollectTrace(3000)
-	if cap.Stats.Dropped != 0 {
-		t.Fatalf("simplified mode dropped %d events", cap.Stats.Dropped)
+	_, st := collect(m, 3000)
+	if st.Dropped != 0 {
+		t.Fatalf("simplified mode dropped %d events", st.Dropped)
 	}
-	if cap.Stats.Stale != 0 {
-		t.Fatalf("simplified mode recorded %d stale entries", cap.Stats.Stale)
+	if st.Stale != 0 {
+		t.Fatalf("simplified mode recorded %d stale entries", st.Stale)
 	}
 }
 
@@ -337,12 +337,12 @@ func TestTraceLogPollutionTouchesL2(t *testing.T) {
 	m := NewMachine(workload.New(app, 1), Options{Mode: cpu.Simplified, Colors: color.First(1), Seed: 1})
 	m.RunRefs(3000)
 	m.ResetMetrics()
-	cap := m.CollectTrace(1600) // 1600 entries → ≈100 log lines
+	_, st := collect(m, 1600) // 1600 entries → ≈100 log lines
 	mt := m.Metrics()
 	// L2 accesses = trace events (L2 demand) + log-line stores.
-	extra := int64(mt.L2Accesses) - int64(cap.Stats.Captured)
+	extra := int64(mt.L2Accesses) - int64(st.Captured)
 	if extra < 50 {
-		t.Fatalf("log pollution invisible: %d extra L2 accesses for %d entries", extra, cap.Stats.Captured)
+		t.Fatalf("log pollution invisible: %d extra L2 accesses for %d entries", extra, st.Captured)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 
 // The machine reads its own workload through a ring of readAheadDepth
 // buffers of readAheadBatch refs each (64 KiB per buffer), allocated once
-// per machine on first use. While RunInstructions, RunRefs, CollectTrace
-// or CollectTraceStream runs, a producer goroutine fills free buffers
-// from the generator and queues them in stream order, so generating the
-// next batch overlaps stepping the current one on a second CPU. An
-// external Step refills inline from the same queue: it first drains the
-// batches an earlier run left queued, then reads the generator itself.
+// per machine on first use. While RunInstructions, RunRefs or
+// CollectTrace runs, a producer goroutine fills free buffers from the
+// generator and queues them in stream order, so generating the next batch
+// overlaps stepping the current one on a second CPU. An external Step
+// refills inline from the same queue: it first drains the batches an
+// earlier run left queued, then reads the generator itself.
 //
 // The generator's output does not depend on machine state, so the
 // reference sequence the machine consumes is the same whichever side

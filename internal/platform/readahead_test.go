@@ -32,7 +32,6 @@ const (
 	opRunInstructions opKind = iota
 	opRunRefs
 	opCollectTrace
-	opCollectTraceStream
 	opStep
 	opResetMetrics
 	opRepartition
@@ -41,7 +40,7 @@ const (
 
 func (op scriptOp) String() string {
 	names := [...]string{"RunInstructions", "RunRefs", "CollectTrace",
-		"CollectTraceStream", "Step×", "ResetMetrics", "Repartition"}
+		"Step×", "ResetMetrics", "Repartition"}
 	if op.kind == opRepartition {
 		return fmt.Sprintf("Repartition(%v)", op.colors)
 	}
@@ -63,7 +62,7 @@ func (script) Generate(r *rand.Rand, size int) reflect.Value {
 			op.n = 1 + r.Intn(60_000)
 		case opRunRefs:
 			op.n = r.Intn(3 * readAheadBatch)
-		case opCollectTrace, opCollectTraceStream:
+		case opCollectTrace:
 			op.n = 1 + r.Intn(300)
 		case opStep:
 			op.n = 1 + r.Intn(4*readAheadBatch)
@@ -96,7 +95,7 @@ type outcome struct {
 	Metrics      Metrics
 	Instructions uint64
 	Cycles       uint64
-	Lines        []mem.Line
+	Lines        traceLog
 	Stats        pmu.TraceStats
 	Moved        int
 }
@@ -118,12 +117,7 @@ func apply(m *Machine, op scriptOp) outcome {
 	case opRunRefs:
 		m.RunRefs(op.n)
 	case opCollectTrace:
-		c := m.CollectTrace(op.n)
-		out.Lines, out.Stats = c.Lines, c.Stats
-	case opCollectTraceStream:
-		out.Stats = m.CollectTraceStream(op.n, pmu.SinkFunc(func(l mem.Line) {
-			out.Lines = append(out.Lines, l)
-		}))
+		out.Lines, out.Stats = collect(m, op.n)
 	case opStep:
 		for i := 0; i < op.n; i++ {
 			m.Step()
@@ -152,15 +146,9 @@ func (o *oracle) apply(op scriptOp) outcome {
 			o.step()
 		}
 	case opCollectTrace:
-		m.pmu.StartTrace(op.n, m.core.Instructions(), m.core.Cycles())
+		m.pmu.StartTrace(&out.Lines, op.n, m.core.Instructions(), m.core.Cycles())
 		o.runTrace()
-		out.Lines, out.Stats = m.pmu.FinishTrace(m.core.Instructions(), m.core.Cycles())
-	case opCollectTraceStream:
-		m.pmu.StartTraceTo(pmu.SinkFunc(func(l mem.Line) {
-			out.Lines = append(out.Lines, l)
-		}), op.n, m.core.Instructions(), m.core.Cycles())
-		o.runTrace()
-		_, out.Stats = m.pmu.FinishTrace(m.core.Instructions(), m.core.Cycles())
+		out.Stats = m.pmu.FinishTrace(m.core.Instructions(), m.core.Cycles())
 	case opResetMetrics:
 		m.ResetMetrics()
 	case opRepartition:
@@ -191,8 +179,8 @@ func waitGoroutines(t *testing.T, base int, after string) {
 // runs, external Steps that drain what a run left queued, and everything
 // between — behaves call for call like an oracle fed one reference at a
 // time from an independently constructed generator with the same seed.
-// Metrics, captured logs, capture stats, streamed samples and pages moved
-// must be equal after every call, and no producer may outlive a call.
+// Metrics, captured logs, capture stats and pages moved must be equal
+// after every call, and no producer may outlive a call.
 func TestReadAheadMatchesOracle(t *testing.T) {
 	type variant struct {
 		name string
@@ -243,7 +231,7 @@ func summary(o outcome) string {
 
 // TestReadAheadStopsWhenSinkPanics drives a streamed capture whose sink
 // panics part-way through. The producer must be gone once the panic
-// leaves CollectTraceStream, and the machine must carry on from exactly
+// leaves CollectTrace, and the machine must carry on from exactly
 // the reference after the one whose step panicked: an oracle that panics
 // at the same point of the same StepRef stays in lockstep with it.
 func TestReadAheadStopsWhenSinkPanics(t *testing.T) {
@@ -271,11 +259,11 @@ func TestReadAheadStopsWhenSinkPanics(t *testing.T) {
 		f()
 		return nil
 	}
-	if p := recovered(func() { m.CollectTraceStream(10_000, panicky()) }); p != "sink failed" {
-		t.Fatalf("CollectTraceStream recovered %v, want the sink's panic", p)
+	if p := recovered(func() { m.CollectTrace(10_000, panicky()) }); p != "sink failed" {
+		t.Fatalf("CollectTrace recovered %v, want the sink's panic", p)
 	}
-	waitGoroutines(t, base, "the panicking CollectTraceStream")
-	o.m.pmu.StartTraceTo(panicky(), 10_000, o.m.core.Instructions(), o.m.core.Cycles())
+	waitGoroutines(t, base, "the panicking CollectTrace")
+	o.m.pmu.StartTrace(panicky(), 10_000, o.m.core.Instructions(), o.m.core.Cycles())
 	if p := recovered(o.runTrace); p != "sink failed" {
 		t.Fatalf("oracle recovered %v, want the sink's panic", p)
 	}

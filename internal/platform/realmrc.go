@@ -61,8 +61,10 @@ func RealMRC(app workload.Config, cfg RealMRCConfig) []float64 {
 // RealMRCPerMachine is the one-simulation-per-partition-size strategy:
 // cfg.MaxColors machines on the worker pool, each regenerating the full
 // reference stream. It is the reference implementation the shared-stream
-// sweep is property-tested against, and the pre-fan-out baseline the
-// BenchmarkRealMRCSweep speedup is measured from.
+// sweep is property-tested against and that mrcbench's realmrc_sweep
+// workload checks its first shared sweep against bit for bit; the
+// benchsuite rows realmrc_sweep_permachine and realmrc_sweep_shared time
+// the two strategies side by side.
 func RealMRCPerMachine(app workload.Config, cfg RealMRCConfig) []float64 {
 	if cfg.MaxColors == 0 {
 		cfg.MaxColors = color.NumColors

@@ -1,50 +1,19 @@
 package platform
 
 import (
-	"reflect"
-	"testing"
-
-	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/pmu"
-	"rapidmrc/internal/workload"
 )
 
-// TestCollectTraceStreamMatchesCollectTrace boots two identically-seeded
-// machines and checks that the streamed capture delivers, entry for
-// entry, the log the buffered capture returns — including the capture's
-// artifact stats — for both the per-event and trace-buffer PMU modes.
-func TestCollectTraceStreamMatchesCollectTrace(t *testing.T) {
-	app := loopApp("c1200", workload.Chase, 1200)
-	for _, depth := range []int{0, 64} {
-		mk := func() *Machine {
-			return NewMachine(workload.New(app, 3), Options{
-				Mode: cpu.Complex, Seed: 3, TraceBuffer: depth,
-			})
-		}
-		const entries = 2000
+// traceLog is a sink that appends every sample it is given, in order: the
+// log a probing period writes, for tests that compare exact sequences.
+type traceLog []mem.Line
 
-		batch := mk()
-		batch.RunInstructions(10_000)
-		cap := batch.CollectTrace(entries)
+func (l *traceLog) Sample(line mem.Line) { *l = append(*l, line) }
 
-		stream := mk()
-		stream.RunInstructions(10_000)
-		var got []mem.Line
-		stats := stream.CollectTraceStream(entries, pmu.SinkFunc(func(l mem.Line) {
-			got = append(got, l)
-		}))
-
-		if !reflect.DeepEqual(cap.Lines, got) {
-			t.Fatalf("depth %d: streamed %d entries diverge from buffered %d",
-				depth, len(got), len(cap.Lines))
-		}
-		if cap.Stats != stats {
-			t.Fatalf("depth %d: stats differ: buffered %+v, streamed %+v",
-				depth, cap.Stats, stats)
-		}
-		if stats.Captured != entries {
-			t.Fatalf("depth %d: captured %d, want %d", depth, stats.Captured, entries)
-		}
-	}
+// collect runs an entries-long probing period on m and returns its log.
+func collect(m *Machine, entries int) (traceLog, pmu.TraceStats) {
+	var log traceLog
+	st := m.CollectTrace(entries, &log)
+	return log, st
 }

@@ -159,13 +159,14 @@ func TestStepEventsMatchesStepRefs(t *testing.T) {
 	// driving each machine through its own path. (CollectTrace itself is
 	// self-driven and would touch the shared machine's deliberately cold
 	// private L1, which is why the sweep never mixes the two drivers.)
-	own.PMU().StartTrace(2000, own.Core().Instructions(), own.Core().Cycles())
-	shared.PMU().StartTrace(2000, shared.Core().Instructions(), shared.Core().Cycles())
+	var linesOwn, linesShared traceLog
+	own.PMU().StartTrace(&linesOwn, 2000, own.Core().Instructions(), own.Core().Cycles())
+	shared.PMU().StartTrace(&linesShared, 2000, shared.Core().Instructions(), shared.Core().Cycles())
 	for !own.PMU().TraceFull() {
 		step()
 	}
-	linesOwn, statsOwn := own.PMU().FinishTrace(own.Core().Instructions(), own.Core().Cycles())
-	linesShared, statsShared := shared.PMU().FinishTrace(shared.Core().Instructions(), shared.Core().Cycles())
+	statsOwn := own.PMU().FinishTrace(own.Core().Instructions(), own.Core().Cycles())
+	statsShared := shared.PMU().FinishTrace(shared.Core().Instructions(), shared.Core().Cycles())
 	if !reflect.DeepEqual(linesOwn, linesShared) {
 		t.Fatalf("captured traces diverge: %d vs %d lines", len(linesOwn), len(linesShared))
 	}
@@ -437,9 +438,9 @@ func TestRunRefsBatchedMatchesLegacyGenerator(t *testing.T) {
 	if batched.Metrics() != legacy.Metrics() {
 		t.Fatalf("metrics diverge:\n batched %+v\n legacy  %+v", batched.Metrics(), legacy.Metrics())
 	}
-	capB := batched.CollectTrace(3000)
-	capL := legacy.CollectTrace(3000)
-	if !reflect.DeepEqual(capB.Lines, capL.Lines) {
+	linesB, statsB := collect(batched, 3000)
+	linesL, statsL := collect(legacy, 3000)
+	if !reflect.DeepEqual(linesB, linesL) || statsB != statsL {
 		t.Fatalf("captured traces diverge")
 	}
 }

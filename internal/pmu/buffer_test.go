@@ -12,14 +12,15 @@ func TestBufferedCaptureIsLossless(t *testing.T) {
 	if p.bufferSize != 64 {
 		t.Fatalf("buffer depth = %d", p.bufferSize)
 	}
-	p.StartTrace(1000, 0, 0)
+	var trace traceLog
+	p.StartTrace(&trace, 1000, 0, 0)
 	for i := 0; i < 1000; i++ {
 		// Overlapped events with a high drop rate, plus prefetch bursts:
 		// the buffered PMU must ignore both artifacts.
 		p.OnPrefetchFill(4)
 		p.OnL1DMiss(mem.Line(i), true, 550)
 	}
-	trace, st := p.FinishTrace(0, 0)
+	st := p.FinishTrace(0, 0)
 	if st.Dropped != 0 || st.Stale != 0 {
 		t.Fatalf("buffered capture has artifacts: %+v", st)
 	}
@@ -36,7 +37,7 @@ func TestBufferedCaptureIsLossless(t *testing.T) {
 func TestBufferedExceptionAmortization(t *testing.T) {
 	p := New(1)
 	p.SetTraceBuffer(16)
-	p.StartTrace(160, 0, 0)
+	p.StartTrace(new(traceLog), 160, 0, 0)
 	exceptions := 0
 	for i := 0; i < 160; i++ {
 		if p.OnL1DMiss(mem.Line(i), false, 0) {
@@ -51,7 +52,7 @@ func TestBufferedExceptionAmortization(t *testing.T) {
 func TestBufferedPartialBufferAtTargetFires(t *testing.T) {
 	p := New(1)
 	p.SetTraceBuffer(64)
-	p.StartTrace(10, 0, 0) // target smaller than the buffer
+	p.StartTrace(new(traceLog), 10, 0, 0) // target smaller than the buffer
 	exceptions := 0
 	for i := 0; i < 10; i++ {
 		if p.OnL1DMiss(mem.Line(i), false, 0) {
@@ -88,11 +89,11 @@ func TestSetTraceBufferClampsToOne(t *testing.T) {
 func TestStartTraceResetsBufferFill(t *testing.T) {
 	p := New(1)
 	p.SetTraceBuffer(4)
-	p.StartTrace(8, 0, 0)
+	p.StartTrace(new(traceLog), 8, 0, 0)
 	p.OnL1DMiss(1, false, 0)
 	p.OnL1DMiss(2, false, 0) // buffer half full
 	p.FinishTrace(0, 0)
-	p.StartTrace(8, 0, 0)
+	p.StartTrace(new(traceLog), 8, 0, 0)
 	fired := 0
 	for i := 0; i < 4; i++ {
 		if p.OnL1DMiss(mem.Line(i), false, 0) {

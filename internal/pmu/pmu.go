@@ -38,7 +38,7 @@ type Counters struct {
 
 // TraceStats describes one completed probing period.
 type TraceStats struct {
-	// Captured is the number of entries recorded into the log.
+	// Captured is the number of entries delivered to the sink.
 	Captured int
 	// Dropped counts L1-D misses lost to overlap (no log entry at all).
 	Dropped int
@@ -51,11 +51,12 @@ type TraceStats struct {
 	Cycles       uint64
 }
 
-// Sink consumes sampled line addresses as the PMU records them — the
-// streaming alternative to the buffered trace log. The PMU calls Sample
-// synchronously from the overflow exception path (or the trace-buffer
-// drain), so a sink sees entries in exactly the order the log would hold
-// them; it must not re-enter the PMU.
+// Sink consumes sampled line addresses as the PMU records them: the
+// exception handler's log append (§3.1), or whatever a consumer does in
+// its place. The PMU calls Sample synchronously from the overflow
+// exception path (or the trace-buffer drain), so a sink sees entries in
+// exactly the order the log would hold them; it must not re-enter the
+// PMU.
 type Sink interface {
 	Sample(line mem.Line)
 }
@@ -78,7 +79,6 @@ type PMU struct {
 	tracing    bool
 	target     int
 	captured   int
-	trace      []mem.Line
 	sink       Sink
 	tstats     TraceStats
 	startInstr uint64
@@ -137,26 +137,15 @@ func (p *PMU) OnPrefetchFill(burstLen int) {
 }
 
 // StartTrace arms continuous data sampling with an overflow threshold of
-// one, targeting n log entries. instr and cycles timestamp the start.
-func (p *PMU) StartTrace(n int, instr, cycles uint64) {
-	p.startTrace(n, nil, instr, cycles)
-	p.trace = make([]mem.Line, 0, n)
-}
-
-// StartTraceTo arms sampling like StartTrace, but streams every recorded
-// entry into sink instead of materializing a trace log: the memory cost of
-// a probing period becomes the sink's own state, not O(entries). Both the
-// per-event-exception mode and the §6 trace-buffer mode deliver through
-// the sink; FinishTrace then returns a nil log with the usual stats.
-func (p *PMU) StartTraceTo(sink Sink, n int, instr, cycles uint64) {
-	p.startTrace(n, sink, instr, cycles)
-}
-
-func (p *PMU) startTrace(n int, sink Sink, instr, cycles uint64) {
+// one, targeting n log entries, and streams every recorded entry into
+// sink: the memory cost of a probing period is the sink's own state, a
+// log only if the sink keeps one. Both the per-event-exception mode and
+// the §6 trace-buffer mode deliver through the sink. sink must not be
+// nil. instr and cycles timestamp the start.
+func (p *PMU) StartTrace(sink Sink, n int, instr, cycles uint64) {
 	p.tracing = true
 	p.target = n
 	p.captured = 0
-	p.trace = nil
 	p.sink = sink
 	p.tstats = TraceStats{}
 	p.startInstr = instr
@@ -164,36 +153,28 @@ func (p *PMU) startTrace(n int, sink Sink, instr, cycles uint64) {
 	p.buffered = 0
 }
 
-// record delivers one sampled entry to the log or the sink.
+// record delivers one sampled entry to the sink.
 //
 //rapidmrc:hotpath
 func (p *PMU) record(line mem.Line) {
 	p.captured++
-	if p.sink != nil {
-		p.sink.Sample(line)
-		return
-	}
-	//lint:allow hotpathalloc StartTrace preallocates trace to the full target capacity, so this append never grows
-	p.trace = append(p.trace, line)
+	p.sink.Sample(line)
 }
 
 // TraceFull reports whether the log has reached its target length.
 func (p *PMU) TraceFull() bool { return p.tracing && p.captured >= p.target }
 
-// FinishTrace disarms sampling and returns the captured log and its stats.
-// The log is nil when the trace was streamed to a sink (StartTraceTo).
-// instr and cycles timestamp the end. It may be called before the log
-// fills, aborting the probing period early (streaming consumers stop as
-// soon as their snapshot converges).
-func (p *PMU) FinishTrace(instr, cycles uint64) ([]mem.Line, TraceStats) {
+// FinishTrace disarms sampling and returns the probing period's stats.
+// instr and cycles timestamp the end. It may be called before the target
+// is reached, aborting the probing period early (streaming consumers stop
+// as soon as their snapshot converges).
+func (p *PMU) FinishTrace(instr, cycles uint64) TraceStats {
 	p.tracing = false
 	p.tstats.Captured = p.captured
 	p.tstats.Instructions = instr - p.startInstr
 	p.tstats.Cycles = cycles - p.startCyc
-	trace := p.trace
-	p.trace = nil
 	p.sink = nil
-	return trace, p.tstats
+	return p.tstats
 }
 
 // OnL1DMiss processes one qualifying event. line is the physical line that

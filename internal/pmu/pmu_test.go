@@ -6,6 +6,12 @@ import (
 	"rapidmrc/internal/mem"
 )
 
+// traceLog is a sink that appends every sample it is given, in order: the
+// log a probing period writes, for tests that check exact sequences.
+type traceLog []mem.Line
+
+func (l *traceLog) Sample(line mem.Line) { *l = append(*l, line) }
+
 func TestCounters(t *testing.T) {
 	p := New(1)
 	p.OnL2Access(false)
@@ -21,7 +27,8 @@ func TestCounters(t *testing.T) {
 
 func TestCleanTraceCapturesExactAddresses(t *testing.T) {
 	p := New(1)
-	p.StartTrace(5, 100, 1000)
+	var trace traceLog
+	p.StartTrace(&trace, 5, 100, 1000)
 	if !p.tracing {
 		t.Fatal("not tracing after StartTrace")
 	}
@@ -33,7 +40,7 @@ func TestCleanTraceCapturesExactAddresses(t *testing.T) {
 	if !p.TraceFull() {
 		t.Fatal("trace not full after target events")
 	}
-	trace, st := p.FinishTrace(600, 51000)
+	st := p.FinishTrace(600, 51000)
 	if p.tracing {
 		t.Fatal("still tracing after FinishTrace")
 	}
@@ -52,11 +59,12 @@ func TestCleanTraceCapturesExactAddresses(t *testing.T) {
 
 func TestOverlapDropsLoseEvents(t *testing.T) {
 	p := New(7)
-	p.StartTrace(1000, 0, 0)
+	var trace traceLog
+	p.StartTrace(&trace, 1000, 0, 0)
 	for i := 0; i < 2000 && !p.TraceFull(); i++ {
 		p.OnL1DMiss(mem.Line(i), true, 550)
 	}
-	trace, st := p.FinishTrace(0, 0)
+	st := p.FinishTrace(0, 0)
 	if st.Dropped == 0 {
 		t.Fatal("no events dropped despite 55% overlap loss")
 	}
@@ -75,11 +83,11 @@ func TestOverlapDropsLoseEvents(t *testing.T) {
 
 func TestZeroDropProbabilityNeverDrops(t *testing.T) {
 	p := New(3)
-	p.StartTrace(100, 0, 0)
+	p.StartTrace(new(traceLog), 100, 0, 0)
 	for i := 0; i < 100; i++ {
 		p.OnL1DMiss(mem.Line(i), true, 0) // overlapped but simplified-mode permille
 	}
-	_, st := p.FinishTrace(0, 0)
+	st := p.FinishTrace(0, 0)
 	if st.Dropped != 0 {
 		t.Fatalf("dropped %d events with dropPermille=0", st.Dropped)
 	}
@@ -90,14 +98,15 @@ func TestZeroDropProbabilityNeverDrops(t *testing.T) {
 
 func TestPrefetchStaleness(t *testing.T) {
 	p := New(1)
-	p.StartTrace(10, 0, 0)
+	var trace traceLog
+	p.StartTrace(&trace, 10, 0, 0)
 	p.OnL1DMiss(100, false, 0) // SDAR = 100
 	p.OnPrefetchFill(3)        // next 3 events record stale SDAR
 	p.OnL1DMiss(200, false, 0)
 	p.OnL1DMiss(300, false, 0)
 	p.OnL1DMiss(400, false, 0)
 	p.OnL1DMiss(500, false, 0) // SDAR fresh again
-	trace, st := p.FinishTrace(0, 0)
+	st := p.FinishTrace(0, 0)
 	want := []mem.Line{100, 100, 100, 100, 500}
 	if len(trace) != len(want) {
 		t.Fatalf("trace length = %d, want %d", len(trace), len(want))
@@ -116,11 +125,11 @@ func TestStaleWindowTakesMaximum(t *testing.T) {
 	p := New(1)
 	p.OnPrefetchFill(2)
 	p.OnPrefetchFill(4) // extends, does not add
-	p.StartTrace(10, 0, 0)
+	p.StartTrace(new(traceLog), 10, 0, 0)
 	for i := 0; i < 6; i++ {
 		p.OnL1DMiss(mem.Line(1000+i), false, 0)
 	}
-	_, st := p.FinishTrace(0, 0)
+	st := p.FinishTrace(0, 0)
 	if st.Stale != 4 {
 		t.Fatalf("stale = %d, want 4 (max of bursts, not sum)", st.Stale)
 	}
@@ -128,11 +137,12 @@ func TestStaleWindowTakesMaximum(t *testing.T) {
 
 func TestTraceStopsAtTarget(t *testing.T) {
 	p := New(1)
-	p.StartTrace(3, 0, 0)
+	var trace traceLog
+	p.StartTrace(&trace, 3, 0, 0)
 	for i := 0; i < 10; i++ {
 		p.OnL1DMiss(mem.Line(i), false, 0)
 	}
-	trace, st := p.FinishTrace(0, 0)
+	st := p.FinishTrace(0, 0)
 	if len(trace) != 3 || st.Captured != 3 {
 		t.Fatalf("captured %d entries, want 3", len(trace))
 	}
@@ -143,8 +153,9 @@ func TestEventsOutsideTraceDoNotRecord(t *testing.T) {
 	if p.OnL1DMiss(1, false, 0) {
 		t.Fatal("exception raised while not tracing")
 	}
-	p.StartTrace(5, 0, 0)
-	trace, _ := p.FinishTrace(0, 0)
+	var trace traceLog
+	p.StartTrace(&trace, 5, 0, 0)
+	p.FinishTrace(0, 0)
 	if len(trace) != 0 {
 		t.Fatalf("trace has %d entries, want 0", len(trace))
 	}
@@ -159,22 +170,24 @@ func TestSDARValidBeforeFirstUpdate(t *testing.T) {
 	// A prefetch burst arrives before any SDAR update; the first traced
 	// events must still record something sensible (the line itself).
 	p.OnPrefetchFill(2)
-	p.StartTrace(2, 0, 0)
+	var trace traceLog
+	p.StartTrace(&trace, 2, 0, 0)
 	p.OnL1DMiss(77, false, 0)
-	trace, _ := p.FinishTrace(0, 0)
+	p.FinishTrace(0, 0)
 	if len(trace) != 1 || trace[0] != 77 {
 		t.Fatalf("trace = %v, want [77]", trace)
 	}
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
-	run := func() ([]mem.Line, TraceStats) {
+	run := func() (traceLog, TraceStats) {
 		p := New(42)
-		p.StartTrace(500, 0, 0)
+		var trace traceLog
+		p.StartTrace(&trace, 500, 0, 0)
 		for i := 0; i < 1500 && !p.TraceFull(); i++ {
 			p.OnL1DMiss(mem.Line(i%97), i%3 == 0, 550)
 		}
-		return p.FinishTrace(0, 0)
+		return trace, p.FinishTrace(0, 0)
 	}
 	t1, s1 := run()
 	t2, s2 := run()

@@ -11,6 +11,7 @@ import (
 	"rapidmrc/internal/cpu"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/platform"
+	"rapidmrc/internal/pmu"
 	"rapidmrc/internal/workload"
 )
 
@@ -23,16 +24,16 @@ func onlineSerial(t *testing.T, app string, opts ...SystemOption) (*Curve, *Stat
 		t.Fatal(err)
 	}
 	sys.Run(500_000)
-	cap := sys.m.CollectTrace(sys.opt.entries)
+	var lines []uint64
+	st := sys.m.CollectTrace(sys.opt.entries, pmu.SinkFunc(func(l mem.Line) {
+		lines = append(lines, uint64(l))
+	}))
 	trace := &Trace{
-		Lines:        make([]uint64, len(cap.Lines)),
-		Instructions: cap.Stats.Instructions,
-		Cycles:       cap.Stats.Cycles,
-		Dropped:      cap.Stats.Dropped,
-		Stale:        cap.Stats.Stale,
-	}
-	for i, l := range cap.Lines {
-		trace.Lines[i] = uint64(l)
+		Lines:        lines,
+		Instructions: st.Instructions,
+		Cycles:       st.Cycles,
+		Dropped:      st.Dropped,
+		Stale:        st.Stale,
 	}
 	curve, stats, err := profileTrace(sys.opt.spec(), trace)
 	if err != nil {

@@ -203,7 +203,7 @@ func (s *System) capture(handoff func([]uint64)) *Trace {
 			sent = len(lines)
 		}
 	})
-	stats := s.m.CollectTraceStream(s.opt.entries, sink)
+	stats := s.m.CollectTrace(s.opt.entries, sink)
 	if handoff != nil && sent < len(lines) {
 		handoff(lines[sent:len(lines):len(lines)])
 	}
@@ -260,7 +260,7 @@ func (s *System) Stream(epochEntries int, onEpoch func(StreamEpoch)) (*Curve, *S
 			onEpoch(StreamEpoch{Entries: st.Entries(), Instructions: instr, Curve: c, Stats: cs})
 		}
 	})
-	stats := s.m.CollectTraceStream(s.opt.entries, sink)
+	stats := s.m.CollectTrace(s.opt.entries, sink)
 	curve, cstats, err := st.Snapshot(stats.Instructions)
 	if err != nil {
 		return nil, nil, err
