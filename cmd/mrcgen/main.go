@@ -19,53 +19,57 @@ import (
 	"os"
 
 	"rapidmrc"
+	"rapidmrc/internal/core"
 	"rapidmrc/internal/mem"
 	"rapidmrc/internal/prof"
 	"rapidmrc/internal/report"
 	"rapidmrc/internal/sample"
+	"rapidmrc/internal/service"
 	"rapidmrc/internal/tracefile"
 )
 
-// fail prints the error and exits, flushing any active profiles first.
-var stopProfiles = func() {}
-
-func fail(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "mrcgen:", err)
-	os.Exit(1)
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mrcgen:", err)
+		os.Exit(1)
+	}
 }
 
-func main() {
+// run is the whole command: it parses args and writes the report to w.
+func run(args []string, w io.Writer) error {
+	o := &output{w: w}
+	fs := flag.NewFlagSet("mrcgen", flag.ExitOnError)
 	var (
-		app        = flag.String("app", "mcf", "application name")
-		entries    = flag.Int("entries", rapidmrc.TraceEntries, "trace log length")
-		seed       = flag.Int64("seed", 1, "deterministic seed")
-		simplified = flag.Bool("simplified", false, "capture in single-issue, in-order, no-prefetch mode")
-		withReal   = flag.Bool("real", false, "also measure the real MRC (16 full runs) and report the distance")
-		parallel   = flag.Int("parallel", 0, "worker pool size for the real-MRC runs (0 = one per CPU, 1 = serial)")
-		sampling   = flag.Float64("sampling-rate", 0, "SHARDS-sample the probing period at this rate in (0, 1] before the stack engine (0 = off); the curve gains a confidence band")
-		list       = flag.Bool("list", false, "list available applications")
-		save       = flag.String("save", "", "write the captured (uncorrected) trace to this file")
-		load       = flag.String("load", "", "compute from a previously saved trace instead of capturing")
-		stream     = flag.Bool("stream", false, "fuse capture and compute: samples flow straight into the incremental engine, no trace log is materialized")
-		epoch      = flag.Int("epoch", 0, "with -stream, print a mid-capture curve snapshot every N entries (0 = none)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		app        = fs.String("app", "mcf", "application name")
+		entries    = fs.Int("entries", rapidmrc.TraceEntries, "trace log length")
+		seed       = fs.Int64("seed", 1, "deterministic seed")
+		simplified = fs.Bool("simplified", false, "capture in single-issue, in-order, no-prefetch mode")
+		withReal   = fs.Bool("real", false, "also measure the real MRC (16 full runs) and report the distance")
+		parallel   = fs.Int("parallel", 0, "worker pool size for the real-MRC runs (0 = one per CPU, 1 = serial)")
+		sampling   = fs.Float64("sampling-rate", 0, "SHARDS-sample the probing period at this rate in (0, 1] before the stack engine (0 = off); the curve gains a confidence band")
+		list       = fs.Bool("list", false, "list available applications")
+		save       = fs.String("save", "", "write the captured (uncorrected) trace to this file")
+		load       = fs.String("load", "", "compute from a previously saved trace instead of capturing")
+		stream     = fs.Bool("stream", false, "fuse capture and compute: the engine consumes the log in chunks while the capture runs, and no trace log is kept")
+		epoch      = fs.Int("epoch", 0, "with -stream, print a mid-capture curve snapshot every N entries (0 = none)")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf    = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, n := range rapidmrc.Apps() {
-			fmt.Println(n)
+			o.printf("%s\n", n)
 		}
-		return
+		return o.err
 	}
 
 	stop, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	stopProfiles = stop
 	defer stop()
 
 	opts := []rapidmrc.SystemOption{
@@ -80,12 +84,12 @@ func main() {
 		// for anything outside (0, 1]); the constructor surfaces it.
 		opts = append(opts, rapidmrc.WithSamplingRate(*sampling))
 		if *load != "" {
-			fail(fmt.Errorf("-sampling-rate applies to the online capture paths, not -load"))
+			return fmt.Errorf("-sampling-rate applies to the online capture paths, not -load")
 		}
 	}
 
 	if *stream && *save != "" {
-		fail(fmt.Errorf("-save needs the buffered capture path; -stream never materializes a trace"))
+		return fmt.Errorf("-save needs the buffered capture path; -stream never materializes a trace")
 	}
 
 	var (
@@ -93,11 +97,15 @@ func main() {
 		stats *rapidmrc.Stats
 		trace *rapidmrc.Trace
 	)
+	printEpoch := func(entries int, c *rapidmrc.Curve) {
+		o.printf("epoch %8d entries: MPKI %6.1f @1, %6.1f @8, %6.1f @16\n",
+			entries, c.At(1), c.At(8), c.At(16))
+	}
 	switch {
 	case *stream && *load != "":
-		curve, stats, err = streamFromFile(*load, *epoch)
+		curve, stats, err = streamFromFile(*load, *epoch, printEpoch)
 	case *stream:
-		curve, stats, err = streamOnline(*app, *epoch, opts)
+		curve, stats, err = streamOnline(*app, *epoch, opts, printEpoch)
 	case *load != "":
 		trace, err = loadTrace(*load)
 		if err == nil {
@@ -107,11 +115,11 @@ func main() {
 		curve, stats, trace, err = rapidmrc.Online(*app, opts...)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *save != "" {
 		if err := saveTrace(*save, trace); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "trace saved to %s\n", *save)
 	}
@@ -121,14 +129,14 @@ func main() {
 		source = *load
 	}
 	if *stream {
-		fmt.Printf("RapidMRC for %s (streamed, %d-entry log, no trace buffered)\n", source, stats.Captured)
-		fmt.Printf("capture: %d dropped, %d stale\n", stats.Dropped, stats.Stale)
+		o.printf("RapidMRC for %s (streamed, %d-entry log, no trace buffered)\n", source, stats.Captured)
+		o.printf("capture: %d dropped, %d stale\n", stats.Dropped, stats.Stale)
 	} else {
-		fmt.Printf("RapidMRC for %s (%d-entry log)\n", source, len(trace.Lines))
-		fmt.Printf("capture: %d instr, %d Mcycles, %d dropped, %d stale\n",
+		o.printf("RapidMRC for %s (%d-entry log)\n", source, len(trace.Lines))
+		o.printf("capture: %d instr, %d Mcycles, %d dropped, %d stale\n",
 			trace.Instructions, trace.Cycles/1e6, trace.Dropped, trace.Stale)
 	}
-	fmt.Printf("compute: %d Mcycles, warmup %d entries (auto=%v), stack hit rate %.0f%%, %d entries converted\n",
+	o.printf("compute: %d Mcycles, warmup %d entries (auto=%v), stack hit rate %.0f%%, %d entries converted\n",
 		stats.ComputeCycles/1e6, stats.WarmupEntries, stats.AutoWarmup,
 		100*stats.StackHitRate, stats.Converted)
 	if stats.SamplingRate != 0 {
@@ -139,7 +147,7 @@ func main() {
 		if n := len(stats.BandLow); n > 0 {
 			width /= float64(n)
 		}
-		fmt.Printf("sampling: rate %.4f, %.0f%% band mean width %.2f MPKI, %.0f effective samples\n",
+		o.printf("sampling: rate %.4f, %.0f%% band mean width %.2f MPKI, %.0f effective samples\n",
 			stats.SamplingRate, 100*sample.DefaultLevel, width, stats.EffSamples)
 	}
 
@@ -156,32 +164,40 @@ func main() {
 		}
 		real, err := rapidmrc.RealCurve(*app, realOpts...)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		matched := curve.Clone()
 		matched.Transpose(8, real.At(8))
-		fmt.Printf("distance to real MRC (matched at 8 colors): %.2f MPKI\n\n",
+		o.printf("distance to real MRC (matched at 8 colors): %.2f MPKI\n\n",
 			rapidmrc.Distance(matched, real))
-		fmt.Print(report.Series("colors", x, []string{"RapidMRC", "Real"},
+		o.printf("%s", report.Series("colors", x, []string{"RapidMRC", "Real"},
 			[][]float64{matched.MPKI, real.MPKI}))
-		fmt.Print(report.Plot(*app, []string{"RapidMRC", "Real"},
+		o.printf("%s", report.Plot(*app, []string{"RapidMRC", "Real"},
 			[][]float64{matched.MPKI, real.MPKI}, 48, 12))
-		return
+		return o.err
 	}
-	fmt.Println()
-	fmt.Print(report.Series("colors", x, []string{"MPKI"}, [][]float64{curve.MPKI}))
-	fmt.Print(report.Plot(*app, []string{"MPKI"}, [][]float64{curve.MPKI}, 48, 12))
+	o.printf("\n")
+	o.printf("%s", report.Series("colors", x, []string{"MPKI"}, [][]float64{curve.MPKI}))
+	o.printf("%s", report.Plot(*app, []string{"MPKI"}, [][]float64{curve.MPKI}, 48, 12))
+	return o.err
 }
 
-// printEpoch renders one mid-capture snapshot line.
-func printEpoch(entries int, c *rapidmrc.Curve) {
-	fmt.Printf("epoch %8d entries: MPKI %6.1f @1, %6.1f @8, %6.1f @16\n",
-		entries, c.At(1), c.At(8), c.At(16))
+// output writes the report and keeps the first write error, which run
+// returns.
+type output struct {
+	w   io.Writer
+	err error
+}
+
+func (o *output) printf(format string, args ...any) {
+	if o.err == nil {
+		_, o.err = fmt.Fprintf(o.w, format, args...)
+	}
 }
 
 // streamOnline is Online with the capture and computation fused: warm up,
 // then stream one probing period straight through the incremental engine.
-func streamOnline(app string, epoch int, opts []rapidmrc.SystemOption) (*rapidmrc.Curve, *rapidmrc.Stats, error) {
+func streamOnline(app string, epoch int, opts []rapidmrc.SystemOption, printEpoch func(int, *rapidmrc.Curve)) (*rapidmrc.Curve, *rapidmrc.Stats, error) {
 	sys, err := rapidmrc.NewSystem(app, opts...)
 	if err != nil {
 		return nil, nil, err
@@ -192,9 +208,12 @@ func streamOnline(app string, epoch int, opts []rapidmrc.SystemOption) (*rapidmr
 	})
 }
 
-// streamFromFile replays an archived trace through the streaming engine
-// one entry at a time — the whole log is never resident.
-func streamFromFile(path string, epoch int) (*rapidmrc.Curve, *rapidmrc.Stats, error) {
+// streamFromFile replays an archived trace through Session.RunPeriod,
+// as System.Stream runs a live capture: the file is read on this
+// goroutine, a chunk at a time reaches the engine on the feeder, and the
+// whole log is never resident. Epochs are stamped with the archived
+// progress prorated to the entries read.
+func streamFromFile(path string, epoch int, printEpoch func(int, *rapidmrc.Curve)) (*rapidmrc.Curve, *rapidmrc.Stats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -205,37 +224,48 @@ func streamFromFile(path string, epoch int) (*rapidmrc.Curve, *rapidmrc.Stats, e
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := rapidmrc.NewEngine().NewStream(r.Len())
+	sess, err := service.NewEnginePool(1).Open(service.TenantConfig{Engine: core.DefaultConfig(), Target: r.Len()})
 	if err != nil {
 		return nil, nil, err
 	}
-	//lint:allow errdrop Close only recycles the engine into the pool and never fails
-	defer st.Close()
-	for {
-		l, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := st.Feed(uint64(l)); err != nil {
-			return nil, nil, err
-		}
-		if epoch > 0 && st.Entries()%epoch == 0 && !st.Warming() {
-			// Prorate the archived progress to the entries fed so far.
-			instr := r.Instructions() * uint64(st.Entries()) / uint64(r.Len())
-			if c, _, err := st.Snapshot(instr); err == nil {
-				printEpoch(st.Entries(), c)
+	defer sess.Close()
+	var readErr error
+	sess.RunPeriod(service.Period{
+		Capture: func(rec *service.Recorder) {
+			for {
+				l, err := r.Next()
+				if err != nil {
+					if err != io.EOF {
+						readErr = err
+					}
+					return
+				}
+				rec.Sample(l)
 			}
-		}
+		},
+		EpochEntries: epoch,
+		Clock:        func(n int) uint64 { return r.Instructions() * uint64(n) / uint64(r.Len()) },
+		OnEpoch: func(ep *service.Epoch) bool {
+			printEpoch(ep.Entries, &rapidmrc.Curve{MPKI: ep.Result.MRC.MPKI})
+			return false
+		},
+	})
+	if readErr != nil {
+		return nil, nil, readErr
 	}
-	curve, stats, err := st.Snapshot(r.Instructions())
+	ep, err := sess.Snapshot(r.Instructions())
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Captured = st.Entries()
-	return curve, stats, nil
+	res := ep.Result
+	return &rapidmrc.Curve{MPKI: res.MRC.MPKI}, &rapidmrc.Stats{
+		Captured:      ep.Entries,
+		Converted:     ep.Converted,
+		WarmupEntries: res.WarmupEntries,
+		AutoWarmup:    res.AutoWarmup,
+		StackHitRate:  res.StackHitRate,
+		ComputeCycles: res.ModelCycles,
+	}, nil
 }
 
 // saveTrace serializes the raw captured trace. The file's Close error

@@ -1,8 +1,9 @@
 // Streaming: the capture→compute pipeline as one fused, always-on flow.
 // Instead of buffering a 160k-entry trace log and batch-replaying it,
-// every PMU sample is pushed through the prefetch-repetition corrector
-// into the incremental Mattson engine the moment the exception handler
-// records it — memory stays O(stack), and the curve can be read at any
+// the capture hands the log in 4,096-entry chunks to a feeder goroutine,
+// which pushes them through the prefetch-repetition corrector into the
+// incremental Mattson engine while the capture goes on — memory stays
+// O(stack) plus the few chunks queued, and the curve can be read at any
 // epoch mid-capture, which is what makes RapidMRC usable as a resident
 // profiling service rather than a stop-the-world probe.
 package main

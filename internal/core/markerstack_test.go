@@ -59,7 +59,7 @@ type stackObs struct {
 
 // runScript references the script on st and records every observation;
 // withWalks false zeroes Walks, which only the range-list stacks share.
-func runScript(st Stack, sc stackScript, withWalks bool) []stackObs {
+func runScript(st lenStack, sc stackScript, withWalks bool) []stackObs {
 	out := make([]stackObs, len(sc.refs))
 	for i, l := range sc.refs {
 		if i == sc.resetAt {

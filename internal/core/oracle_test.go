@@ -6,6 +6,19 @@ package core
 
 import "rapidmrc/internal/mem"
 
+// lenStack is a Stack whose length the property tests compare.
+type lenStack interface {
+	Stack
+	// Len is the number of lines currently on the stack.
+	Len() int
+}
+
+// Len is the number of lines on the stack. An LRU stack holds every
+// distinct line seen up to its capacity; the table holds exactly those
+// lines, plus, between renumberings, lines already pushed past capacity.
+// Only the property tests read it.
+func (s *MarkerStack) Len() int { return min(s.table.n, s.capacity) }
+
 // NaiveStack is the textbook O(n)-per-reference LRU stack: the oracle
 // the production stack is property-tested against, and the slow arm of
 // the stack ablation benchmarks.
@@ -42,7 +55,7 @@ func (s *NaiveStack) Reference(line mem.Line) int {
 	return Infinite
 }
 
-// Len implements Stack.
+// Len implements lenStack.
 func (s *NaiveStack) Len() int { return len(s.lines) }
 
 // Full implements Stack.
@@ -96,7 +109,7 @@ func NewWalkRangeStack(capacity, groupSize int) *WalkRangeStack {
 	}
 }
 
-// Len implements Stack.
+// Len implements lenStack.
 func (s *WalkRangeStack) Len() int { return s.size }
 
 // Full implements Stack.

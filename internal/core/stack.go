@@ -22,8 +22,6 @@ const Infinite = -1
 // overflows.
 type Stack interface {
 	Reference(line mem.Line) (dist int)
-	// Len is the number of lines currently on the stack.
-	Len() int
 	// Full reports whether the stack has reached capacity — the signal
 	// the automatic warmup policy waits for (§5.2.4).
 	Full() bool
@@ -114,11 +112,6 @@ func NewStackFor(cfg Config, capacity int) *MarkerStack {
 	}
 	return NewStack(capacity, cfg.GroupSize)
 }
-
-// Len implements Stack. An LRU stack holds every distinct line seen up
-// to its capacity; the table holds exactly those lines, plus, between
-// renumberings, lines already pushed past capacity.
-func (s *MarkerStack) Len() int { return min(s.table.n, s.capacity) }
 
 // Full implements Stack.
 func (s *MarkerStack) Full() bool { return s.table.n >= s.capacity }

@@ -14,7 +14,6 @@ import (
 
 	"rapidmrc/internal/color"
 	"rapidmrc/internal/core"
-	"rapidmrc/internal/mem"
 	"rapidmrc/internal/partition"
 	"rapidmrc/internal/phase"
 	"rapidmrc/internal/platform"
@@ -189,15 +188,16 @@ func (c *Controller) reprofile(i int) {
 // probe runs one probing period on machine i into a pooled exact
 // profiling session and keeps the whole gang running, cycle-interleaved,
 // until the log fills — co-runners continue to contend for the cache
-// during the capture, exactly as they would on the real machine. Samples
-// flow from the PMU into the session as they are recorded, so no trace
-// log is materialized. When epoch snapshots are enabled the capture ends
-// early once the in-flight curve settles, so a recomputation costs only
-// as many entries as the curve actually needs. The returned curve is
-// transposed to the current partition size using the miss rate measured
-// over the capture window itself — any other window risks anchoring one
-// phase's curve with another phase's miss rate. Nil means a degenerate
-// capture (cannot happen with sane configs).
+// during the capture, exactly as they would on the real machine. The
+// session is fed by Session.RunPeriod on a feeder goroutine while
+// the gang steps, so no trace log is kept. When epoch snapshots are
+// enabled the capture ends early once the in-flight curve settles, after
+// the step that logged the settling epoch's last entry, so a
+// recomputation costs only as many entries as the curve actually needs.
+// The returned curve is transposed to the current partition size using
+// the miss rate measured over the capture window itself — any other
+// window risks anchoring one phase's curve with another phase's miss
+// rate. Nil means a degenerate capture (cannot happen with sane configs).
 func (c *Controller) probe(i int) *core.MRC {
 	sess, err := c.pool.Open(service.TenantConfig{
 		Engine: core.DefaultConfig(), Target: c.cfg.TraceEntries,
@@ -206,30 +206,28 @@ func (c *Controller) probe(i int) *core.MRC {
 		return nil
 	}
 	defer sess.Close()
-	var conv *phase.Convergence
-	if c.cfg.SnapshotEntries > 0 && c.cfg.ConvergedMPKI > 0 {
-		conv = phase.NewConvergence(c.cfg.ConvergedMPKI, convergenceWindow)
-	}
-	next := c.cfg.SnapshotEntries
 
 	m := c.machines[i]
 	p := m.PMU()
 	m.ResetMetrics()
 	start := m.Core().Instructions()
-	p.StartTrace(pmu.SinkFunc(func(l mem.Line) { sess.Feed([]uint64{uint64(l)}) }),
-		c.cfg.TraceEntries, start, m.Core().Cycles())
-	for !p.TraceFull() {
-		platform.NextByCycles(c.machines).Step()
-		if conv == nil || sess.Consumed() < next {
-			continue
-		}
-		next += c.cfg.SnapshotEntries
-		// Warming epochs never settle.
-		if ep, err := sess.Snapshot(m.Core().Instructions() - start); err == nil && conv.Observe(ep.Result.MRC) {
-			break
-		}
+	var st pmu.TraceStats
+	period := service.Period{
+		Capture: func(rec *service.Recorder) {
+			p.StartTrace(rec, c.cfg.TraceEntries, start, m.Core().Cycles())
+			for !p.TraceFull() {
+				platform.NextByCycles(c.machines).Step()
+			}
+			st = p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
+		},
 	}
-	st := p.FinishTrace(m.Core().Instructions(), m.Core().Cycles())
+	if c.cfg.SnapshotEntries > 0 && c.cfg.ConvergedMPKI > 0 {
+		conv := phase.NewConvergence(c.cfg.ConvergedMPKI, convergenceWindow)
+		period.EpochEntries = c.cfg.SnapshotEntries
+		period.Clock = func(int) uint64 { return m.Core().Instructions() - start }
+		period.OnEpoch = func(ep *service.Epoch) bool { return conv.Observe(ep.Result.MRC) }
+	}
+	sess.RunPeriod(period)
 	c.stats.ProbedEntries += st.Captured
 
 	ep, err := sess.Snapshot(st.Instructions)

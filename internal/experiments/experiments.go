@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"rapidmrc/internal/core"
@@ -242,12 +241,4 @@ func colorAxis() []float64 {
 		x[i] = float64(i + 1)
 	}
 	return x
-}
-
-// sortedCopy returns a sorted copy of v (helper for summaries).
-func sortedCopy(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	sort.Float64s(out)
-	return out
 }

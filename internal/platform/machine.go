@@ -390,9 +390,10 @@ func (m *Machine) Repartition(allowed color.Set) int {
 // machine, and pays the same exception costs and log-pollution stores
 // whatever the sink keeps: a capture→compute pipeline runs in O(sink
 // state) memory, a sink that appends holds the whole log. The sink is
-// called synchronously between machine steps, so it may read the
-// machine's progress counters (for mid-capture snapshots) but must not
-// step it.
+// called synchronously from the step that logs the entry, after the step
+// has retired its instructions, so it may read the machine's progress
+// counters (an epoch's stamp) but must not step it. A sink that is a
+// pmu.Stopper ends the period after the step in which it stops.
 func (m *Machine) CollectTrace(entries int, sink pmu.Sink) pmu.TraceStats {
 	if m.startReadAhead(unbounded) {
 		defer m.stopReadAhead()

@@ -72,12 +72,12 @@ func newReadAhead() *readAhead {
 	return ra
 }
 
-// produce fills free buffers from gen in stream order until stop closes
-// or the stream ends, then closes done. It touches only gen and the
-// buffers it takes from free.
-func (ra *readAhead) produce(gen mem.Generator, stop <-chan struct{}, done chan<- struct{}) {
+// produce fills up to batches free buffers from gen in stream order,
+// stopping early when stop closes or the stream ends, then closes done.
+// It touches only gen and the buffers it takes from free.
+func (ra *readAhead) produce(gen mem.Generator, batches uint64, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	for {
+	for ; batches > 0; batches-- {
 		// A pending stop wins over a free buffer, so stopping does not
 		// wait for a batch nobody asked for.
 		select {
@@ -163,16 +163,24 @@ func (m *Machine) endOfStream() string {
 }
 
 // startReadAhead starts the producer for a run that consumes at most
-// maxRefs more refs, and reports whether it did. A run the current batch
-// already covers, or a stream known to have ended, stays inline. A caller
-// that gets true must call stopReadAhead before it returns, on every path.
+// maxRefs more refs, and reports whether it did. The producer generates
+// at most the batches maxRefs needs beyond the current batch and those
+// already queued. A run those already cover, or a stream known to have
+// ended, stays inline. A caller that gets true must call stopReadAhead
+// before it returns, on every path.
 func (m *Machine) startReadAhead(maxRefs uint64) bool {
-	if m.ended || maxRefs <= uint64(m.refLen-m.refPos) {
+	// Queued batches are full: only the stream's last batch is short,
+	// and consuming it ends the stream before a refill could block.
+	ahead := uint64(m.refLen - m.refPos)
+	if m.ra != nil {
+		ahead += uint64(len(m.ra.full)) * readAheadBatch
+	}
+	if m.ended || maxRefs <= ahead {
 		return false
 	}
 	ra := m.readAhead()
 	ra.stop, ra.done = make(chan struct{}), make(chan struct{})
-	go ra.produce(m.gen, ra.stop, ra.done)
+	go ra.produce(m.gen, (maxRefs-ahead-1)/readAheadBatch+1, ra.stop, ra.done)
 	return true
 }
 

@@ -380,3 +380,53 @@ func TestReadAheadForwardsGeneratorPanic(t *testing.T) {
 		t.Fatalf("stepped %d instructions before the fault, want %d", got, want)
 	}
 }
+
+// countingGen is an endless stream of loads, read through the batch
+// interface, that counts the batches read from it.
+type countingGen struct{ pos, batches int }
+
+func (g *countingGen) Next() mem.Ref    { panic("countingGen is read in batches") }
+func (g *countingGen) Name() string     { return "counting" }
+func (g *countingGen) Reset(seed int64) { g.pos = 0 }
+
+func (g *countingGen) NextBatch(buf []mem.Ref) int {
+	g.batches++
+	for i := range buf {
+		buf[i] = mem.Ref{Addr: mem.Addr(g.pos+i) * mem.LineSize, Kind: mem.Load, Gap: 2}
+	}
+	g.pos += len(buf)
+	return len(buf)
+}
+
+// TestRunInstructionsBoundsReadAhead checks that a bounded run generates
+// only what it may step: RunInstructions(n) steps at most n refs, so it
+// reads at most ceil(n/readAheadBatch) batches past the current one,
+// whatever an earlier run left queued. No producer outlives a run, and a
+// capture after the runs stays unbounded.
+func TestRunInstructionsBoundsReadAhead(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := &countingGen{}
+	m := NewMachine(g, Options{Mode: cpu.Complex, Seed: 1})
+	sizes := []uint64{1, 100, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1,
+		5_000, 3*readAheadBatch + 7, 200_000, 2}
+	var instr uint64
+	for _, n := range sizes {
+		before := g.batches
+		m.RunInstructions(n)
+		if got, limit := g.batches-before, int((n+readAheadBatch-1)/readAheadBatch); got > limit {
+			t.Errorf("RunInstructions(%d) read %d batches, at most %d allowed", n, got, limit)
+		}
+		waitGoroutines(t, base, fmt.Sprintf("RunInstructions(%d)", n))
+		// Every ref is a 3-instruction load.
+		instr += (n + 2) / 3 * 3
+		if got := m.core.Instructions(); got != instr {
+			t.Fatalf("after RunInstructions(%d): %d instructions, want %d", n, got, instr)
+		}
+	}
+	captured := 0
+	st := m.CollectTrace(10_000, pmu.SinkFunc(func(mem.Line) { captured++ }))
+	if st.Captured != 10_000 || captured != 10_000 {
+		t.Fatalf("capture logged %d entries (sink saw %d), want 10000", st.Captured, captured)
+	}
+	waitGoroutines(t, base, "CollectTrace")
+}

@@ -61,6 +61,15 @@ type Sink interface {
 	Sample(line mem.Line)
 }
 
+// Stopper is a Sink that may end the probing period before the log is
+// full. The PMU asks it after every entry it delivers; once Stopped
+// reports true, so does TraceFull, and a capture loop ends after the
+// current step.
+type Stopper interface {
+	Sink
+	Stopped() bool
+}
+
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(line mem.Line)
 
@@ -80,6 +89,8 @@ type PMU struct {
 	target     int
 	captured   int
 	sink       Sink
+	stopper    Stopper // sink as a Stopper, nil when it is not one
+	ended      bool    // the stopper ended the period
 	tstats     TraceStats
 	startInstr uint64
 	startCyc   uint64
@@ -141,12 +152,15 @@ func (p *PMU) OnPrefetchFill(burstLen int) {
 // sink: the memory cost of a probing period is the sink's own state, a
 // log only if the sink keeps one. Both the per-event-exception mode and
 // the §6 trace-buffer mode deliver through the sink. sink must not be
-// nil. instr and cycles timestamp the start.
+// nil; a sink that is also a Stopper can end the period early. instr and
+// cycles timestamp the start.
 func (p *PMU) StartTrace(sink Sink, n int, instr, cycles uint64) {
 	p.tracing = true
 	p.target = n
 	p.captured = 0
 	p.sink = sink
+	p.stopper, _ = sink.(Stopper)
+	p.ended = false
 	p.tstats = TraceStats{}
 	p.startInstr = instr
 	p.startCyc = cycles
@@ -159,21 +173,24 @@ func (p *PMU) StartTrace(sink Sink, n int, instr, cycles uint64) {
 func (p *PMU) record(line mem.Line) {
 	p.captured++
 	p.sink.Sample(line)
+	if p.stopper != nil && p.stopper.Stopped() {
+		p.ended = true
+	}
 }
 
-// TraceFull reports whether the log has reached its target length.
-func (p *PMU) TraceFull() bool { return p.tracing && p.captured >= p.target }
+// TraceFull reports whether the log has reached its target length, or
+// the sink has ended the period.
+func (p *PMU) TraceFull() bool { return p.tracing && (p.captured >= p.target || p.ended) }
 
 // FinishTrace disarms sampling and returns the probing period's stats.
 // instr and cycles timestamp the end. It may be called before the target
-// is reached, aborting the probing period early (streaming consumers stop
-// as soon as their snapshot converges).
+// is reached, as it is once a Stopper sink ends the period.
 func (p *PMU) FinishTrace(instr, cycles uint64) TraceStats {
 	p.tracing = false
 	p.tstats.Captured = p.captured
 	p.tstats.Instructions = instr - p.startInstr
 	p.tstats.Cycles = cycles - p.startCyc
-	p.sink = nil
+	p.sink, p.stopper = nil, nil
 	return p.tstats
 }
 

@@ -65,13 +65,14 @@ func waitGoroutines(t *testing.T, base int, after string) {
 // logs that are a whole number of feed chunks and logs that are not, the
 // §6 trace buffer and a sampled session. No goroutine outlives a call.
 func TestOnlineMatchesSerialCapture(t *testing.T) {
+	const chunk = 4096 // service.RunPeriod's feed chunk
 	cases := []struct {
 		name string
 		opts []SystemOption
 	}{
 		{"default", nil},
-		{"short", []SystemOption{WithTraceEntries(3*feedChunk + 17)}},
-		{"chunks", []SystemOption{WithTraceEntries(4 * feedChunk)}},
+		{"short", []SystemOption{WithTraceEntries(3*chunk + 17)}},
+		{"chunks", []SystemOption{WithTraceEntries(4 * chunk)}},
 		{"one-entry", []SystemOption{WithTraceEntries(1)}},
 		{"buffered", []SystemOption{WithTraceBuffer(256), WithTraceEntries(30_000)}},
 		{"sampled", []SystemOption{WithSamplingRate(0.1), WithTraceEntries(40_000)}},
@@ -166,32 +167,4 @@ func TestOnlineForwardsGeneratorPanic(t *testing.T) {
 		t.Fatal("captureProfiled returned over a faulting workload")
 	}()
 	waitGoroutines(t, base, "the faulting capture")
-}
-
-// TestFeederForwardsPanic feeds a closed session, which panics on the
-// feeder goroutine. The capture side must not block on the dead feeder
-// however many chunks it still sends, and finish re-raises the panic on
-// the caller once the feeder has exited.
-func TestFeederForwardsPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
-	sess, err := enginePool.Open(NewEngine().spec(feedChunk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-	f := startFeeder(sess)
-	chunk := make([]uint64, feedChunk)
-	for i := 0; i < 3*feedDepth; i++ {
-		f.send(chunk)
-	}
-	func() {
-		defer func() {
-			if _, ok := recover().(runtime.Error); !ok {
-				t.Fatal("finish did not re-raise the feeder's runtime error")
-			}
-		}()
-		f.finish()
-	}()
-	f.stop() // a second stop is a no-op
-	waitGoroutines(t, base, "the failed feeder")
 }

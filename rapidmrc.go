@@ -259,21 +259,16 @@ type Stream struct {
 	sess *service.Session
 }
 
-// openStream starts a stream on a pooled session for spec.
-func openStream(spec service.TenantConfig) (*Stream, error) {
-	sess, err := enginePool.Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{sess: sess}, nil
-}
-
 // NewStream returns a stream expecting a probing period of targetEntries
 // references — the length the warmup policy's static fallback is a
 // fraction of (batch Compute reads it from len(trace); a stream must be
 // told up front).
 func (e *Engine) NewStream(targetEntries int) (*Stream, error) {
-	return openStream(e.spec(targetEntries))
+	sess, err := enginePool.Open(e.spec(targetEntries))
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{sess: sess}, nil
 }
 
 // Feed consumes one raw logged cache-line address. It fails with

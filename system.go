@@ -183,42 +183,49 @@ func (s *System) Run(n uint64) { s.m.RunInstructions(n) }
 
 // Capture runs one probing period of the configured length and returns
 // the raw trace.
-func (s *System) Capture() *Trace { return s.capture(nil) }
-
-// feedChunk is the number of log entries Online hands its feeder at a
-// time: 32 KiB of trace, about 0.4 ms of engine work.
-const feedChunk = 4096
-
-// capture runs one probing period, logging it straight into the trace's
-// line slice, which is allocated once at full length. A non-nil handoff is
-// given the log in consecutive chunks, each as soon as it is complete: the
-// capture never writes to a chunk after handing it off.
-func (s *System) capture(handoff func([]uint64)) *Trace {
+func (s *System) Capture() *Trace {
 	lines := make([]uint64, 0, max(s.opt.entries, 0))
-	sent := 0
-	sink := pmu.SinkFunc(func(l mem.Line) {
+	st := s.m.CollectTrace(s.opt.entries, pmu.SinkFunc(func(l mem.Line) {
 		lines = append(lines, uint64(l))
-		if handoff != nil && len(lines)-sent == feedChunk {
-			handoff(lines[sent:len(lines):len(lines)])
-			sent = len(lines)
-		}
-	})
-	stats := s.m.CollectTrace(s.opt.entries, sink)
-	if handoff != nil && sent < len(lines) {
-		handoff(lines[sent:len(lines):len(lines)])
-	}
+	}))
+	return traceOf(lines, st)
+}
+
+// traceOf is a captured log with its capture statistics.
+func traceOf(lines []uint64, st pmu.TraceStats) *Trace {
 	return &Trace{
 		Lines:        lines,
-		Instructions: stats.Instructions,
-		Cycles:       stats.Cycles,
-		Dropped:      stats.Dropped,
-		Stale:        stats.Stale,
+		Instructions: st.Instructions,
+		Cycles:       st.Cycles,
+		Dropped:      st.Dropped,
+		Stale:        st.Stale,
 	}
 }
 
+// period runs one probing period of the configured length into sess
+// through the service's Session.RunPeriod: the machine captures on this
+// goroutine while a feeder goroutine feeds sess. keep keeps the log and
+// returns it; epochs are stamped with the application's progress since
+// the period began.
+func (s *System) period(sess *service.Session, keep bool, epochEntries int, onEpoch func(*service.Epoch) bool) ([]uint64, pmu.TraceStats) {
+	var st pmu.TraceStats
+	start := s.m.Core().Instructions()
+	p := service.Period{
+		Capture:      func(rec *service.Recorder) { st = s.m.CollectTrace(s.opt.entries, rec) },
+		EpochEntries: epochEntries,
+		Clock:        func(int) uint64 { return s.m.Core().Instructions() - start },
+		OnEpoch:      onEpoch,
+	}
+	if keep {
+		p.Keep = s.opt.entries
+	}
+	lines := sess.RunPeriod(p) // sets st
+	return lines, st
+}
+
 // StreamEpoch is one mid-capture snapshot delivered during System.Stream:
-// the in-flight curve after Entries log entries, computed without pausing
-// the capture.
+// the in-flight curve after exactly Entries log entries, computed while
+// the capture holds at that entry.
 type StreamEpoch struct {
 	// Entries is the number of log entries consumed so far.
 	Entries int
@@ -230,45 +237,45 @@ type StreamEpoch struct {
 }
 
 // Stream runs one probing period with capture and computation fused:
-// every PMU sample flows through the streaming corrector into the
-// incremental Mattson engine the moment the exception handler records it,
-// so no trace log is ever materialized — this is the always-on form of
-// Capture followed by Engine.Compute, and produces the identical curve
-// from the same machine state. The final curve is transposed to the miss
-// rate measured at the reference partition size, exactly as Online does.
+// the capture hands the log in chunks to a feeder goroutine, which runs
+// them through the streaming corrector into the incremental Mattson
+// engine while the capture goes on. No trace log is kept — memory is the
+// engine's state plus the few chunks queued — so this is the always-on
+// form of Capture followed by Engine.Compute, and produces the identical
+// curve from the same machine state. The final curve is transposed to
+// the miss rate measured at the reference partition size, exactly as
+// Online does.
 //
-// epochEntries > 0 delivers a mid-capture snapshot to onEpoch every that
-// many entries (epochs still inside warmup are skipped); onEpoch may be
-// nil. The returned Stats carry the capture's artifact counts in addition
-// to the compute statistics.
+// epochEntries > 0 delivers a mid-capture snapshot to onEpoch after every
+// that many entries (epochs still inside warmup are skipped); onEpoch may
+// be nil. onEpoch runs on the feeder goroutine, one epoch at a time, and
+// every call finishes before Stream returns; the capture waits at each
+// epoch's last entry until the snapshot is taken. The returned Stats
+// carry the capture's artifact counts in addition to the compute
+// statistics.
 func (s *System) Stream(epochEntries int, onEpoch func(StreamEpoch)) (*Curve, *Stats, error) {
-	st, err := openStream(s.opt.spec())
+	sess, err := enginePool.Open(s.opt.spec())
 	if err != nil {
 		return nil, nil, err
 	}
-	defer st.Close()
-	startInstr := s.m.Core().Instructions()
-	next := epochEntries
-	sink := pmu.SinkFunc(func(l mem.Line) {
-		st.Feed(uint64(l))
-		if epochEntries <= 0 || onEpoch == nil || st.Entries() < next {
-			return
+	defer sess.Close()
+	var see func(*service.Epoch) bool
+	if onEpoch != nil {
+		see = func(ep *service.Epoch) bool {
+			c, cs, _ := fromEpoch(ep, nil)
+			onEpoch(StreamEpoch{Entries: ep.Entries, Instructions: ep.Instructions, Curve: c, Stats: cs})
+			return false
 		}
-		next += epochEntries
-		instr := s.m.Core().Instructions() - startInstr
-		if c, cs, err := st.Snapshot(instr); err == nil {
-			onEpoch(StreamEpoch{Entries: st.Entries(), Instructions: instr, Curve: c, Stats: cs})
-		}
-	})
-	stats := s.m.CollectTrace(s.opt.entries, sink)
-	curve, cstats, err := st.Snapshot(stats.Instructions)
+	}
+	_, st := s.period(sess, false, epochEntries, see)
+	curve, cstats, err := fromEpoch(sess.Snapshot(st.Instructions))
 	if err != nil {
 		return nil, nil, err
 	}
-	cstats.Captured = stats.Captured
-	cstats.Dropped = stats.Dropped
-	cstats.Stale = stats.Stale
-	cstats.CaptureCycles = stats.Cycles
+	cstats.Captured = st.Captured
+	cstats.Dropped = st.Dropped
+	cstats.Stale = st.Stale
+	cstats.CaptureCycles = st.Cycles
 	s.anchor(curve, cstats)
 	return curve, cstats, nil
 }
@@ -295,10 +302,6 @@ func (s *System) MeasureMPKI(n uint64) float64 {
 	s.m.RunInstructions(n)
 	return s.m.Metrics().MPKI()
 }
-
-// Machine exposes the underlying simulated machine for advanced use
-// within this module (experiments, benchmarks).
-func (s *System) Machine() *platform.Machine { return s.m }
 
 // RealCurve measures the application's real MRC offline: one full run per
 // partition size, MPKI from PMU counters (§5.2.1). Options understood:
@@ -328,10 +331,11 @@ func RealCurve(app string, opts ...SystemOption) (*Curve, error) {
 // miss rate at the reference partition size. The returned Stats include
 // capture artifacts and the modeled costs.
 //
-// The computation overlaps the capture: a feeder goroutine corrects and
-// stack-simulates each chunk of the log as soon as the capture completes
-// it, so only the snapshot is left when the capture ends. The result is
-// bit-identical to Engine.Compute over the captured trace.
+// The computation overlaps the capture: the period Stream runs feeds
+// each chunk of the log to a feeder goroutine, which corrects and
+// stack-simulates it as soon as the capture completes it, so only the
+// snapshot is left when the capture ends. The result is bit-identical to
+// Engine.Compute over the captured trace.
 func Online(app string, opts ...SystemOption) (*Curve, *Stats, *Trace, error) {
 	sys, err := NewSystem(app, opts...)
 	if err != nil {
@@ -348,86 +352,21 @@ func Online(app string, opts ...SystemOption) (*Curve, *Stats, *Trace, error) {
 	return curve, stats, trace, nil
 }
 
-// captureProfiled is Capture followed by profileTrace, with the session
-// fed on a feeder goroutine while the machine captures.
+// captureProfiled is Capture followed by profileTrace: the same period
+// Stream runs, keeping the log, so the session is fed while the machine
+// captures.
 func (s *System) captureProfiled() (*Trace, *Curve, *Stats, error) {
 	if s.opt.entries <= 0 {
 		return nil, nil, nil, errEmptyTrace
 	}
-	spec := s.opt.spec()
-	spec.Target = s.opt.entries
-	sess, err := enginePool.Open(spec)
+	sess, err := enginePool.Open(s.opt.spec())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer sess.Close()
-	f := startFeeder(sess)
-	defer f.stop() // runs before sess.Close, also on a panic
-	trace := s.capture(f.send)
-	f.finish()
+	trace := traceOf(s.period(sess, true, 0, nil))
 	curve, stats, err := fromEpoch(sess.Snapshot(trace.Instructions))
 	return trace, curve, stats, err
-}
-
-// feedDepth is how many chunks a feeder may have queued; the capture
-// blocks on a full queue until the feeder takes one. The feeder needs
-// well under half the capture's time per chunk, so the queue only
-// absorbs scheduling jitter; 8 chunks (256 KiB of trace) do that, and a
-// stalled capture never waits long for the feeder to catch up.
-const feedDepth = 8
-
-// feeder feeds a session on its own goroutine, chunk by chunk, in the
-// order the chunks are sent. The goroutine exits once stop is called and
-// the queue is drained, or as soon as feeding panics; the panic is kept
-// for finish to re-raise on the caller's goroutine.
-type feeder struct {
-	chunks chan []uint64
-	done   chan struct{}
-	// fault is a panic raised by the session, read only after done closes.
-	fault   any
-	stopped bool
-}
-
-func startFeeder(sess *service.Session) *feeder {
-	f := &feeder{chunks: make(chan []uint64, feedDepth), done: make(chan struct{})}
-	go f.run(sess)
-	return f
-}
-
-func (f *feeder) run(sess *service.Session) {
-	defer close(f.done)
-	defer func() { f.fault = recover() }()
-	for c := range f.chunks {
-		sess.Feed(c)
-	}
-}
-
-// send queues one chunk. After a feeding panic the chunk is dropped:
-// finish re-raises the panic once the capture ends.
-func (f *feeder) send(c []uint64) {
-	select {
-	case f.chunks <- c:
-	case <-f.done:
-	}
-}
-
-// stop closes the queue and waits for the goroutine to exit. Calling it
-// again is a no-op.
-func (f *feeder) stop() {
-	if f.stopped {
-		return
-	}
-	f.stopped = true
-	close(f.chunks)
-	<-f.done
-}
-
-// finish stops the feeder and re-raises a panic it recovered.
-func (f *feeder) finish() {
-	f.stop()
-	if f.fault != nil {
-		panic(f.fault)
-	}
 }
 
 // CoRunResult reports one application's performance in a co-scheduled run.
