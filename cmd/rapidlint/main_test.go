@@ -3,30 +3,65 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// runLint builds the real binary and runs it from the module root,
-// returning its combined output and exit code — the exact contract CI
-// scripts rely on. (`go run` reports every child failure as exit 1, so
-// the 1-vs-2 distinction needs a direct exec.)
+// binary is the rapidlint executable the tests run, built once per test
+// binary by runLint's first call and removed by TestMain.
+var binary struct {
+	once      sync.Once
+	dir, root string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binary.dir != "" {
+		os.RemoveAll(binary.dir)
+	}
+	os.Exit(code)
+}
+
+// build compiles the real binary into a temporary directory and resolves
+// the module root it runs from.
+func build() (bin, root string, err error) {
+	binary.once.Do(func() {
+		out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+		if err != nil {
+			binary.err = fmt.Errorf("resolving module root: %w", err)
+			return
+		}
+		binary.root = strings.TrimSpace(string(out))
+		if binary.dir, binary.err = os.MkdirTemp("", "rapidlint"); binary.err != nil {
+			return
+		}
+		cmd := exec.Command("go", "build", "-o", filepath.Join(binary.dir, "rapidlint"), "rapidmrc/cmd/rapidlint")
+		cmd.Dir = binary.root
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			binary.err = fmt.Errorf("building rapidlint: %w\n%s", err, msg)
+		}
+	})
+	return filepath.Join(binary.dir, "rapidlint"), binary.root, binary.err
+}
+
+// runLint runs the real binary from the module root, returning its
+// combined output and exit code — the exact contract CI scripts rely on.
+// (`go run` reports every child failure as exit 1, so the 1-vs-2
+// distinction needs a direct exec.)
 func runLint(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+	bin, root, err := build()
 	if err != nil {
-		t.Fatalf("resolving module root: %v", err)
-	}
-	bin := filepath.Join(t.TempDir(), "rapidlint")
-	build := exec.Command("go", "build", "-o", bin, "rapidmrc/cmd/rapidlint")
-	build.Dir = strings.TrimSpace(string(root))
-	if msg, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building rapidlint: %v\n%s", err, msg)
+		t.Fatal(err)
 	}
 	cmd := exec.Command(bin, args...)
-	cmd.Dir = strings.TrimSpace(string(root))
+	cmd.Dir = root
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -39,6 +74,22 @@ func runLint(t *testing.T, args ...string) (string, int) {
 		t.Fatalf("running rapidlint: %v\n%s", err, out.String())
 	}
 	return out.String(), ee.ExitCode()
+}
+
+// TestModuleIsClean runs the binary the way CI does, in plain mode over
+// the whole module: exit 0 and no output. internal/lint's TestRepoIsClean
+// runs the same analyzers in process.
+func TestModuleIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go-run smoke test in -short mode")
+	}
+	out, code := runLint(t, "rapidmrc/...")
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0\n%s", code, out)
+	}
+	if s := strings.TrimSpace(out); s != "" {
+		t.Fatalf("rapidlint reported findings:\n%s", s)
+	}
 }
 
 // TestExitCodeOnFindings drives the binary over the seeded-violation

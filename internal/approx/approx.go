@@ -24,7 +24,7 @@
 // to full simulation otherwise. Estimates are property-tested to be
 // monotone non-increasing with bounded miss ratios, and cross-validated
 // against the simulated MRC over the workload zoo (experiments
-// ext-approx), with error broken down by curve-shape class.
+// ext-tiers), with error broken down by curve-shape class.
 package approx
 
 import (
@@ -315,8 +315,8 @@ func (s *Sampler) Profile() *Profile {
 }
 
 // ProfileTrace builds a profile from a whole corrected trace in one call
-// — the batch counterpart of feeding a Sampler, used by the
-// cross-validation drivers.
+// — the batch counterpart of feeding a Sampler, used by the benchsuite's
+// estimator rows.
 func ProfileTrace(trace []mem.Line, cfg core.Config) (*Profile, error) {
 	if len(trace) == 0 {
 		return nil, errors.New("approx: empty trace")

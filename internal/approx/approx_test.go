@@ -130,7 +130,7 @@ func TestEstimateCyclicExact(t *testing.T) {
 
 // TestEstimateAgainstSimulation cross-checks the analytical curves
 // against the exact Mattson simulation on smooth random traces — the
-// unit-level version of the ext-approx zoo cross-validation. The bound
+// unit-level version of the ext-tiers zoo cross-validation. The bound
 // is loose; the zoo run pins tighter per-class error in EXPERIMENTS.md.
 func TestEstimateAgainstSimulation(t *testing.T) {
 	cfg := testConfig()

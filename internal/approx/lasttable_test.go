@@ -471,7 +471,7 @@ func TestAssessDoesNotAlias(t *testing.T) {
 				continue
 			}
 			instr := uint64(4 * (i + 1))
-			e, _ := Assess(pol, s, instr, false)
+			e, _, _ := Assess(pol, s, instr, false)
 			if e == nil {
 				t.Fatalf("trial %d ref %d: no estimate past warmup", trial, i)
 			}

@@ -30,7 +30,7 @@ const (
 	// DefaultThreshold is the uncertainty above which serving escalates
 	// to full simulation, calibrated on the workload zoo so flat and
 	// gentle curves serve analytically while cliff-dominated ones
-	// escalate (see experiments ext-approx).
+	// escalate (see experiments ext-tiers).
 	DefaultThreshold = 0.35
 	// DefaultDisagreement bounds the mean absolute miss-ratio difference
 	// between the primary and secondary estimators, as a fraction of the
@@ -143,15 +143,14 @@ func (p *Policy) Decide(primary, secondary *Estimate, phaseChange bool) Decision
 }
 
 // Assess is the tier decision every surface shares: it estimates the
-// sampler's reuse-time histogram with Che/Fagin — the curve an
-// analytical decision serves — and, when that succeeds, with the
-// fully-associative model for the disagreement signal, then asks pol for
-// the verdict. A still-warming sampler yields no estimate, and pol
-// decides "warming" (or "disabled"). The estimators read the live
-// histogram, not a copy; the sampler's WarmupEntries and AutoWarmup give
-// the warmup description an analytical result reports.
-func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (*Estimate, Decision) {
-	var primary, secondary *Estimate
+// sampler's reuse-time histogram with Che/Fagin — the primary, the curve
+// an analytical decision serves — and, when that succeeds, with the
+// fully-associative model, the secondary behind the disagreement signal,
+// then asks pol for the verdict. A still-warming sampler yields neither
+// estimate, and pol decides "warming" (or "disabled"). The estimators
+// read the live histogram, not a copy; the sampler's WarmupEntries and
+// AutoWarmup give the warmup description an analytical result reports.
+func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (primary, secondary *Estimate, d Decision) {
 	if !s.Warming() {
 		prof := s.view()
 		if e, err := (CheFagin{}).Estimate(prof, instructions); err == nil {
@@ -161,7 +160,7 @@ func Assess(pol *Policy, s *Sampler, instructions uint64, phaseChange bool) (*Es
 			}
 		}
 	}
-	return primary, pol.Decide(primary, secondary, phaseChange)
+	return primary, secondary, pol.Decide(primary, secondary, phaseChange)
 }
 
 // relDisagreement is the mean absolute miss-ratio difference between two

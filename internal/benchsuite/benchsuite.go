@@ -105,7 +105,7 @@ var Rows = []Row{
 	// The same trace through the batch core.Compute and through the
 	// streaming engine at full rate (exact profiling), snapshot included:
 	// the two sides of the stream ≡ batch equivalence. The sampled rows
-	// put it through the SHARDS filter at the rates ext-sampling
+	// put it through the SHARDS filter at the rates ext-tiers
 	// validates; the ratio to stream_engine is the per-reference cost the
 	// sampling tier saves.
 	perRef("compute_batch", computeBatch),
@@ -269,7 +269,7 @@ func approxAssess(b *testing.B) {
 	pol := approx.NewPolicy(approx.PolicyConfig{Threshold: approx.DefaultThreshold})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if e, _ := approx.Assess(pol, s, mixedInstr, false); e == nil {
+		if e, _, _ := approx.Assess(pol, s, mixedInstr, false); e == nil {
 			b.Fatal(approx.ErrNoSamples)
 		}
 	}

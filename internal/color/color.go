@@ -71,11 +71,6 @@ func (s Set) Colors() []int {
 	return out
 }
 
-// String lists the member colors.
-func (s Set) String() string {
-	return fmt.Sprintf("colors%v", s.Colors())
-}
-
 // OfPhysPage returns the color of a physical page.
 func OfPhysPage(p mem.PhysPage) int {
 	return int(uint64(p)%PageGroups) / GroupsPerColor

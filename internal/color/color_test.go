@@ -1,11 +1,17 @@
 package color
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"rapidmrc/internal/mem"
 )
+
+// String lists the member colors.
+func (s Set) String() string {
+	return fmt.Sprintf("colors%v", s.Colors())
+}
 
 // newMapper returns a Mapper with a private frame allocator.
 func newMapper(allowed Set) *Mapper {

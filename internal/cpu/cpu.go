@@ -33,20 +33,6 @@ var NoPrefetch = Mode{MultiIssue: true, OutOfOrder: true, Prefetch: false}
 // Simplified is single-issue, in-order, no prefetching.
 var Simplified = Mode{}
 
-// String names the mode (complex / no-prefetch / simplified / custom).
-func (m Mode) String() string {
-	switch m {
-	case Complex:
-		return "complex"
-	case NoPrefetch:
-		return "no-prefetch"
-	case Simplified:
-		return "simplified"
-	default:
-		return "custom"
-	}
-}
-
 // Timing holds the cycle cost parameters of the core. Values approximate a
 // 1.5 GHz POWER5 (Table 1); they were chosen so that the modeled overheads
 // land in the ranges Table 2 of the paper reports.

@@ -2,6 +2,20 @@ package cpu
 
 import "testing"
 
+// String names the mode (complex / no-prefetch / simplified / custom).
+func (m Mode) String() string {
+	switch m {
+	case Complex:
+		return "complex"
+	case NoPrefetch:
+		return "no-prefetch"
+	case Simplified:
+		return "simplified"
+	default:
+		return "custom"
+	}
+}
+
 func TestModeString(t *testing.T) {
 	cases := map[string]Mode{
 		"complex":     Complex,

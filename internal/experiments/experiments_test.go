@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"rapidmrc/internal/approx"
@@ -15,8 +17,8 @@ func testCfg(apps ...string) Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ext-approx", "ext-dynamic", "ext-globalmrc", "ext-pmubuffer",
-		"ext-replacement", "ext-sampling",
+	want := []string{"ext-dynamic", "ext-globalmrc", "ext-pmubuffer",
+		"ext-replacement", "ext-tiers",
 		"fig1", "fig2a", "fig2b", "fig2c", "fig3", "fig4",
 		"fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig6", "fig7",
 		"table1", "table2"}
@@ -421,23 +423,56 @@ func TestExtReplacement(t *testing.T) {
 	}
 }
 
+// tiersRun is the one quick ext-tiers run over the full 30-workload zoo
+// that TestApproxCrossValidation, TestSamplingSweepSmoke and TestExtTiers
+// all check; the capture and every tier run once per test binary.
+var tiersRun struct {
+	once   sync.Once
+	apps   []TierApp
+	rows   []TierRow
+	report string
+	err    error
+}
+
+func quickTiers(t *testing.T) ([]TierApp, []TierRow, string) {
+	t.Helper()
+	tiersRun.once.Do(func() {
+		var b bytes.Buffer
+		tiersRun.apps, tiersRun.rows, tiersRun.err = ExtTiers(&b, Config{Seed: 1, Quick: true})
+		tiersRun.report = b.String()
+	})
+	if tiersRun.err != nil {
+		t.Fatal(tiersRun.err)
+	}
+	if len(tiersRun.apps) != 30 {
+		t.Fatalf("compared %d apps, want the full zoo", len(tiersRun.apps))
+	}
+	if len(tiersRun.rows) != pathSampled+len(SamplingRates) {
+		t.Fatalf("%d rows, want %d", len(tiersRun.rows), pathSampled+len(SamplingRates))
+	}
+	return tiersRun.apps, tiersRun.rows, tiersRun.report
+}
+
+func checkReport(t *testing.T, report string, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		if !strings.Contains(report, w) {
+			t.Errorf("report missing %q", w)
+		}
+	}
+}
+
 // TestApproxCrossValidation is the acceptance smoke for the analytical
-// tier: both estimators over the full 30-workload zoo, error broken down
+// tier in ext-tiers: both estimators over the full zoo, error broken down
 // by curve-shape class. The bounds are generous versus the measured
-// numbers (mean relative error ≤ 0.003 per class at seed 1) so only a
-// genuine model regression trips them.
+// numbers (mean relative error <= 0.003 per class at seed 1) so only a
+// genuine model regression trips them, and the policy's uncertainty
+// score must separate the classes.
 func TestApproxCrossValidation(t *testing.T) {
-	var b bytes.Buffer
-	rows, summaries, err := ExtApprox(&b, Config{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 30 {
-		t.Fatalf("cross-validated %d apps, want the full zoo", len(rows))
-	}
-	seen := make(map[string]ApproxSummary)
-	for _, s := range summaries {
-		seen[s.Shape.String()] = s
+	apps, _, report := quickTiers(t)
+	seen := make(map[string]shapeMean)
+	for _, s := range shapeMeans(apps) {
+		seen[s.shape.String()] = s
 	}
 	for _, tc := range []struct {
 		shape string
@@ -454,85 +489,105 @@ func TestApproxCrossValidation(t *testing.T) {
 			t.Errorf("no %s-shaped curves in the zoo", tc.shape)
 			continue
 		}
-		if s.MeanRelChe > tc.bound || s.MeanRelFA > tc.bound {
+		if s.relChe > tc.bound || s.relFA > tc.bound {
 			t.Errorf("%s: mean relative error che %.3f / fullassoc %.3f beyond %.2f",
-				tc.shape, s.MeanRelChe, s.MeanRelFA, tc.bound)
+				tc.shape, s.relChe, s.relFA, tc.bound)
 		}
 	}
-	// The uncertainty score must separate the classes: cliff-dominated
-	// (knee) curves escalate at the default threshold, smooth flat ones
-	// serve analytically.
-	for _, r := range rows {
-		if r.Shape == approx.ShapeFlat && r.Escalate {
-			t.Errorf("%s: flat curve escalated (uncertainty %.3f)", r.App, r.Uncertainty)
-		}
-	}
+	// Cliff-dominated (knee) curves escalate at the default threshold,
+	// smooth flat ones serve analytically.
 	var escalated int
-	for _, r := range rows {
-		if r.Escalate {
+	for _, a := range apps {
+		esc := a.Decision.Tier == approx.TierSimulated
+		if a.Shape == approx.ShapeFlat && esc {
+			t.Errorf("%s: flat curve escalated (uncertainty %.3f)", a.App, a.Decision.Uncertainty)
+		}
+		if esc {
 			escalated++
 		}
 	}
 	if escalated == 0 {
 		t.Error("no app escalated: the uncertainty score is not discriminating")
 	}
-	for _, want := range []string{"By curve-shape class", "MeanRelChe", "Escalated"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
+	checkReport(t, report, "By curve-shape class", "MeanRelChe", "Escalated")
 }
 
-// TestSamplingSweepSmoke is the acceptance smoke for the spatial-sampling
-// tier: a 3-workload quick sweep asserting the two properties the full
-// ext-sampling run is budgeted on — rate 1.0 is bit-identical to the
-// unsampled simulation, and some cheaper rate stays within the 0.02
-// miss-ratio MAE budget while actually being cheaper to feed.
+// TestSamplingSweepSmoke is the acceptance smoke for the sampled tier in
+// ext-tiers: rate 1.0 has zero error, and some cheaper rate stays within
+// the 0.02 miss-ratio MAE budget while actually being cheaper to feed.
 func TestSamplingSweepSmoke(t *testing.T) {
-	var b bytes.Buffer
-	rows, summaries, err := ExtSampling(&b, testCfg("mcf", "crafty", "twolf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3*len(SamplingRates) {
-		t.Fatalf("%d rows, want %d", len(rows), 3*len(SamplingRates))
-	}
-	for _, r := range rows {
-		if r.Rate == 1.0 {
-			if !r.Identical {
-				t.Errorf("%s: rate 1.0 not bit-identical (err %v)", r.App, r.Err)
+	apps, rows, report := quickTiers(t)
+	for _, a := range apps {
+		if a.MRScale <= 0 {
+			t.Errorf("%s: MRScale %v not positive", a.App, a.MRScale)
+		}
+		for k, r := range rows {
+			if r.Name != "sampled" || r.Rate != 1.0 {
+				continue
 			}
-			if r.Err != 0 || r.MRErr != 0 {
-				t.Errorf("%s: rate 1.0 err %v / MR %v, want exactly 0", r.App, r.Err, r.MRErr)
+			if c := a.Curves[k]; c.Err != 0 || c.Err*a.MRScale != 0 {
+				t.Errorf("%s: rate 1.0 err %v, want exactly 0", a.App, c.Err)
 			}
 		}
-		if r.MRScale <= 0 {
-			t.Errorf("%s rate %v: MRScale %v not positive", r.App, r.Rate, r.MRScale)
-		}
 	}
-	best := PickSamplingRate(summaries, 0.02)
+	best := pickSamplingRate(rows, 0.02)
 	if best == 0 {
 		t.Fatal("no swept rate within the 0.02 miss-ratio budget")
 	}
 	if best >= 1.0 {
 		t.Fatalf("only the unsampled rate met the budget (best %v)", best)
 	}
-	for _, s := range summaries {
-		if s.Rate != best {
+	for _, r := range rows {
+		if r.Name != "sampled" || r.Rate != best {
 			continue
 		}
-		if s.MeanMRErr > 0.02 {
-			t.Errorf("picked rate %v mean MR-MAE %v beyond budget", best, s.MeanMRErr)
+		if r.MeanMRErr > 0.02 {
+			t.Errorf("picked rate %v mean MR-MAE %v beyond budget", best, r.MeanMRErr)
 		}
-		if s.MeanSpeedup <= 1 {
-			t.Errorf("picked rate %v mean speedup %vx, want > 1", best, s.MeanSpeedup)
-		}
-	}
-	for _, want := range []string{"MR-MAE", "Speedup", "Per-app detail"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("report missing %q", want)
+		if r.Speedup <= 1 {
+			t.Errorf("picked rate %v mean speedup %vx, want > 1", best, r.Speedup)
 		}
 	}
+	checkReport(t, report, "MR-MAE", "Speedup", "Per-app detail")
+}
+
+// TestExtTiers checks what ext-tiers adds to the two tier smokes above:
+// the sampled engine at rate 1.0 must be bit-identical to core.Compute,
+// the exact path and rate 1.0 must choose every pair's exact partition,
+// and no regret may be negative.
+func TestExtTiers(t *testing.T) {
+	apps, rows, report := quickTiers(t)
+	for _, a := range apps {
+		exact := a.Curves[pathExact]
+		for k, r := range rows {
+			if r.Name != "sampled" || r.Rate != 1.0 {
+				continue
+			}
+			c := a.Curves[k]
+			if c.ModelCycles != exact.ModelCycles {
+				t.Errorf("%s: rate 1.0 ModelCycles %d, core.Compute %d", a.App, c.ModelCycles, exact.ModelCycles)
+			}
+			for i, v := range exact.MRC.MPKI {
+				if math.Float64bits(c.MRC.MPKI[i]) != math.Float64bits(v) {
+					t.Errorf("%s: rate 1.0 point %d = %v, core.Compute %v", a.App, i, c.MRC.MPKI[i], v)
+				}
+			}
+		}
+	}
+	for _, r := range rows {
+		if r.Pairs != 30*29/2 {
+			t.Errorf("%s %v: %d pairs, want 435", r.Name, r.Rate, r.Pairs)
+		}
+		if r.MeanRegret < 0 || r.MaxRegret < 0 {
+			t.Errorf("%s %v: negative regret (mean %v, max %v)", r.Name, r.Rate, r.MeanRegret, r.MaxRegret)
+		}
+		if (r.Name == "exact" || r.Name == "sampled" && r.Rate == 1.0) &&
+			(r.MeanRegret != 0 || r.MaxRegret != 0 || r.Changed != 0 || r.MeanMRErr != 0 || r.MaxMRErr != 0) {
+			t.Errorf("%s %v: regret %v/%v, %d splits changed, MR-MAE %v/%v; want all 0",
+				r.Name, r.Rate, r.MeanRegret, r.MaxRegret, r.Changed, r.MeanMRErr, r.MaxMRErr)
+		}
+	}
+	checkReport(t, report, "MeanRegret", "Changed")
 }
 
 func TestRunAllQuickSubset(t *testing.T) {

@@ -33,13 +33,13 @@ var registry = map[string]Runner{
 	"table2": func(w io.Writer, cfg Config) error { _, err := Table2(w, cfg); return err },
 	// Extensions beyond the paper's evaluation: the §6 future-PMU
 	// ablation, the §5.3 dynamic-repartitioning vision, use case (iv)
-	// global-MRC prediction, and the analytical-estimator tier.
-	"ext-approx":      func(w io.Writer, cfg Config) error { _, _, err := ExtApprox(w, cfg); return err },
+	// global-MRC prediction, and the curve tiers judged by the partitions
+	// they choose.
 	"ext-pmubuffer":   func(w io.Writer, cfg Config) error { _, err := ExtPMUBuffer(w, cfg); return err },
 	"ext-dynamic":     func(w io.Writer, cfg Config) error { _, err := ExtDynamic(w, cfg); return err },
 	"ext-globalmrc":   func(w io.Writer, cfg Config) error { _, err := ExtGlobalMRC(w, cfg); return err },
 	"ext-replacement": func(w io.Writer, cfg Config) error { _, err := ExtReplacement(w, cfg); return err },
-	"ext-sampling":    func(w io.Writer, cfg Config) error { _, _, err := ExtSampling(w, cfg); return err },
+	"ext-tiers":       func(w io.Writer, cfg Config) error { _, _, err := ExtTiers(w, cfg); return err },
 }
 
 // Names returns the registered experiment ids, sorted.

@@ -306,8 +306,7 @@ func (m *Machine) l2Demand(pline mem.Line, dirty, stall, train bool) {
 
 // RunInstructions steps until at least n more instructions complete.
 func (m *Machine) RunInstructions(n uint64) {
-	// n instructions take at most n refs: each completes at least one.
-	if m.startReadAhead(n) {
+	if m.startReadAhead(span{refs: unbounded, instr: n}) {
 		defer m.stopReadAhead()
 	}
 	target := m.core.Instructions() + n
@@ -318,7 +317,7 @@ func (m *Machine) RunInstructions(n uint64) {
 
 // RunRefs executes exactly n memory references.
 func (m *Machine) RunRefs(n int) {
-	if n > 0 && m.startReadAhead(uint64(n)) {
+	if n > 0 && m.startReadAhead(span{refs: uint64(n), instr: unbounded}) {
 		defer m.stopReadAhead()
 	}
 	for i := 0; i < n; i++ {
@@ -395,7 +394,7 @@ func (m *Machine) Repartition(allowed color.Set) int {
 // counters (an epoch's stamp) but must not step it. A sink that is a
 // pmu.Stopper ends the period after the step in which it stops.
 func (m *Machine) CollectTrace(entries int, sink pmu.Sink) pmu.TraceStats {
-	if m.startReadAhead(unbounded) {
+	if m.startReadAhead(span{unbounded, unbounded}) {
 		defer m.stopReadAhead()
 	}
 	m.pmu.StartTrace(sink, entries, m.core.Instructions(), m.core.Cycles())

@@ -19,7 +19,9 @@ import (
 // The generator's output does not depend on machine state, so the
 // reference sequence the machine consumes is the same whichever side
 // generated a batch; only the generator's own position runs ahead, by up
-// to readAheadDepth batches.
+// to readAheadDepth batches. A bounded run generates no more than it may
+// step: RunRefs budgets its producer in refs, RunInstructions in the
+// instructions the refs retire.
 const (
 	// readAheadBatch is one read-ahead buffer, in refs. 1,024-ref batches
 	// left the pipeline visibly less effective: the per-batch handoff is
@@ -32,18 +34,31 @@ const (
 	// jitter: rapidmrc.Online over the zoo ran about 8% faster at 16
 	// than at 4 on a 2-CPU Xeon.
 	readAheadDepth = 16
-	// unbounded is the maxRefs of a run whose length is not known up
+	// unbounded is the budget of a run whose length is not known up
 	// front, such as a capture.
 	unbounded = math.MaxUint64
 )
 
+// span is a stretch of the stream measured both ways: its refs and the
+// instructions they retire, each ref its Gap plus itself.
+type span struct{ refs, instr uint64 }
+
+func (s *span) add(refs []mem.Ref) {
+	s.refs += uint64(len(refs))
+	for _, r := range refs {
+		s.instr += uint64(r.Gap) + 1
+	}
+}
+
 // batch is one filled read-ahead buffer: refs[:n] are the next n refs of
-// the stream. n < len(refs) means the stream ended after them. A non-nil
-// fault is a panic the generator raised on the producer, re-raised by the
-// machine when it reaches that point of the stream.
+// the stream, and size measures them. n < len(refs) means the stream
+// ended after them. A non-nil fault is a panic the generator raised on
+// the producer, re-raised by the machine when it reaches that point of
+// the stream.
 type batch struct {
 	refs  []mem.Ref
 	n     int
+	size  span
 	fault any
 }
 
@@ -59,6 +74,11 @@ type readAhead struct {
 	// none runs.
 	stop chan struct{}
 	done chan struct{}
+	// made measures the batches producers queued and taken those the
+	// machine took off the queue, so made minus taken is what is queued
+	// while no producer runs. made belongs to the running producer until
+	// done closes.
+	made, taken span
 }
 
 func newReadAhead() *readAhead {
@@ -72,12 +92,13 @@ func newReadAhead() *readAhead {
 	return ra
 }
 
-// produce fills up to batches free buffers from gen in stream order,
-// stopping early when stop closes or the stream ends, then closes done.
-// It touches only gen and the buffers it takes from free.
-func (ra *readAhead) produce(gen mem.Generator, batches uint64, stop <-chan struct{}, done chan<- struct{}) {
+// produce fills free buffers from gen in stream order until the batches
+// it queued reach need in refs or in instructions, stop closes or the
+// stream ends, then closes done. It touches only gen, ra.made and the
+// buffers it takes from free.
+func (ra *readAhead) produce(gen mem.Generator, need span, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	for ; batches > 0; batches-- {
+	for {
 		// A pending stop wins over a free buffer, so stopping does not
 		// wait for a batch nobody asked for.
 		select {
@@ -96,9 +117,13 @@ func (ra *readAhead) produce(gen mem.Generator, batches uint64, stop <-chan stru
 			ra.free <- buf
 		}
 		ra.full <- b
-		if b.fault != nil || b.n < len(buf) {
+		ra.made.refs += b.size.refs
+		ra.made.instr += b.size.instr
+		if b.fault != nil || b.n < len(buf) || b.size.refs >= need.refs || b.size.instr >= need.instr {
 			return
 		}
+		need.refs -= b.size.refs
+		need.instr -= b.size.instr
 	}
 }
 
@@ -111,7 +136,9 @@ func fillBatch(gen mem.Generator, buf []mem.Ref) (b batch) {
 			b = batch{fault: p}
 		}
 	}()
-	return batch{refs: buf, n: mem.ReadBatch(gen, buf)}
+	b.refs, b.n = buf, mem.ReadBatch(gen, buf)
+	b.size.add(buf[:b.n])
+	return b
 }
 
 // readAhead returns the machine's ring, allocating it on first use.
@@ -144,6 +171,8 @@ func (m *Machine) refill() {
 			b.n = mem.ReadBatch(m.gen, b.refs)
 		}
 	}
+	ra.taken.refs += b.size.refs
+	ra.taken.instr += b.size.instr
 	if b.fault != nil {
 		panic(b.fault)
 	}
@@ -163,24 +192,25 @@ func (m *Machine) endOfStream() string {
 }
 
 // startReadAhead starts the producer for a run that consumes at most
-// maxRefs more refs, and reports whether it did. The producer generates
-// at most the batches maxRefs needs beyond the current batch and those
-// already queued. A run those already cover, or a stream known to have
-// ended, stays inline. A caller that gets true must call stopReadAhead
-// before it returns, on every path.
-func (m *Machine) startReadAhead(maxRefs uint64) bool {
-	// Queued batches are full: only the stream's last batch is short,
-	// and consuming it ends the stream before a refill could block.
-	ahead := uint64(m.refLen - m.refPos)
+// limit.refs more refs or retires at most limit.instr more instructions,
+// whichever it reaches first, and reports whether it did. The producer
+// generates at most the batches limit needs beyond the rest of the current
+// batch and those already queued. A run those already cover, or a stream
+// known to have ended, stays inline. A caller that gets true must call
+// stopReadAhead before it returns, on every path.
+func (m *Machine) startReadAhead(limit span) bool {
+	var ahead span
+	ahead.add(m.refBuf[m.refPos:m.refLen])
 	if m.ra != nil {
-		ahead += uint64(len(m.ra.full)) * readAheadBatch
+		ahead.refs += m.ra.made.refs - m.ra.taken.refs
+		ahead.instr += m.ra.made.instr - m.ra.taken.instr
 	}
-	if m.ended || maxRefs <= ahead {
+	if m.ended || limit.refs <= ahead.refs || limit.instr <= ahead.instr {
 		return false
 	}
 	ra := m.readAhead()
 	ra.stop, ra.done = make(chan struct{}), make(chan struct{})
-	go ra.produce(m.gen, (maxRefs-ahead-1)/readAheadBatch+1, ra.stop, ra.done)
+	go ra.produce(m.gen, span{limit.refs - ahead.refs, limit.instr - ahead.instr}, ra.stop, ra.done)
 	return true
 }
 

@@ -381,9 +381,13 @@ func TestReadAheadForwardsGeneratorPanic(t *testing.T) {
 	}
 }
 
-// countingGen is an endless stream of loads, read through the batch
-// interface, that counts the batches read from it.
-type countingGen struct{ pos, batches int }
+// countingGen is an endless stream of loads, each retiring gap+1
+// instructions, read through the batch interface, that counts the
+// batches read from it.
+type countingGen struct {
+	gap          uint32
+	pos, batches int
+}
 
 func (g *countingGen) Next() mem.Ref    { panic("countingGen is read in batches") }
 func (g *countingGen) Name() string     { return "counting" }
@@ -392,41 +396,46 @@ func (g *countingGen) Reset(seed int64) { g.pos = 0 }
 func (g *countingGen) NextBatch(buf []mem.Ref) int {
 	g.batches++
 	for i := range buf {
-		buf[i] = mem.Ref{Addr: mem.Addr(g.pos+i) * mem.LineSize, Kind: mem.Load, Gap: 2}
+		buf[i] = mem.Ref{Addr: mem.Addr(g.pos+i) * mem.LineSize, Kind: mem.Load, Gap: g.gap}
 	}
 	g.pos += len(buf)
 	return len(buf)
 }
 
 // TestRunInstructionsBoundsReadAhead checks that a bounded run generates
-// only what it may step: RunInstructions(n) steps at most n refs, so it
-// reads at most ceil(n/readAheadBatch) batches past the current one,
-// whatever an earlier run left queued. No producer outlives a run, and a
-// capture after the runs stays unbounded.
+// only what it may step: RunInstructions(n) steps the first refs whose
+// instructions reach n, ceil(n/k) of them when every ref retires k, so it
+// reads at most ceil(ceil(n/k)/readAheadBatch) batches past the current
+// one, whatever an earlier run left queued. The gap-heavy stream holds
+// the budget to instructions, not refs. No producer outlives a run, and
+// a capture after the runs stays unbounded.
 func TestRunInstructionsBoundsReadAhead(t *testing.T) {
-	base := runtime.NumGoroutine()
-	g := &countingGen{}
-	m := NewMachine(g, Options{Mode: cpu.Complex, Seed: 1})
-	sizes := []uint64{1, 100, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1,
-		5_000, 3*readAheadBatch + 7, 200_000, 2}
-	var instr uint64
-	for _, n := range sizes {
-		before := g.batches
-		m.RunInstructions(n)
-		if got, limit := g.batches-before, int((n+readAheadBatch-1)/readAheadBatch); got > limit {
-			t.Errorf("RunInstructions(%d) read %d batches, at most %d allowed", n, got, limit)
+	for _, gap := range []uint32{2, 99} {
+		base := runtime.NumGoroutine()
+		g := &countingGen{gap: gap}
+		m := NewMachine(g, Options{Mode: cpu.Complex, Seed: 1})
+		k := uint64(gap) + 1
+		sizes := []uint64{1, 100, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1,
+			5_000, 3*readAheadBatch + 7, 200_000, 2, 40 * readAheadBatch * k, 300}
+		var instr uint64
+		for _, n := range sizes {
+			before := g.batches
+			m.RunInstructions(n)
+			refs := (n + k - 1) / k
+			if got, limit := g.batches-before, int((refs+readAheadBatch-1)/readAheadBatch); got > limit {
+				t.Errorf("gap %d: RunInstructions(%d) read %d batches, at most %d allowed", gap, n, got, limit)
+			}
+			waitGoroutines(t, base, fmt.Sprintf("gap %d: RunInstructions(%d)", gap, n))
+			instr += refs * k
+			if got := m.core.Instructions(); got != instr {
+				t.Fatalf("gap %d: after RunInstructions(%d): %d instructions, want %d", gap, n, got, instr)
+			}
 		}
-		waitGoroutines(t, base, fmt.Sprintf("RunInstructions(%d)", n))
-		// Every ref is a 3-instruction load.
-		instr += (n + 2) / 3 * 3
-		if got := m.core.Instructions(); got != instr {
-			t.Fatalf("after RunInstructions(%d): %d instructions, want %d", n, got, instr)
+		captured := 0
+		st := m.CollectTrace(10_000, pmu.SinkFunc(func(mem.Line) { captured++ }))
+		if st.Captured != 10_000 || captured != 10_000 {
+			t.Fatalf("gap %d: capture logged %d entries (sink saw %d), want 10000", gap, st.Captured, captured)
 		}
+		waitGoroutines(t, base, fmt.Sprintf("gap %d: CollectTrace", gap))
 	}
-	captured := 0
-	st := m.CollectTrace(10_000, pmu.SinkFunc(func(mem.Line) { captured++ }))
-	if st.Captured != 10_000 || captured != 10_000 {
-		t.Fatalf("capture logged %d entries (sink saw %d), want 10000", st.Captured, captured)
-	}
-	waitGoroutines(t, base, "CollectTrace")
 }

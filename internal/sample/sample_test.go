@@ -149,7 +149,7 @@ func TestRateOneWorkloadZoo(t *testing.T) {
 }
 
 // relErr is the mean relative MPKI error between two curves, each point
-// normalized by the true curve's mean level (the ext-sampling metric).
+// normalized by the true curve's mean level.
 func relErr(got, want []float64) float64 {
 	mean := 0.0
 	for _, v := range want {

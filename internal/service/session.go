@@ -195,7 +195,7 @@ func (s *Session) Serve(instructions uint64, phaseChange bool) (*Epoch, error) {
 	d := approx.Decision{Tier: approx.TierSimulated, Reason: "disabled"}
 	var est *approx.Estimate
 	if s.policy != nil {
-		est, d = approx.Assess(s.policy, s.sampler, instructions, phaseChange)
+		est, _, d = approx.Assess(s.policy, s.sampler, instructions, phaseChange)
 		s.decision = d
 		if d.Tier == approx.TierAnalytical {
 			// The Result is synthesized (Hist nil, no stack statistics) but

@@ -6,6 +6,21 @@ import (
 	"rapidmrc/internal/mem"
 )
 
+// phaseFor returns the phase index active at instruction count n by
+// scanning the schedule. The hot path tracks the phase incrementally in
+// advance; this scan is the reference implementation the property tests
+// check the incremental state against.
+func (g *Gen) phaseFor(n uint64) int {
+	pos := n % g.cycle
+	for i := range g.phases {
+		if pos < g.phases[i].length {
+			return i
+		}
+		pos -= g.phases[i].length
+	}
+	return len(g.phases) - 1 // unreachable: lengths sum to cycle
+}
+
 // TestNextBatchMatchesNext pins the bulk-generation contract for every
 // bundled application: NextBatch(buf) returns exactly the refs the same
 // number of Next calls would, for assorted buffer sizes (including sizes

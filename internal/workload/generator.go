@@ -127,7 +127,7 @@ type Gen struct {
 	// [phaseStart, phaseEnd) is the cyclePos range of the current phase.
 	// Keeping these up to date as instr advances turns the per-reference
 	// phase lookup from a scan over the schedule into an amortized O(1)
-	// update (phaseFor remains as the checked reference implementation).
+	// update (the tests check it against a reference scan, phaseFor).
 	cyclePos   uint64
 	phaseStart uint64
 	phaseEnd   uint64
@@ -206,21 +206,6 @@ func (g *Gen) advance(d uint64) {
 		g.phaseStart = g.phaseEnd
 		g.phaseEnd += g.phases[g.current].length
 	}
-}
-
-// phaseFor returns the phase index active at instruction count n by
-// scanning the schedule. The hot path tracks the phase incrementally in
-// advance; this scan is the reference implementation the property tests
-// check the incremental state against.
-func (g *Gen) phaseFor(n uint64) int {
-	pos := n % g.cycle
-	for i := range g.phases {
-		if pos < g.phases[i].length {
-			return i
-		}
-		pos -= g.phases[i].length
-	}
-	return len(g.phases) - 1 // unreachable: lengths sum to cycle
 }
 
 // Next implements mem.Generator.
